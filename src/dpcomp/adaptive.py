@@ -6,18 +6,20 @@ pure-DP slot splits the budget b into b -+ eps with the worst-case
 two-point weights, and a bounded-range slot takes a supremum over its
 tilt t in [0, eps], splitting b into b - t and b + eps - t.
 
-The BR supremum is taken over a uniform tilt grid joined with exact
-stationary candidates (budget-dependent fractions and the stationary
-family of the non-adaptive mixed bound for the remaining slots), then
-polished by golden-section refinement around the incumbent.  Because the
-verified worst-case tilts all belong to the candidate set, the recursion
-is exact at the anchor points and the grid only backstops everything
-else.
+Every BR supremum is searched over exact stationary candidates:
+budget-dependent fractions and the stationary family of the non-adaptive
+mixed bound for the remaining slots.  The last BR slot of the sequence
+(the terminal slot) has only DP slots after it, so its suffix is one BR
+slot composed with DP slots.  The mixed bound attains its maximum at
+those candidates, and the terminal slot is evaluated at them alone,
+exactly.  Every earlier BR slot joins the candidates with a uniform tilt
+grid and polishes the incumbent by golden-section refinement; there the
+grid only backstops the verified worst-case tilts in the candidate set.
 
-Cost grows like grid^depth in the number of *nested* BR slots below the
-first one; sequences are capped at 12 slots and the intended regime is at
-most two or three BR slots (or arbitrarily many DP slots, which are cheap
-and memoized).
+Cost grows like grid^(number of BR slots - 1), the terminal slot adding
+only its candidates; sequences are capped at 12 slots and the intended
+regime is at most two or three BR slots (or arbitrarily many DP slots,
+which are cheap and memoized).
 """
 
 from __future__ import annotations
@@ -75,7 +77,11 @@ class MechanismSequence:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Tilt-grid resolution and golden-section polish for BR suprema."""
+    """Tilt-grid resolution and golden-section polish for BR suprema.
+
+    Applies only to BR slots with a later BR slot; the last BR slot of a
+    sequence is evaluated exactly at its stationary candidates.
+    """
 
     points_per_level: int = 1001
     refine_rounds: int = 40
@@ -118,6 +124,10 @@ class _RecursiveEvaluator:
         self.qb = 1.0 / (1.0 + math.exp(-seq.eps))
         self.memo: dict[tuple[int, float], float] = {}
         self._denom = math.expm1(-seq.eps)
+        # the last BR slot has only DP slots after it: exact at its candidates
+        self.terminal = max(
+            (i for i, s in enumerate(seq.slots) if s == "br"), default=-1
+        )
 
     def _q_of(self, t: np.ndarray) -> np.ndarray:
         return np.expm1(t - self.eps) / self._denom
@@ -159,15 +169,16 @@ class _RecursiveEvaluator:
             hi = self.eval_vec(idx + 1, budgets + self.eps)
             return self.qb * lo + (1.0 - self.qb) * hi
         out = np.empty_like(budgets)
-        g = self.t_grid.size
+        g = 0 if idx == self.terminal else self.t_grid.size
         c = 7 + len(self.slots[idx:]) + self.slots[idx:].count("dp") + 1
         block = max(1, _CHUNK // (g + c))
         for s in range(0, budgets.size, block):
             b = budgets[s : s + block]
-            tilts = np.concatenate(
-                [np.broadcast_to(self.t_grid, (b.size, g)), self._cand_matrix(idx, b)],
-                axis=1,
-            )
+            tilts = self._cand_matrix(idx, b)
+            if g:
+                tilts = np.concatenate(
+                    [np.broadcast_to(self.t_grid, (b.size, g)), tilts], axis=1
+                )
             q = self._q_of(tilts)
             f_lo = self.eval_vec(idx + 1, (b[:, None] - tilts).ravel()).reshape(
                 tilts.shape
@@ -189,6 +200,8 @@ class _RecursiveEvaluator:
             val = self.qb * self.eval_scalar(idx + 1, b - self.eps) + (
                 1.0 - self.qb
             ) * self.eval_scalar(idx + 1, b + self.eps)
+        elif idx == self.terminal:
+            val = float(self.eval_vec(idx, np.array([b]))[0])
         else:
             tilts = np.concatenate(
                 [self.t_grid, self._cand_matrix(idx, np.array([b]))[0]]
@@ -220,7 +233,8 @@ def delta_opt_recursive(
 ) -> float:
     """Optimal delta of the adaptively composed sequence at budget eps_g.
 
-    Lower-bounds the true supremum by construction (every tilt evaluated
+    Exact for sequences with at most one BR slot.  With more, it still
+    lower-bounds the true supremum by construction (every tilt evaluated
     is feasible); the candidate set makes it exact at the verified
     worst-case tilts.
     """

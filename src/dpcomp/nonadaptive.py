@@ -260,10 +260,13 @@ def eps_inverse(
 
     bound is one of "dp", "br", "mixed"; "mixed" requires m.  delta at
     eps_g = k eps is exactly zero, so [0, k eps] always brackets; if even
-    eps_g = 0 already meets the target, 0 is returned.
+    eps_g = 0 already meets the target, 0 is returned.  Bisection stops at
+    width tol, or earlier once the bracket ends are adjacent floats.
     """
     if not (0.0 < delta_target < 1.0):
         raise ValueError(f"delta_target must lie in (0,1), got {delta_target}")
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     if bound == "dp":
         f: Callable[[float], float] = lambda eg: delta_opt_dp(k, eps, eg)
     elif bound == "br":
@@ -282,6 +285,8 @@ def eps_inverse(
     # g(lo) > 0 and g(hi) <= 0; keep the smallest eg with g <= 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if g(mid) > 0.0:
             lo = mid
         else:

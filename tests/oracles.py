@@ -252,6 +252,27 @@ def mp_single_br_closed(eps, y) -> float:
         return float(mp_q(eps, (y + eps) / 2) ** 2 * (1 - mp.e ** (-eps)))
 
 
+def grid_terminal_br(m: int, eps: float, budget: float, n: int = 4001) -> np.ndarray:
+    """One BR slot followed by m DP slots, at each point of an n-point tilt grid.
+
+    The DP tail is its closed binomial mixture: j of the m slots move the
+    budget up by eps and m - j down, with weights C(m, j) qb^(m-j)
+    (1-qb)^j, and the empty tail costs [1 - e^b]_+.  Plain exp, no
+    recursion and no stationary candidates.
+    """
+    qb = math.exp(eps) / (1.0 + math.exp(eps))
+    j = np.arange(m + 1)
+    w = np.array([math.comb(m, int(i)) for i in j]) * qb ** (m - j) * (1.0 - qb) ** j
+
+    def tail(b: np.ndarray) -> np.ndarray:
+        expo = b[:, None] + eps * (2 * j - m)
+        return (w * np.maximum(1.0 - np.exp(expo), 0.0)).sum(axis=1)
+
+    t = np.linspace(0.0, eps, n)
+    q = (1.0 - np.exp(t - eps)) / (1.0 - math.exp(-eps))
+    return q * tail(budget - t) + (1.0 - q) * tail(budget + eps - t)
+
+
 # ---------------------------------------------------------------------------
 # Set-wise accounting in mpf.
 # ---------------------------------------------------------------------------

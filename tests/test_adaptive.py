@@ -309,6 +309,53 @@ class TestOrderingProperties:
         )
 
 
+@st.composite
+def _short_sequences(draw):
+    n = draw(st.integers(2, 4))
+    brs = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=2))
+    return tuple("br" if i in brs else "dp" for i in range(n))
+
+
+class TestTerminalSlot:
+    """The last BR slot is evaluated at its stationary candidates only."""
+
+    # values of delta_opt_recursive with the default grid, searching the
+    # terminal slot over the full tilt grid with golden-section polish too
+    FROZEN = [
+        (("br", "dp"), 0.548, -0.587, 0.48616904578556847),
+        (("dp", "br"), 0.853, -0.38, 0.5124466007651526),
+        (("br", "br"), 1.3, 0.4, 0.26918130665676154),
+        (("dp", "br", "dp"), 1.844, 2.202, 0.5821907815305523),
+        (("br", "dp", "br"), 1.554, -0.112, 0.6998376628979475),
+        (("br", "dp", "dp", "dp"), 1.12, 0.107, 0.6798984213971999),
+        (("dp", "br", "dp", "br"), 0.428, -0.575, 0.49558956545851607),
+        (("br", "br", "dp", "dp"), 0.8, 1.1, 0.21605856477621466),
+    ]
+
+    @given(
+        _short_sequences(),
+        st.floats(min_value=0.1, max_value=2.0),
+        st.floats(min_value=-1.0, max_value=3.0),
+        st.floats(min_value=-1.0, max_value=1.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_grid_never_beats_candidates(self, slots, eps, eps_g, frac):
+        last = max(i for i, s in enumerate(slots) if s == "br")
+        m = len(slots) - last - 1
+        # earlier slots move the budget by at most eps each
+        b = eps_g + frac * last * eps
+        got = delta_opt_recursive(MechanismSequence(slots[last:], eps), b)
+        assert oracles.grid_terminal_br(m, eps, b).max() <= got + 1e-12
+        assert got == pytest.approx(
+            oracles.mp_delta_mixed(m + 1, m, eps, b), abs=1e-12
+        )
+
+    def test_frozen(self):
+        for slots, eps, eps_g, want in self.FROZEN:
+            got = delta_opt_recursive(MechanismSequence(slots, eps), eps_g)
+            assert got == pytest.approx(want, abs=1e-12), slots
+
+
 class TestLongSequences:
     def test_eleven_dp_one_br(self):
         # lone BR first among 11 DP slots, against the mixed bound

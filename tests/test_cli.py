@@ -7,9 +7,13 @@ argv and seed must give identical output.
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import dpcomp
 from dpcomp.calibration import HistogramSpec, solve_sigma_zcdp
 from dpcomp.cli import figure_data, load_histogram_counts, main, tokenize
 from dpcomp.mechanisms import RngState, histogram_from_text, known_lap_topk
@@ -94,6 +98,18 @@ class TestComposeCommand:
         want = eps_inverse(1e-6, "dp", 25, 0.1)
         assert float(out) == want
         assert float(out) == pytest.approx(2.08, abs=0.01)
+
+    def test_invert_at_huge_eps_terminates(self):
+        # a child process, so a hanging inversion fails the test instead of the run
+        src = os.path.dirname(os.path.dirname(dpcomp.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "dpcomp", "compose", "dp", "--k", "10", "--eps", "1e8",
+             "--invert", "--delta", "1e-6"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) == eps_inverse(1e-6, "dp", 10, 1e8)
 
     def test_grid_csv_matches_library(self, capsys):
         code, out, _ = run(

@@ -265,6 +265,18 @@ class TestEpsInverse:
     def test_zero_when_already_satisfied(self):
         assert eps_inverse(0.9999, "dp", 2, 0.1) == 0.0
 
+    @pytest.mark.parametrize(
+        "eps, tol",
+        [
+            (1e8, 1e-9),  # float spacing at k*eps = 1e9 exceeds tol
+            (0.5, 0.0),
+        ],
+    )
+    def test_stops_at_adjacent_floats(self, eps, tol):
+        eg = eps_inverse(1e-6, "dp", 10, eps, tol=tol)
+        assert delta_opt_dp(10, eps, eg) <= 1e-6
+        assert delta_opt_dp(10, eps, math.nextafter(eg, 0.0)) > 1e-6
+
     def test_validation(self):
         with pytest.raises(ValueError):
             eps_inverse(0.0, "dp", 2, 0.1)
@@ -272,6 +284,9 @@ class TestEpsInverse:
             eps_inverse(1e-6, "nope", 2, 0.1)
         with pytest.raises(ValueError):
             eps_inverse(1e-6, "mixed", 2, 0.1)
+        for tol in (-1e-9, math.nan):
+            with pytest.raises(ValueError):
+                eps_inverse(1e-6, "dp", 2, 0.1, tol=tol)
 
 
 class TestBruteForce:
