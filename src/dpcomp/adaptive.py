@@ -31,6 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .nonadaptive import CompositionQuery, delta_opt_mixed, grr_params
+from .numerics import golden_max
 
 __all__ = [
     "MechanismSequence",
@@ -93,26 +94,6 @@ class GridSpec:
             raise ValueError("refine_rounds must be nonnegative")
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float, rounds: int) -> float:
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - gr * (b - a)
-    d = a + gr * (b - a)
-    fc, fd = f(c), f(d)
-    best = max(f(a), f(b), fc, fd)
-    for _ in range(rounds):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = f(d)
-        best = max(best, fc, fd)
-    return best
-
-
 class _RecursiveEvaluator:
     def __init__(self, seq: MechanismSequence, grid: GridSpec) -> None:
         self.slots = seq.slots
@@ -160,6 +141,24 @@ class _RecursiveEvaluator:
         out[neg] = -np.expm1(budgets[neg])
         return out
 
+    def _tilt_values(
+        self, idx: int, budgets: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Tilts tried at BR slot idx and their values, one row per budget.
+
+        The terminal slot tries its stationary candidates only; earlier
+        BR slots prepend the uniform tilt grid.
+        """
+        tilts = self._cand_matrix(idx, budgets)
+        if idx != self.terminal:
+            grid = np.broadcast_to(self.t_grid, (budgets.size, self.t_grid.size))
+            tilts = np.concatenate([grid, tilts], axis=1)
+        q = self._q_of(tilts)
+        b = budgets[:, None]
+        f_lo = self.eval_vec(idx + 1, (b - tilts).ravel()).reshape(tilts.shape)
+        f_hi = self.eval_vec(idx + 1, (b + self.eps - tilts).ravel()).reshape(tilts.shape)
+        return tilts, q * f_lo + (1.0 - q) * f_hi
+
     def eval_vec(self, idx: int, budgets: np.ndarray) -> np.ndarray:
         if idx == self.n:
             return self._base_vec(budgets)
@@ -174,19 +173,7 @@ class _RecursiveEvaluator:
         block = max(1, _CHUNK // (g + c))
         for s in range(0, budgets.size, block):
             b = budgets[s : s + block]
-            tilts = self._cand_matrix(idx, b)
-            if g:
-                tilts = np.concatenate(
-                    [np.broadcast_to(self.t_grid, (b.size, g)), tilts], axis=1
-                )
-            q = self._q_of(tilts)
-            f_lo = self.eval_vec(idx + 1, (b[:, None] - tilts).ravel()).reshape(
-                tilts.shape
-            )
-            f_hi = self.eval_vec(
-                idx + 1, (b[:, None] + self.eps - tilts).ravel()
-            ).reshape(tilts.shape)
-            out[s : s + b.size] = (q * f_lo + (1.0 - q) * f_hi).max(axis=1)
+            out[s : s + b.size] = self._tilt_values(idx, b)[1].max(axis=1)
         return out
 
     def eval_scalar(self, idx: int, b: float) -> float:
@@ -200,21 +187,13 @@ class _RecursiveEvaluator:
             val = self.qb * self.eval_scalar(idx + 1, b - self.eps) + (
                 1.0 - self.qb
             ) * self.eval_scalar(idx + 1, b + self.eps)
-        elif idx == self.terminal:
-            val = float(self.eval_vec(idx, np.array([b]))[0])
         else:
-            tilts = np.concatenate(
-                [self.t_grid, self._cand_matrix(idx, np.array([b]))[0]]
-            )
-            q = self._q_of(tilts)
-            f_lo = self.eval_vec(idx + 1, b - tilts)
-            f_hi = self.eval_vec(idx + 1, b + self.eps - tilts)
-            vals = q * f_lo + (1.0 - q) * f_hi
-            j = int(np.argmax(vals))
-            val = float(vals[j])
-            if self.grid.refine_rounds > 0:
-                lo = max(0.0, float(tilts[j]) - self.h)
-                hi = min(self.eps, float(tilts[j]) + self.h)
+            tilts, vals = self._tilt_values(idx, np.array([b]))
+            j = int(np.argmax(vals[0]))
+            val = float(vals[0, j])
+            if idx != self.terminal and self.grid.refine_rounds > 0:
+                lo = max(0.0, float(tilts[0, j]) - self.h)
+                hi = min(self.eps, float(tilts[0, j]) + self.h)
                 if hi > lo:
 
                     def phi(t: float) -> float:
@@ -223,7 +202,7 @@ class _RecursiveEvaluator:
                             1.0 - qt
                         ) * self.eval_scalar(idx + 1, b + self.eps - t)
 
-                    val = max(val, _golden_max(phi, lo, hi, self.grid.refine_rounds))
+                    val = max(val, golden_max(phi, lo, hi, self.grid.refine_rounds))
         self.memo[key] = val
         return val
 
@@ -308,7 +287,7 @@ def two_br_delta(
     h = eps / (grid_points - 1)
     lo, hi = max(0.0, float(ts[j]) - h), min(eps, float(ts[j]) + h)
     if refine_rounds > 0 and hi > lo:
-        best = max(best, _golden_max(val, lo, hi, refine_rounds))
+        best = max(best, golden_max(val, lo, hi, refine_rounds))
     return best
 
 

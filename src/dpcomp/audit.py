@@ -30,7 +30,7 @@ from .nonadaptive import (
     grr_params,
     mixed_candidate_ts,
 )
-from .numerics import std_normal_cdf
+from .numerics import golden_max, std_normal_cdf
 from .setwise import Zcdp, zcdp_dp_guarantee
 
 __all__ = [
@@ -172,24 +172,8 @@ def mixed_brute_force_sup(
     best = int(np.argmax(values))
     lo = ts[max(best - 1, 0)]
     hi = ts[min(best + 1, ts.size - 1)]
-
-    # golden-section polish of the winning bracket
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc = float(delta_at_grid(np.array([c]))[0])
-    fd = float(delta_at_grid(np.array([d]))[0])
-    for _ in range(80):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = float(delta_at_grid(np.array([c]))[0])
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = float(delta_at_grid(np.array([d]))[0])
-    return max(float(values[best]), fc, fd)
+    polished = golden_max(lambda t: float(delta_at_grid(np.array([t]))[0]), lo, hi, 80)
+    return max(float(values[best]), polished)
 
 
 def _category_counts(

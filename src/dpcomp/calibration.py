@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from scipy.special import log_ndtr
 
 from .nonadaptive import eps_inverse
-from .numerics import BracketError, ConvergenceError, std_normal_cdf
+from .numerics import Bracket, expand, halve, std_normal_cdf
 
 __all__ = [
     "HistogramSpec",
@@ -103,32 +103,21 @@ def analytic_gaussian_eps(
     tol_rel: float = 1e-12,
     max_bisections: int = _MAX_BISECTIONS,
 ) -> float:
-    """Smallest eps at which N(0, sigma^2) vs N(1, sigma^2) admits delta."""
+    """Smallest eps at which N(0, sigma^2) vs N(1, sigma^2) admits delta.
+
+    Returned from the feasible end: analytic_gaussian_delta(sigma, eps)
+    <= delta holds, and the bracket it closes is within
+    tol_rel * max(1, eps) of the root.
+    """
     _check_delta(delta)
     if max_bisections < 1:
         raise ValueError(f"max_bisections must be >= 1, got {max_bisections}")
     if analytic_gaussian_delta(sigma, 0.0) <= delta:
         return 0.0
-    lo, hi = 0.0, 1.0
-    for _ in range(_MAX_DOUBLINGS):
-        if analytic_gaussian_delta(sigma, hi) <= delta:
-            break
-        lo, hi = hi, hi * 2.0
-    else:
-        raise BracketError(f"no eps <= {hi} reaches delta={delta} at sigma={sigma}")
-    for _ in range(max_bisections):
-        mid = 0.5 * (lo + hi)
-        if analytic_gaussian_delta(sigma, mid) <= delta:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= tol_rel * max(1.0, hi):
-            break
-    else:
-        raise ConvergenceError(
-            f"eps search still at width {hi - lo} after {max_bisections} bisections"
-        )
-    return hi
+    ok = lambda e: analytic_gaussian_delta(sigma, e) <= delta
+    lo, hi = expand(ok, 0.0, 1.0, _MAX_DOUBLINGS)
+    bracket = Bracket(lo, hi, tol_abs=tol_rel, max_iter=max_bisections, tol_rel=tol_rel)
+    return halve(ok, bracket)
 
 
 def solve_sigma_analytic(
@@ -139,34 +128,19 @@ def solve_sigma_analytic(
 ) -> float:
     """Smallest sigma at which the Gaussian curve passes (eps, delta).
 
-    Returned from the feasible side: analytic_gaussian_delta(sigma, eps)
-    <= delta is guaranteed up to the bisection tolerance.
+    Returned from the feasible end: analytic_gaussian_delta(sigma, eps)
+    <= delta holds, and the bracket it closes is within tol_rel * sigma
+    of the root.
     """
     if not (math.isfinite(eps) and eps >= 0):
         raise ValueError(f"eps must be nonnegative and finite, got {eps}")
     _check_delta(delta)
     if max_bisections < 1:
         raise ValueError(f"max_bisections must be >= 1, got {max_bisections}")
-    lo, hi = 0.0, 1.0
-    for _ in range(_MAX_DOUBLINGS):
-        if analytic_gaussian_delta(hi, eps) <= delta:
-            break
-        lo, hi = hi, hi * 2.0
-    else:
-        raise BracketError(f"no sigma <= {hi} reaches delta={delta} at eps={eps}")
-    for _ in range(max_bisections):
-        mid = 0.5 * (lo + hi)
-        if analytic_gaussian_delta(mid, eps) <= delta:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= tol_rel * hi:
-            break
-    else:
-        raise ConvergenceError(
-            f"sigma search still at width {hi - lo} after {max_bisections} bisections"
-        )
-    return hi
+    ok = lambda s: analytic_gaussian_delta(s, eps) <= delta
+    lo, hi = expand(ok, 0.0, 1.0, _MAX_DOUBLINGS)
+    bracket = Bracket(lo, hi, tol_abs=0.0, max_iter=max_bisections, tol_rel=tol_rel)
+    return halve(ok, bracket)
 
 
 def gaussian_zcdp_eps(sigma: float, delta0: int, delta: float) -> float:

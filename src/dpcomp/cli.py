@@ -19,7 +19,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -55,26 +54,9 @@ from .nonadaptive import (
 from .numerics import BracketError, ConvergenceError
 from .setwise import SetwiseAccountant, global_bound_homogeneous
 
-__all__ = ["RunConfig", "figure_data", "load_histogram_counts", "main"]
+__all__ = ["figure_data", "load_histogram_counts", "main"]
 
 _SEED_ENV = "DPCOMP_SEED"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One validated CLI invocation, ready to dispatch."""
-
-    subcommand: str
-    parameters: Mapping[str, object]
-    output: str = "-"
-    seed: int = 0
-    format: str = "csv"
-
-    def __post_init__(self) -> None:
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.format}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def _fmt(value: object) -> str:
@@ -127,13 +109,15 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _resolve_seed(value: Optional[int]) -> int:
-    if value is not None:
-        return value
-    raw = os.environ.get(_SEED_ENV, "0")
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{_SEED_ENV} must be an integer, got {raw!r}") from exc
+    if value is None:
+        raw = os.environ.get(_SEED_ENV, "0")
+        try:
+            value = int(raw)
+        except ValueError as exc:
+            raise ValueError(f"{_SEED_ENV} must be an integer, got {raw!r}") from exc
+    if value < 0:
+        raise ValueError(f"seed must be nonnegative, got {value}")
+    return value
 
 
 # ---------------------------------------------------------------- histograms
@@ -675,15 +659,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        seed = _resolve_seed(args.seed)
-        RunConfig(
-            subcommand=args.command,
-            parameters={k: v for k, v in vars(args).items() if k != "command"},
-            output=args.output,
-            seed=seed,
-            format=args.format,
-        )
-        return _HANDLERS[args.command](args, seed)
+        return _HANDLERS[args.command](args, _resolve_seed(args.seed))
     except (BracketError, ConvergenceError) as exc:
         print(f"dpcomp: solver failed to converge: {exc}", file=sys.stderr)
         return 3

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .calibration import HistogramSpec
-from .numerics import pava_monotone_nonneg, std_normal_cdf
+from .numerics import Bracket, bisect, expand, pava_monotone_nonneg, std_normal_cdf
 from .setwise import Cdp, Zcdp
 
 __all__ = [
@@ -278,10 +278,9 @@ def solve_truncation_level(
     delta0 counts one user can shift by up to tau, is decreasing in T
     and equals delta0 / 2 at T = tau exactly; the root is bracketed
     upward from there (doubling until sign change), or back toward
-    tau / 2 when delta is large.
+    tau / 2 when delta is large.  Returned from the feasible end, so
+    _trunc_rhs(T, ...) <= delta.
     """
-    from .numerics import Bracket, bisect
-
     if delta0 < 1:
         raise ValueError(f"delta0 must be >= 1, got {delta0}")
     if not (tau > 0 and math.isfinite(tau)):
@@ -295,13 +294,7 @@ def solve_truncation_level(
         return _trunc_rhs(t_level, delta0, tau, sigma) - delta
 
     if delta < delta0 / 2.0:
-        lo, hi = tau, 8.0 * tau * sigma + tau
-        for _ in range(60):
-            if gap(hi) < 0.0:
-                break
-            lo, hi = hi, hi * 2.0
-        else:
-            raise ValueError("truncation level did not bracket; delta too small")
+        lo, hi = expand(lambda t: gap(t) < 0.0, tau, 8.0 * tau * sigma + tau, 60)
     else:
         hi = tau
         lo = 0.75 * tau

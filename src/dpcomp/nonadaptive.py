@@ -20,14 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import (
-    Bracket,
-    bisect,
-    log1mexp,
-    log1pexp,
-    log_binomial,
-    logsumexp,
-)
+from .numerics import Bracket, halve, log1mexp, log1pexp, log_binomial, logsumexp
 
 __all__ = [
     "GrrParams",
@@ -43,6 +36,9 @@ __all__ = [
     "brute_force_delta",
     "permutation_invariance_check",
 ]
+
+# above the ~2,100 halvings from 2^1024 down to adjacent floats near 0
+_MAX_HALVINGS = 2200
 
 
 @dataclass(frozen=True)
@@ -261,7 +257,8 @@ def eps_inverse(
     bound is one of "dp", "br", "mixed"; "mixed" requires m.  delta at
     eps_g = k eps is exactly zero, so [0, k eps] always brackets; if even
     eps_g = 0 already meets the target, 0 is returned.  Bisection stops at
-    width tol, or earlier once the bracket ends are adjacent floats.
+    width tol, or earlier once the bracket ends are adjacent floats, and
+    returns the feasible end.
     """
     if not (0.0 < delta_target < 1.0):
         raise ValueError(f"delta_target must lie in (0,1), got {delta_target}")
@@ -279,19 +276,11 @@ def eps_inverse(
         raise ValueError(f"unknown bound {bound!r}")
     if f(0.0) <= delta_target:
         return 0.0
-    hi = k * eps
-    lo = 0.0
-    g = lambda eg: f(eg) - delta_target
-    # g(lo) > 0 and g(hi) <= 0; keep the smallest eg with g <= 0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    # tol=0 stops at adjacent floats: no positive width is below ulp(0)
+    bracket = Bracket(
+        0.0, k * eps, tol_abs=max(tol, math.ulp(0.0)), max_iter=_MAX_HALVINGS
+    )
+    return halve(lambda eg: f(eg) <= delta_target, bracket)
 
 
 def brute_force_delta(

@@ -1,8 +1,12 @@
 """Stable scalar primitives shared by the accounting and mechanism modules.
 
 Log-space combinatorics, accurate log/exp differences, the standard normal
-CDF, a bracketed bisection solver, and the pool-adjacent-violators
-projection used by the order-constrained noise mechanism.
+CDF, the pool-adjacent-violators projection used by the order-constrained
+noise mechanism, and the package's only one-dimensional solvers: one
+halving loop (``halve``, fronted by the sign-change root-finder
+``bisect``), one doubling loop (``expand``) and one golden-section search
+(``golden_max``).  Every root search returns the feasible end of its
+final bracket, never a midpoint.
 
 Probabilities that can underflow are carried as natural logs throughout the
 package; ``-inf`` encodes an exact zero.
@@ -29,6 +33,9 @@ __all__ = [
     "bisect",
     "pava_monotone_nonneg",
 ]
+# halve, expand and golden_max stay out of __all__: they run inside the
+# public solvers, whose evaluation counts bench/tracer.py reads from the
+# direct caller of each traced call.
 
 # Natural-log scale value; -inf encodes an exact zero weight.
 LogWeight = float
@@ -98,25 +105,72 @@ def std_normal_cdf(z: float) -> float:
 
 @dataclass(frozen=True)
 class Bracket:
-    """A sign-changing interval handed to ``bisect``.
+    """An interval handed to ``bisect`` or ``halve``.
 
-    tol_abs is the terminal interval width; max_iter bounds the halvings.
+    Halving stops at width max(tol_abs, tol_rel * |hi|), or once the ends
+    are adjacent floats; max_iter bounds the halvings.
     """
 
     lo: float
     hi: float
     tol_abs: float = 1e-9
     max_iter: int = 200
+    tol_rel: float = 0.0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ValueError("bracket endpoints must be finite")
         if not self.lo < self.hi:
             raise ValueError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
-        if not self.tol_abs > 0:
-            raise ValueError("tol_abs must be positive")
+        if not (self.tol_abs >= 0 and self.tol_rel >= 0):
+            raise ValueError("tol_abs and tol_rel must be nonnegative")
+        if not self.tol_abs + self.tol_rel > 0:
+            raise ValueError("tol_abs or tol_rel must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+
+
+def halve(ok: Callable[[float], bool], bracket: Bracket) -> float:
+    """The ``ok`` end of a bracket shrunk by deterministic halving.
+
+    ok must be monotone, false at bracket.lo and true at bracket.hi;
+    neither end is evaluated.  Returns the final hi, where ok holds.
+    Raises ConvergenceError only if max_iter halvings leave the bracket
+    wider than its tolerance and its ends are not yet adjacent floats.
+    """
+    lo, hi = bracket.lo, bracket.hi
+    tol_abs, tol_rel = bracket.tol_abs, bracket.tol_rel
+    halvings = 0
+    while hi - lo > tol_abs and hi - lo > tol_rel * abs(hi):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if halvings == bracket.max_iter:
+            raise ConvergenceError(
+                f"bisection still at width {hi - lo} after {halvings} halvings"
+            )
+        halvings += 1
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def expand(
+    ok: Callable[[float], bool], lo: float, hi: float, max_doublings: int
+) -> tuple[float, float]:
+    """Double hi (moving lo up to the old hi) until ok(hi) holds.
+
+    ok(hi) is tested before each doubling, at most max_doublings times;
+    BracketError if it never holds.  The returned (lo, hi) is the last
+    failed and the first passing point.
+    """
+    for _ in range(max_doublings):
+        if ok(hi):
+            return lo, hi
+        lo, hi = hi, hi * 2.0
+    raise BracketError(f"no point up to {hi} passes after {max_doublings} doublings")
 
 
 def bisect(f: Callable[[float], float], bracket: Bracket) -> float:
@@ -124,34 +178,49 @@ def bisect(f: Callable[[float], float], bracket: Bracket) -> float:
 
     Verifies the sign change up front (BracketError otherwise) and raises
     ConvergenceError if max_iter halvings do not shrink the interval to
-    tol_abs. Exact zeros of f are returned immediately.
+    its tolerance.  Exact zeros of f at an end are returned as they are;
+    otherwise the result is the end on bracket.hi's side of the root,
+    where f has the sign of f(hi) or is zero.
     """
-    lo, hi = bracket.lo, bracket.hi
-    flo, fhi = f(lo), f(hi)
+    flo, fhi = f(bracket.lo), f(bracket.hi)
     if math.isnan(flo) or math.isnan(fhi):
         raise BracketError("f is NaN at a bracket endpoint")
     if flo == 0.0:
-        return lo
+        return bracket.lo
     if fhi == 0.0:
-        return hi
+        return bracket.hi
     if (flo > 0) == (fhi > 0):
         raise BracketError(
-            f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}"
+            f"no sign change on [{bracket.lo}, {bracket.hi}]: f(lo)={flo}, f(hi)={fhi}"
         )
-    for _ in range(bracket.max_iter):
-        if hi - lo <= bracket.tol_abs:
-            return 0.5 * (lo + hi)
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
+    sign = math.copysign(1.0, fhi)
+    return halve(lambda x: sign * f(x) >= 0.0, bracket)
+
+
+def golden_max(f: Callable[[float], float], lo: float, hi: float, rounds: int) -> float:
+    """Largest value of f seen by golden-section search on [lo, hi].
+
+    Evaluates both ends and the two interior points, then runs the given
+    number of rounds, each shrinking the bracket toward the larger
+    interior value.
+    """
+    gr = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - gr * (b - a)
+    d = a + gr * (b - a)
+    fc, fd = f(c), f(d)
+    best = max(f(a), f(b), fc, fd)
+    for _ in range(rounds):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - gr * (b - a)
+            fc = f(c)
         else:
-            hi = mid
-    raise ConvergenceError(
-        f"bisection did not reach width {bracket.tol_abs} in {bracket.max_iter} iterations"
-    )
+            a, c, fc = c, d, fd
+            d = a + gr * (b - a)
+            fd = f(d)
+        best = max(best, fc, fd)
+    return best
 
 
 def pava_monotone_nonneg(values: "np.ndarray | Iterable[float]") -> np.ndarray:

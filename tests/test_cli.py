@@ -211,12 +211,11 @@ class TestReproducibility:
         assert via_default != via_env  # default seed is 0
 
     def test_bad_env_seed_is_usage_error(self, capsys, corpus_file, monkeypatch):
-        monkeypatch.setenv("DPCOMP_SEED", "not-a-number")
-        code, _, _ = run(
-            capsys,
-            ["topk", "--mode", "known-lap", "--input", corpus_file, "--k", "2", "--eps", "1.0"],
-        )
-        assert code == 2
+        argv = ["topk", "--mode", "known-lap", "--input", corpus_file, "--k", "2", "--eps", "1.0"]
+        for env_seed, extra in (("not-a-number", []), ("-1", []), ("0", ["--seed", "-1"])):
+            monkeypatch.setenv("DPCOMP_SEED", env_seed)
+            code, _, _ = run(capsys, argv + extra)
+            assert code == 2
 
 
 class TestTopkCommand:

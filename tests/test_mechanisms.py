@@ -376,6 +376,19 @@ class TestTruncationLevel:
             t_level = solve_truncation_level(delta0, tau, sigma, delta)
             assert abs(_trunc_rhs(t_level, delta0, tau, sigma) - delta) <= 1e-9
 
+    def test_window_on_feasible_side(self) -> None:
+        # the returned window never loses more than delta, on both branches
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            tau = 10.0 ** rng.uniform(-1.0, 1.0)
+            sigma = 10.0 ** rng.uniform(-0.5, 1.5)
+            if rng.random() < 0.2:
+                delta0, delta = 1, rng.uniform(0.5, 0.99)
+            else:
+                delta0, delta = int(rng.integers(1, 51)), 10.0 ** rng.uniform(-12.0, -1.0)
+            t_level = solve_truncation_level(delta0, tau, sigma, delta)
+            assert _trunc_rhs(t_level, delta0, tau, sigma) <= delta
+
     def test_monotone_in_delta(self) -> None:
         ts = [
             solve_truncation_level(25, 1.0, 10.0, d) for d in (1e-4, 1e-6, 1e-8)

@@ -9,11 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpcomp.calibration import analytic_gaussian_eps, solve_sigma_analytic
+from dpcomp.nonadaptive import eps_inverse
 from dpcomp.numerics import (
     Bracket,
     BracketError,
     ConvergenceError,
     bisect,
+    expand,
+    golden_max,
+    halve,
     log1mexp,
     log1pexp,
     log_binomial,
@@ -152,6 +157,143 @@ class TestBisect:
             Bracket(1.0, 0.0)
         with pytest.raises(ValueError):
             Bracket(0.0, 1.0, tol_abs=0.0)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_returns_hi_side_end(self, sign):
+        # nine halvings: the midpoint of the final bracket lies below 1/3
+        f = lambda x: sign * (x - 1.0 / 3.0)
+        root = bisect(f, Bracket(0.0, 1.0, tol_abs=2e-3))
+        assert sign * f(root) >= 0.0
+        assert root - 1.0 / 3.0 <= 2e-3
+
+    def test_stops_at_adjacent_floats(self):
+        root = bisect(lambda x: x * x - 2.0, Bracket(1.0, 2.0, tol_abs=5e-324))
+        assert root * root - 2.0 > 0.0
+        below = math.nextafter(root, 0.0)
+        assert below * below - 2.0 < 0.0
+
+    def test_relative_tolerance(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - 1.5e6
+
+        root = bisect(f, Bracket(0.0, 4e6, tol_abs=0.0, tol_rel=1e-3))
+        assert 0.0 <= root - 1.5e6 <= 1e-3 * root
+        # 12 halvings reach width 4e6 / 2^12 < 1e-3 * 1.5e6, plus both ends
+        assert len(calls) == 2 + 12
+
+    def test_budget_spent_exactly_on_tolerance(self):
+        # three halvings take [0, 1] to width 1/8 = tol_abs
+        root = bisect(
+            lambda x: x - 1.0 / 3.0, Bracket(0.0, 1.0, tol_abs=0.125, max_iter=3)
+        )
+        assert root == 0.375
+
+    def test_halve_evaluates_interior_only(self):
+        seen = []
+
+        def ok(x):
+            seen.append(x)
+            return x >= 0.3
+
+        assert halve(ok, Bracket(0.0, 1.0, tol_abs=0.25)) == 0.5
+        assert seen == [0.5, 0.25]
+
+
+class TestExpand:
+    def test_first_passing_point(self):
+        seen = []
+
+        def ok(x):
+            seen.append(x)
+            return x >= 5.0
+
+        assert expand(ok, 0.0, 1.0, 10) == (4.0, 8.0)
+        assert seen == [1.0, 2.0, 4.0, 8.0]
+
+    def test_already_passing(self):
+        assert expand(lambda x: True, 0.0, 1.0, 1) == (0.0, 1.0)
+
+    def test_raises_bracket_error(self):
+        seen = []
+
+        def ok(x):
+            seen.append(x)
+            return False
+
+        with pytest.raises(BracketError):
+            expand(ok, 0.0, 1.0, 5)
+        assert seen == [1.0, 2.0, 4.0, 8.0, 16.0]
+
+
+class TestGoldenMax:
+    def test_interior_peak(self):
+        best = golden_max(lambda t: -((t - 0.3) ** 2), 0.0, 1.0, 60)
+        assert -1e-20 <= best <= 0.0
+
+    def test_includes_endpoints(self):
+        assert golden_max(lambda t: t, 0.25, 0.75, 0) == 0.75
+        assert golden_max(lambda t: -t, 0.25, 0.75, 40) == -0.25
+
+    def test_running_maximum_never_decreases(self):
+        f = lambda t: math.sin(7.0 * t)
+        values = [golden_max(f, 0.0, 1.0, r) for r in range(30)]
+        assert values == sorted(values)
+        assert values[-1] == pytest.approx(1.0, abs=1e-12)
+
+
+class TestSolverTable:
+    """Values of the bracketing solvers frozen before they shared a core.
+
+    Each is compared within the tolerance its solver was asked for.
+    """
+
+    @pytest.mark.parametrize(
+        "delta, bound, k, eps, m, tol, want",
+        [
+            (1e-6, "dp", 10, 0.5, None, 1e-9, 4.999885471188463),
+            (1e-6, "dp", 10, 0.5, None, 0.0, 4.9998854711099865),
+            (1e-5, "br", 25, 0.3, None, 1e-9, 3.1089016562327743),
+            (1e-3, "br", 4, 1.0, None, 1e-6, 3.043977737426758),
+            (1e-6, "mixed", 12, 0.4, 5, 1e-9, 4.020799414627255),
+            (1e-8, "mixed", 8, 0.9, 8, 0.0, 7.199999846788984),
+            (1e-6, "dp", 10, 1e8, None, 1e-9, 999999999.999999),
+            (0.05, "br", 30, 0.05, None, 1e-6, 0.010942697525024414),
+        ],
+    )
+    def test_eps_inverse(self, delta, bound, k, eps, m, tol, want):
+        assert eps_inverse(delta, bound, k, eps, m=m, tol=tol) == pytest.approx(
+            want, rel=0.0, abs=tol
+        )
+
+    @pytest.mark.parametrize(
+        "sigma, delta, want",
+        [
+            (1.0, 1e-6, 4.886554117463675),
+            (0.05, 1e-9, 319.08196637546644),
+            (3.7, 1e-5, 1.0090956502126573),
+            (40.0, 1e-12, 0.15561382323539874),
+            (0.8, 0.1, 1.7166816629624009),
+        ],
+    )
+    def test_analytic_gaussian_eps(self, sigma, delta, want):
+        got = analytic_gaussian_eps(sigma, delta)
+        assert abs(got - want) <= 1e-12 * max(1.0, want)
+
+    @pytest.mark.parametrize(
+        "eps, delta, want",
+        [
+            (1.0, 1e-6, 4.224678889328061),
+            (0.01, 1e-9, 458.5084974972997),
+            (5.0, 1e-5, 0.8918682649518814),
+            (30.0, 1e-12, 0.28727211507407446),
+            (0.3, 0.1, 1.9619682037628081),
+        ],
+    )
+    def test_solve_sigma_analytic(self, eps, delta, want):
+        assert abs(solve_sigma_analytic(eps, delta) - want) <= 1e-12 * want
 
 
 class TestPava:
