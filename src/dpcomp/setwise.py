@@ -7,6 +7,15 @@ and any subset of executions.  The bound depends only on the registered
 set, so it is computed eagerly and cached; consumption merely tracks
 which registrations have been spent.
 
+Bookkeeping is linear in the number of events.  Each registration is
+keyed once (its fields rounded to 1e-12) and filed, in registration
+order, under that key and its exact value.  A consume keys its query once
+and spends, among the unspent registrations under the same key, the
+earliest one exactly equal to the query; failing that, the earliest one
+if they all hold a single value; otherwise it is ambiguous and rejected.
+So register, consume and each replayed event of from_json cost O(1) key
+computations and dictionary operations.
+
 Two accounting routes are provided and kept separate: the subgaussian
 (CDP) route, which pure DP and BR convert into, and the zCDP route with
 per-mechanism delta slack.  Mixing zCDP registrations into the CDP route
@@ -17,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -101,8 +111,6 @@ class Zcdp:
 
 
 PrivacyClass = Union[PureDP, BoundedRange, Cdp, Zcdp]
-
-_TAGS = {PureDP: "pure_dp", BoundedRange: "br", Cdp: "cdp", Zcdp: "zcdp"}
 
 
 @dataclass(frozen=True)
@@ -210,15 +218,14 @@ def global_bound_homogeneous(
 
 
 def _canonical_key(c: PrivacyClass) -> tuple:
-    tag = _TAGS[type(c)]
     if isinstance(c, PureDP):
-        vals = (c.eps,)
+        tag, vals = "pure_dp", (c.eps,)
     elif isinstance(c, BoundedRange):
-        vals = (c.alpha,)
+        tag, vals = "br", (c.alpha,)
     elif isinstance(c, Cdp):
-        vals = (c.mu, c.tau)
+        tag, vals = "cdp", (c.mu, c.tau)
     else:
-        vals = (c.delta, c.xi, c.rho)
+        tag, vals = "zcdp", (c.delta, c.xi, c.rho)
     return (tag,) + tuple(round(v, 12) for v in vals)
 
 
@@ -232,16 +239,27 @@ def _to_dict(c: PrivacyClass) -> dict:
     return {"tag": "zcdp", "delta": c.delta, "xi": c.xi, "rho": c.rho}
 
 
+def _field(d: dict, name: str):
+    try:
+        return d[name]
+    except KeyError:
+        raise ValueError(f"accountant JSON is missing field {name!r}") from None
+
+
 def _from_dict(d: dict) -> PrivacyClass:
+    if not isinstance(d, dict):
+        raise ValueError(f"accountant JSON entry must be an object, got {d!r}")
     tag = d.get("tag")
     if tag == "pure_dp":
-        return PureDP(eps=d["eps"])
+        return PureDP(eps=_field(d, "eps"))
     if tag == "br":
-        return BoundedRange(alpha=d["alpha"])
+        return BoundedRange(alpha=_field(d, "alpha"))
     if tag == "cdp":
-        return Cdp(mu=d["mu"], tau=d["tau"])
+        return Cdp(mu=_field(d, "mu"), tau=_field(d, "tau"))
     if tag == "zcdp":
-        return Zcdp(delta=d["delta"], xi=d["xi"], rho=d["rho"])
+        return Zcdp(
+            delta=_field(d, "delta"), xi=_field(d, "xi"), rho=_field(d, "rho")
+        )
     raise ValueError(f"unknown tag {tag!r}")
 
 
@@ -260,6 +278,9 @@ class SetwiseAccountant:
         self.delta_slack = delta_slack
         self._registered: list[PrivacyClass] = []
         self._consumed: list[PrivacyClass] = []
+        # unspent registrations: canonical key -> exact value -> the
+        # registered objects equal to it, earliest first
+        self._unspent: dict[tuple, dict[PrivacyClass, deque[PrivacyClass]]] = {}
         # cached CDP-route sums; None marks a zCDP registration present
         self._mu_sum: float | None = 0.0
         self._tau_sq_sum: float | None = 0.0
@@ -284,6 +305,8 @@ class SetwiseAccountant:
         if not isinstance(c, (PureDP, BoundedRange, Cdp, Zcdp)):
             raise TypeError(f"unknown privacy class {type(c).__name__}")
         self._registered.append(c)
+        same_key = self._unspent.setdefault(_canonical_key(c), {})
+        same_key.setdefault(c, deque()).append(c)
         if isinstance(c, Zcdp):
             self._mu_sum = None
             self._tau_sq_sum = None
@@ -298,24 +321,38 @@ class SetwiseAccountant:
         return self
 
     def consume(self, c: PrivacyClass) -> "SetwiseAccountant":
-        """Mark one registered guarantee as spent (exact match, rounded).
+        """Mark one registered guarantee as spent and record it.
 
-        Matching is field-wise after canonical rounding to 1e-12; a
-        consume with no unspent matching registration is an error.
+        The candidates are the unspent registrations whose fields agree
+        with ``c`` after canonical rounding to 1e-12.  Among them the
+        earliest registration exactly equal to ``c`` is spent; if none is
+        equal but all candidates hold one value, the earliest candidate
+        is spent.  No candidate, or several distinct candidate values
+        none of which equals ``c``, raises ConsumeMismatchError.  The
+        registered object, not ``c``, is recorded as consumed.  Costs one
+        key computation and O(1) dictionary operations.
         """
         key = _canonical_key(c)
-        spent: dict[tuple, int] = {}
-        for used in self._consumed:
-            k = _canonical_key(used)
-            spent[k] = spent.get(k, 0) + 1
-        for reg in self._registered:
-            k = _canonical_key(reg)
-            if k == key:
-                if spent.get(k, 0) == 0:
-                    self._consumed.append(reg)
-                    return self
-                spent[k] -= 1
-        raise ConsumeMismatchError(f"no unspent registration matches {c}")
+        same_key = self._unspent.get(key)
+        if not same_key:
+            raise ConsumeMismatchError(f"no unspent registration matches {c}")
+        if c in same_key:
+            value = c
+        elif len(same_key) == 1:
+            value = next(iter(same_key))
+        else:
+            names = ", ".join(str(v) for v in same_key)
+            raise ConsumeMismatchError(
+                f"{c} equals no unspent registration and is ambiguous "
+                f"within rounding between {names}"
+            )
+        equal = same_key[value]
+        self._consumed.append(equal.popleft())
+        if not equal:
+            del same_key[value]
+            if not same_key:
+                del self._unspent[key]
+        return self
 
     def global_bound_cdp(self, delta: float | None = None) -> float:
         """eps_g of the subgaussian route at failure budget delta.
@@ -355,10 +392,14 @@ class SetwiseAccountant:
 
     @classmethod
     def from_json(cls, payload: str) -> "SetwiseAccountant":
+        """Rebuild an accountant by replaying its registrations and consumes.
+
+        A missing field raises ValueError naming it.
+        """
         state = json.loads(payload)
-        acc = cls(delta_slack=state["delta_slack"])
-        for d in state["registered"]:
+        acc = cls(delta_slack=_field(state, "delta_slack"))
+        for d in _field(state, "registered"):
             acc.register(_from_dict(d))
-        for d in state["consumed"]:
+        for d in _field(state, "consumed"):
             acc.consume(_from_dict(d))
         return acc

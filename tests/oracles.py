@@ -3,18 +3,30 @@
 Everything here is computed by a different route than the package code:
 exact big-integer combinatorics, 50-digit mpmath arithmetic evaluated
 directly in linear space (no log-sum-exp), literal enumeration over
-outcome bit-strings, quadrature, and off-the-shelf constrained solvers.
-Frozen constants in the tests cite the producing function by name.
+outcome bit-strings, quadrature, off-the-shelf constrained solvers, and
+linear scans in place of indexes.  Frozen constants in the tests cite the
+producing function by name.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import json
 import math
 from typing import Callable, Sequence
 
 import mpmath as mp
 import numpy as np
+
+from dpcomp.setwise import (
+    AccountantStateError,
+    BoundedRange,
+    Cdp,
+    ConsumeMismatchError,
+    PureDP,
+    _canonical_key,
+)
 
 DPS = 50
 
@@ -303,6 +315,61 @@ def mp_zcdp_eps(xis: Sequence[float], rhos: Sequence[float], delta) -> float:
         s = mp.fsum(mp.mpf(x) + mp.mpf(r) for x, r in zip(xis, rhos))
         v = mp.fsum(mp.mpf(r) for r in rhos)
         return float(s + 2 * mp.sqrt(v * mp.log(1 / mp.mpf(delta))))
+
+
+class LinearScanAccountant:
+    """Set-wise accountant bookkeeping by a scan over every registration.
+
+    Applies SetwiseAccountant's consume rule without its index: each
+    consume re-keys every registration, collects the unspent ones under
+    the query's canonical key, and spends the earliest exactly equal to
+    the query, else the earliest when all of them are equal, else raises.
+    ``to_json`` writes the same layout from ``dataclasses.asdict``.
+    """
+
+    _TAGS = {PureDP: "pure_dp", BoundedRange: "br", Cdp: "cdp"}
+
+    def __init__(self, delta_slack: float) -> None:
+        self.delta_slack = delta_slack
+        self.registered: list = []
+        self.spent: list[bool] = []
+        self.consumed: list = []
+
+    def register(self, c) -> None:
+        if self.consumed:
+            raise AccountantStateError("registration is frozen")
+        self.registered.append(c)
+        self.spent.append(False)
+
+    def consume(self, c) -> None:
+        key = _canonical_key(c)
+        unspent = [
+            i
+            for i, reg in enumerate(self.registered)
+            if not self.spent[i] and _canonical_key(reg) == key
+        ]
+        exact = [i for i in unspent if self.registered[i] == c]
+        if exact:
+            i = exact[0]
+        elif unspent and all(
+            self.registered[j] == self.registered[unspent[0]] for j in unspent
+        ):
+            i = unspent[0]
+        else:
+            raise ConsumeMismatchError(f"no unique unspent match for {c}")
+        self.spent[i] = True
+        self.consumed.append(self.registered[i])
+
+    def to_json(self) -> str:
+        def entry(c) -> dict:
+            return {"tag": self._TAGS.get(type(c), "zcdp"), **dataclasses.asdict(c)}
+
+        state = {
+            "registered": [entry(c) for c in self.registered],
+            "consumed": [entry(c) for c in self.consumed],
+            "delta_slack": self.delta_slack,
+        }
+        return json.dumps(state, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,22 @@ class TestExitCodes:
         code, _, _ = run(capsys, ["compose", "dp", "--k", "3", "--eps", "0.5", "--eps-g-grid", "0:1"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "state, field",
+        [
+            ({"registered": [{"tag": "pure_dp"}], "consumed": [], "delta_slack": 1e-6}, "'eps'"),
+            ({"registered": [{"tag": "pure_dp", "eps": 0.5}], "consumed": []}, "'delta_slack'"),
+            ({"registered": [["pure_dp", 0.5]], "consumed": [], "delta_slack": 1e-6}, "object"),
+        ],
+        ids=["entry-field", "delta-slack", "entry-not-object"],
+    )
+    def test_malformed_accountant_is_usage_error(self, capsys, tmp_path, state, field):
+        path = tmp_path / "acc.json"
+        path.write_text(json.dumps(state))
+        code, _, err = run(capsys, ["compose", "setwise", "--config", str(path), "--delta", "1e-6"])
+        assert code == 2
+        assert "invalid parameters" in err and field in err
+
     def test_invert_without_delta_is_usage_error(self, capsys):
         code, _, _ = run(capsys, ["compose", "dp", "--k", "3", "--eps", "0.5", "--invert"])
         assert code == 2

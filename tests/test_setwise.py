@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpcomp import setwise
 from dpcomp.setwise import (
     AccountantStateError,
     BoundedRange,
@@ -23,7 +24,13 @@ from dpcomp.setwise import (
     zcdp_dp_guarantee,
 )
 
-from .oracles import mp_br_mean, mp_dp_mean, mp_setwise_eps, mp_zcdp_eps
+from .oracles import (
+    LinearScanAccountant,
+    mp_br_mean,
+    mp_dp_mean,
+    mp_setwise_eps,
+    mp_zcdp_eps,
+)
 
 
 class TestPrivacyClasses:
@@ -321,6 +328,47 @@ class TestConsumeLifecycle:
         with pytest.raises(ConsumeMismatchError):
             acc.consume(PureDP(0.5 + 1e-10))
 
+    def test_near_duplicates_spend_the_exact_match(self) -> None:
+        # delta 1e-13 and 4e-13 share a canonical key: the exact value
+        # decides, on a direct consume and on the from_json replay alike
+        low, high = Zcdp(1e-13, 0.0, 0.1), Zcdp(4e-13, 0.0, 0.1)
+        acc = SetwiseAccountant(1e-6)
+        acc.register(low).register(high)
+        with pytest.raises(ConsumeMismatchError, match="ambiguous"):
+            acc.consume(Zcdp(2e-13, 0.0, 0.1))
+        acc.consume(Zcdp(4e-13, 0.0, 0.1))
+        assert acc.consumed[0] is high
+        clone = SetwiseAccountant.from_json(acc.to_json())
+        assert clone.consumed == (high,)
+        assert clone.to_json() == acc.to_json()
+        # one value left under the key, so a rounded match spends it
+        clone.consume(Zcdp(2e-13, 0.0, 0.1))
+        assert clone.consumed == (high, low)
+
+    def test_session_keys_each_event_once(self, monkeypatch) -> None:
+        n = 2000
+        calls = 0
+        key = setwise._canonical_key
+
+        def counting(c):
+            nonlocal calls
+            calls += 1
+            return key(c)
+
+        monkeypatch.setattr(setwise, "_canonical_key", counting)
+        classes = [
+            PureDP(0.1 + (i % 50) * 0.01) if i % 2 else BoundedRange(0.2 + (i % 7) * 0.1)
+            for i in range(n)
+        ]
+        acc = SetwiseAccountant(1e-6)
+        for c in classes:
+            acc.register(c)
+        for c in reversed(classes):
+            acc.consume(c)
+        clone = SetwiseAccountant.from_json(acc.to_json())
+        assert clone.to_json() == acc.to_json()
+        assert calls <= 4 * n
+
     def test_bound_unchanged_by_consumption(self) -> None:
         acc = SetwiseAccountant(1e-6)
         acc.register(PureDP(1.0))
@@ -338,6 +386,47 @@ class TestConsumeLifecycle:
         acc.consume(PureDP(1.0))
         acc.consume(Cdp(mu=0.1, tau=0.2))
         assert len(acc.consumed) == 3
+
+
+_OFFSETS = (0.0, 1e-13, -1e-13, 1e-10, -1e-10)
+# exact repeats, near-duplicates inside and beyond the 1e-12 rounding, and
+# the delta pair 1e-13 / 4e-13 that rounds to one key
+_POOL = (
+    [(PureDP, (0.5 + d,)) for d in _OFFSETS]
+    + [(Cdp, (0.1, 0.4 + d)) for d in _OFFSETS]
+    + [(Zcdp, (1e-13, 0.0, 0.1 + d)) for d in _OFFSETS]
+    + [(Zcdp, (4e-13, 0.0, 0.1))]
+)
+_POOL_INDEX = st.integers(min_value=0, max_value=len(_POOL) - 1)
+
+
+class TestConsumeAgainstReference:
+    @given(
+        st.lists(_POOL_INDEX, max_size=12),
+        st.lists(_POOL_INDEX, max_size=16),
+        _POOL_INDEX,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_spends_as_linear_scan(self, regs, cons, late) -> None:
+        acc = SetwiseAccountant(1e-6)
+        ref = LinearScanAccountant(1e-6)
+        ops = [("register", i) for i in regs] + [("consume", i) for i in cons]
+        for op, i in ops + [("register", late)]:
+            cls, args = _POOL[i]
+            c = cls(*args)
+            raised = []
+            for target in (acc, ref):
+                try:
+                    getattr(target, op)(c)
+                    raised.append(None)
+                except (AccountantStateError, ConsumeMismatchError) as exc:
+                    raised.append(type(exc))
+            assert raised[0] == raised[1]
+            # the same registered objects, never the queries
+            assert [id(x) for x in acc.consumed] == [id(x) for x in ref.consumed]
+        assert acc.to_json() == ref.to_json()
+        clone = SetwiseAccountant.from_json(acc.to_json())
+        assert clone.to_json() == acc.to_json()
 
 
 class TestJsonRoundTrip:
