@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .nonadaptive import CompositionQuery, delta_opt_mixed, grr_params
+from .nonadaptive import CompositionQuery, _tilt_q, delta_opt_mixed, grr_params
 from .numerics import golden_max
 
 __all__ = [
@@ -104,14 +104,10 @@ class _RecursiveEvaluator:
         self.h = seq.eps / (grid.points_per_level - 1)
         self.qb = 1.0 / (1.0 + math.exp(-seq.eps))
         self.memo: dict[tuple[int, float], float] = {}
-        self._denom = math.expm1(-seq.eps)
         # the last BR slot has only DP slots after it: exact at its candidates
         self.terminal = max(
             (i for i, s in enumerate(seq.slots) if s == "br"), default=-1
         )
-
-    def _q_of(self, t: np.ndarray) -> np.ndarray:
-        return np.expm1(t - self.eps) / self._denom
 
     def _cand_matrix(self, idx: int, budgets: np.ndarray) -> np.ndarray:
         """Stationary-candidate tilts per budget, clipped into [0, eps]."""
@@ -153,7 +149,7 @@ class _RecursiveEvaluator:
         if idx != self.terminal:
             grid = np.broadcast_to(self.t_grid, (budgets.size, self.t_grid.size))
             tilts = np.concatenate([grid, tilts], axis=1)
-        q = self._q_of(tilts)
+        q = _tilt_q(self.eps, tilts)
         b = budgets[:, None]
         f_lo = self.eval_vec(idx + 1, (b - tilts).ravel()).reshape(tilts.shape)
         f_hi = self.eval_vec(idx + 1, (b + self.eps - tilts).ravel()).reshape(tilts.shape)

@@ -21,16 +21,16 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
-from .mechanisms import _MIN_UNIFORM, RngState, TruncGaussConfig
+from .mechanisms import RngState, TruncGaussConfig
 from .nonadaptive import (
     CompositionQuery,
+    _tilt_q,
     delta_opt_dp,
     grr_params,
     mixed_candidate_ts,
 )
-from .numerics import golden_max, std_normal_cdf
+from .numerics import golden_max
 from .setwise import Zcdp, zcdp_dp_guarantee
 
 __all__ = [
@@ -115,12 +115,6 @@ def hockey_stick_exact(
     return float(np.sum(np.maximum(diff, 0.0)))
 
 
-def _tilted_probs(eps: float, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # q = (1 - e^(t-eps)) / (1 - e^(-eps)), p = e^-t q, elementwise over tilts
-    q = np.expm1(ts - eps) / math.expm1(-eps)
-    return q, np.exp(-ts) * q
-
-
 def mixed_brute_force_sup(
     k: int, m: int, eps: float, eps_g: float, grid_points: int = 200
 ) -> float:
@@ -138,14 +132,12 @@ def mixed_brute_force_sup(
     if k > _MAX_EXACT_SLOTS:
         raise ValueError(f"exact enumeration limited to {_MAX_EXACT_SLOTS} slots")
     dp = grr_params(2.0 * eps, eps)
-    if m == k:
-        return hockey_stick_exact([(dp.q, dp.p)] * k, eps_g)
-
     n_br = k - m
     scale = math.exp(eps_g)
 
     def delta_at_grid(ts: np.ndarray) -> np.ndarray:
-        qs, ps = _tilted_probs(eps, ts)
+        qs = _tilt_q(eps, ts)
+        ps = np.exp(-ts) * qs
         p_out = np.ones((ts.size, 1))
         q_out = np.ones((ts.size, 1))
         for _ in range(m):
@@ -346,16 +338,12 @@ def audit_trunc_gauss(
     to an approximate-DP point at the given conversion slack, plus the
     window's own approximation slack.
     """
-    s = config.tau * config.sigma
     t_level = config.t_level
-    lo = std_normal_cdf(-t_level / s)
-    hi = std_normal_cdf(t_level / s)
     threshold = config.tau + t_level
 
     def windowed(count: float) -> Sampler:
         def sample(gen: np.random.Generator, n: int) -> np.ndarray:
-            u = np.maximum(gen.random(n), _MIN_UNIFORM)
-            values = count + s * ndtri(lo + u * (hi - lo))
+            values = count + config.window_noise(gen, n)
             return np.where(values > threshold, values, np.nan)
 
         return sample

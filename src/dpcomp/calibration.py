@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from scipy.special import log_ndtr
 
-from .nonadaptive import eps_inverse
+from .nonadaptive import delta_opt_dp, eps_inverse
 from .numerics import Bracket, expand, halve, std_normal_cdf
 
 __all__ = [
@@ -193,8 +193,6 @@ def laplace_histogram_delta(eps_coord: float, spec: HistogramSpec, eps_g: float)
     One user touches delta0 counts, each a pure eps_coord-DP coordinate,
     composed under the optimal pure-DP bound.
     """
-    from .nonadaptive import delta_opt_dp
-
     return delta_opt_dp(spec.delta0, eps_coord, eps_g)
 
 

@@ -363,6 +363,14 @@ class TruncGaussConfig:
         rho = self.delta0 / (2.0 * self.sigma * self.sigma)
         return Zcdp(delta=self.delta, xi=0.0, rho=rho)
 
+    def window_noise(self, gen: np.random.Generator, n: int) -> np.ndarray:
+        """n draws of N(0, (tau sigma)^2) truncated to [-T, T], by inverse CDF."""
+        s = self.tau * self.sigma
+        lo = std_normal_cdf(-self.t_level / s)
+        hi = std_normal_cdf(self.t_level / s)
+        u = np.maximum(gen.random(n), _MIN_UNIFORM)
+        return s * ndtri(lo + u * (hi - lo))
+
 
 @dataclass(frozen=True)
 class ReleaseEntry:
@@ -390,16 +398,11 @@ def trunc_gauss_release(
         )
     items: list[tuple[Optional[str], float]] = list(hist.sorted_items())
     items += [(None, 0.0)] * (config.d_bar - len(items))
-    s = config.tau * config.sigma
-    t_level = config.t_level
-    lo = std_normal_cdf(-t_level / s)
-    hi = std_normal_cdf(t_level / s)
-    u = np.maximum(rng.generator().random(config.d_bar), _MIN_UNIFORM)
-    quantiles = ndtri(lo + u * (hi - lo))
-    threshold = config.tau + t_level
+    noise = config.window_noise(rng.generator(), config.d_bar)
+    threshold = config.tau + config.t_level
     released = []
     for rank, (element, count) in enumerate(items):
-        value = count + s * float(quantiles[rank])
+        value = count + float(noise[rank])
         if value > threshold:
             released.append(ReleaseEntry(rank=rank, element=element, value=value))
     return released

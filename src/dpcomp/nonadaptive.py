@@ -3,10 +3,16 @@
 Closed-form evaluation of the smallest delta at which a composed sequence
 of mechanisms is (eps_g, delta)-DP, when each slot is either a pure eps-DP
 mechanism or an eps-bounded-range mechanism.  The worst case over both
-classes is a two-point randomized response pair, so all bounds reduce to
-finite sums over binomial mixtures of those pairs; every sum here is
-accumulated in log space and the positive part of each term is decided on
-the sign of its exponent, never by subtracting nearly equal exps.
+classes is a two-point randomized response pair, so every bound is a
+finite sum over binomial mixtures of those pairs.
+
+One evaluator, ``_delta_at_t``, computes that sum for m pure-DP slots and
+k-m BR slots sharing one tilt t, and the three public bounds are views of
+it: ``delta_opt_dp`` is m = k (tilt-free), ``delta_opt_br_nonadaptive``
+is m = 0, and ``delta_opt_mixed`` is any m; the last two maximize over
+``mixed_candidate_ts``.  The sum is accumulated in log space and the
+positive part of each term is decided on the sign of its exponent, never
+by subtracting nearly equal exps.
 
 The global budget eps_g may be any real, including negative: delta then
 approaches the total-variation limit 1 - e^eps_g.
@@ -14,6 +20,7 @@ approaches the total-variation limit 1 - e^eps_g.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -39,6 +46,9 @@ __all__ = [
 
 # above the ~2,100 halvings from 2^1024 down to adjacent floats near 0
 _MAX_HALVINGS = 2200
+# ln C(n, .) rows and pure-DP weight rows kept for reuse across one
+# inversion or curve; few, so memory stays flat
+_ROW_CACHE = 8
 
 
 @dataclass(frozen=True)
@@ -73,6 +83,12 @@ def grr_params(eps: float, t: float) -> GrrParams:
     q = math.expm1(t - eps) / math.expm1(-eps)
     p = math.exp(-t) * q
     return GrrParams(eps=eps, t=t, q=q, p=p)
+
+
+def _tilt_q(eps: float, ts: np.ndarray) -> np.ndarray:
+    # grr_params's q elementwise over an array of tilts; kept out of __all__
+    # so traced runs count only scalar grr_params calls
+    return np.expm1(ts - eps) / math.expm1(-eps)
 
 
 def grr_log_probs(eps: float, t: float) -> tuple[float, float, float, float]:
@@ -129,63 +145,6 @@ class CompositionQuery:
             raise ValueError("eps_g must not be NaN")
 
 
-def delta_opt_dp(k: int, eps: float, eps_g: float) -> float:
-    """Smallest delta for k-fold composition of pure eps-DP mechanisms.
-
-    Binomial sum over the worst-case product pair, scaled by
-    (1+e^eps)^(-k); terms with nonnegative exponent vanish under the
-    positive part and are skipped before exponentiation.
-    """
-    CompositionQuery(k=k, m=k, eps=eps, eps_g=eps_g)
-    start = max(0, math.ceil((eps_g + k * eps) / (2.0 * eps)))
-    if start > k:
-        return 0.0
-    log_norm = k * log1pexp(eps)
-    terms = []
-    for ell in range(start, k + 1):
-        expo = eps_g + (k - 2 * ell) * eps
-        if expo >= 0.0:
-            continue
-        terms.append(log_binomial(k, ell) + ell * eps - log_norm + log1mexp(expo))
-    return math.exp(logsumexp(terms))
-
-
-def _br_candidate_ts(k: int, eps: float, eps_g: float) -> list[float]:
-    # stationary tilts (eps_g + (l+1) eps)/(k+1), rounded into [0, eps]
-    cands = {min(max((eps_g + (ell + 1) * eps) / (k + 1), 0.0), eps) for ell in range(k + 1)}
-    return sorted(cands)
-
-
-def _delta_br_at_t(k: int, eps: float, eps_g: float, t: float) -> float:
-    log_q, log_1mq, log_p, log_1mp = grr_log_probs(eps, t)
-    terms = []
-    for i in range(k + 1):
-        expo = eps_g - (k * t - i * eps)
-        if expo >= 0.0:
-            continue
-        n_p, n_1mp = k - i, i
-        if (n_p > 0 and log_p == -math.inf) or (n_1mp > 0 and log_1mp == -math.inf):
-            continue
-        log_coeff = log_binomial(k, i)
-        if n_p > 0:
-            log_coeff += n_p * log_p
-        if n_1mp > 0:
-            log_coeff += n_1mp * log_1mp
-        terms.append(log_coeff + (k * t - i * eps) + log1mexp(expo))
-    return math.exp(logsumexp(terms))
-
-
-def delta_opt_br_nonadaptive(k: int, eps: float, eps_g: float) -> float:
-    """Smallest delta for k-fold non-adaptive composition of eps-BR slots.
-
-    The worst case is a common tilt t shared by all slots; the maximum
-    over t is attained at one of k+1 stationary candidates, each rounded
-    to the closest point of [0, eps].
-    """
-    CompositionQuery(k=k, m=0, eps=eps, eps_g=eps_g)
-    return max(_delta_br_at_t(k, eps, eps_g, t) for t in _br_candidate_ts(k, eps, eps_g))
-
-
 def mixed_candidate_ts(k: int, m: int, eps: float, eps_g: float) -> list[float]:
     """Deduplicated stationary tilts for the mixed bound, rounded into [0, eps].
 
@@ -203,45 +162,84 @@ def mixed_candidate_ts(k: int, m: int, eps: float, eps_g: float) -> list[float]:
     return sorted(cands)
 
 
-def _delta_mixed_at_t(k: int, m: int, eps: float, eps_g: float, t: float) -> float:
+@functools.lru_cache(maxsize=_ROW_CACHE)
+def _log_binomial_row(n: int) -> tuple[float, ...]:
+    return tuple(log_binomial(n, i) for i in range(n + 1))
+
+
+@functools.lru_cache(maxsize=_ROW_CACHE)
+def _dp_weights(m: int, eps: float) -> tuple[float, ...]:
+    # ln P(ell of m worst-case pure-DP slots answer q), q = e^eps/(1+e^eps)
+    log_norm = m * log1pexp(eps)
+    return tuple(lb + ell * eps - log_norm for ell, lb in enumerate(_log_binomial_row(m)))
+
+
+def _delta_at_t(k: int, m: int, eps: float, eps_g: float, t: float) -> float:
+    """Hockey-stick sum of m pure-DP slots and k-m BR slots, all at tilt t.
+
+    BR row i (i slots answer 1-p) weighs C(k-m,i) p^(k-m-i) (1-p)^i e^s,
+    s = (k-m) t - i eps; DP row ell (ell slots answer q) weighs
+    C(m,ell) e^(ell eps) / (1+e^eps)^m.  A pair's exponent
+    eps_g + (m - 2 ell) eps - s rises as ell falls and as i grows, so the
+    walk over ell stops at the first nonnegative exponent, and the rows
+    stop at the first one whose ell = m exponent is nonnegative.
+    """
     kb = k - m
-    log_qb, log_1mqb = dp_slot_log_probs(eps)
+    dp_w = _dp_weights(m, eps)
+    rows = [(0.0, 0.0)]
     if kb > 0:
-        log_q, log_1mq, _, _ = grr_log_probs(eps, t)
-    else:
-        log_q, log_1mq = 0.0, -math.inf
+        _, _, log_p, log_1mp = grr_log_probs(eps, t)
+        rows = []
+        for i, lb in enumerate(_log_binomial_row(kb)):
+            s = kb * t - i * eps
+            if eps_g - m * eps - s >= 0.0:
+                break
+            if kb - i > 0:
+                lb += (kb - i) * log_p
+            if i > 0:
+                lb += i * log_1mp
+            if lb != -math.inf:
+                rows.append((lb + s, s))
     terms = []
-    for i in range(kb + 1):
-        if i > 0 and log_1mq == -math.inf:
-            break
-        if kb - i > 0 and log_q == -math.inf:
-            continue
-        log_br = log_binomial(kb, i)
-        if kb - i > 0:
-            log_br += (kb - i) * log_q
-        if i > 0:
-            log_br += i * log_1mq
-        for j in range(m + 1):
-            expo = eps_g - eps * (m - 2 * j - i) - t * kb
+    for log_row, s in rows:
+        for ell in range(m, -1, -1):
+            expo = eps_g + (m - 2 * ell) * eps - s
             if expo >= 0.0:
-                continue
-            log_dp = log_binomial(m, j) + (m - j) * log_qb + j * log_1mqb
-            terms.append(log_br + log_dp + log1mexp(expo))
+                break
+            terms.append(log_row + dp_w[ell] + log1mexp(expo))
     return math.exp(logsumexp(terms))
+
+
+def delta_opt_dp(k: int, eps: float, eps_g: float) -> float:
+    """Smallest delta for k-fold composition of pure eps-DP mechanisms.
+
+    The mixed bound at m = k: tilt-free, one evaluation of the sum.
+    """
+    CompositionQuery(k=k, m=k, eps=eps, eps_g=eps_g)
+    return _delta_at_t(k, k, eps, eps_g, 0.0)
+
+
+def delta_opt_br_nonadaptive(k: int, eps: float, eps_g: float) -> float:
+    """Smallest delta for k-fold non-adaptive composition of eps-BR slots.
+
+    The mixed bound at m = 0: all slots share one tilt t, and the maximum
+    over t is attained at one of the k+1 stationary candidates.
+    """
+    CompositionQuery(k=k, m=0, eps=eps, eps_g=eps_g)
+    ts = mixed_candidate_ts(k, 0, eps, eps_g)
+    return max(_delta_at_t(k, 0, eps, eps_g, t) for t in ts)
 
 
 def delta_opt_mixed(query: CompositionQuery) -> float:
     """Smallest delta for m pure-DP slots composed with k-m BR slots.
 
-    Specializes to delta_opt_dp at m=k and to delta_opt_br_nonadaptive at
-    m=0; those routes stay separately implemented and are reconciled by
-    the tests rather than by delegation.
+    The maximum of the per-tilt sum over the stationary candidates; at
+    m = k it returns delta_opt_dp's value and at m = 0
+    delta_opt_br_nonadaptive's, bit for bit.
     """
     k, m, eps, eps_g = query.k, query.m, query.eps, query.eps_g
-    return max(
-        _delta_mixed_at_t(k, m, eps, eps_g, t)
-        for t in mixed_candidate_ts(k, m, eps, eps_g)
-    )
+    ts = mixed_candidate_ts(k, m, eps, eps_g)
+    return max(_delta_at_t(k, m, eps, eps_g, t) for t in ts)
 
 
 def eps_inverse(

@@ -4,7 +4,9 @@ Everything here is computed by a different route than the package code:
 exact big-integer combinatorics, 50-digit mpmath arithmetic evaluated
 directly in linear space (no log-sum-exp), literal enumeration over
 outcome bit-strings, quadrature, off-the-shelf constrained solvers, and
-linear scans in place of indexes.  Frozen constants in the tests cite the
+linear scans in place of indexes.  The float sums for the nonadaptive
+bounds are the package's former separate routes, kept as the reference
+its single evaluator must reproduce.  Frozen constants in the tests cite the
 producing function by name.
 """
 
@@ -19,6 +21,8 @@ from typing import Callable, Sequence
 import mpmath as mp
 import numpy as np
 
+from dpcomp.nonadaptive import dp_slot_log_probs, grr_log_probs, mixed_candidate_ts
+from dpcomp.numerics import log1mexp, log1pexp, log_binomial, logsumexp
 from dpcomp.setwise import (
     AccountantStateError,
     BoundedRange,
@@ -124,6 +128,88 @@ def mp_delta_dp(k: int, eps, eps_g) -> float:
             if term > 0:
                 total += term
         return float(norm * total)
+
+
+def float_delta_dp(k: int, eps: float, eps_g: float) -> float:
+    """Pure-DP optimal delta as its own float log-space sum.
+
+    This and the two sums below are the separately written routes the
+    package's single mixed-bound evaluator replaced; its m = k and m = 0
+    views must reproduce the first two bit for bit.  Every term is kept or
+    dropped on the sign of its float exponent alone: a start index of
+    ceil((eps_g + k eps) / (2 eps)) can, after rounding, skip a term whose
+    exponent is negative.
+    """
+    log_norm = k * log1pexp(eps)
+    terms = []
+    for ell in range(k + 1):
+        expo = eps_g + (k - 2 * ell) * eps
+        if expo >= 0.0:
+            continue
+        terms.append(log_binomial(k, ell) + ell * eps - log_norm + log1mexp(expo))
+    return math.exp(logsumexp(terms))
+
+
+def _float_delta_br_at_t(k: int, eps: float, eps_g: float, t: float) -> float:
+    log_q, log_1mq, log_p, log_1mp = grr_log_probs(eps, t)
+    terms = []
+    for i in range(k + 1):
+        expo = eps_g - (k * t - i * eps)
+        if expo >= 0.0:
+            continue
+        n_p, n_1mp = k - i, i
+        if (n_p > 0 and log_p == -math.inf) or (n_1mp > 0 and log_1mp == -math.inf):
+            continue
+        log_coeff = log_binomial(k, i)
+        if n_p > 0:
+            log_coeff += n_p * log_p
+        if n_1mp > 0:
+            log_coeff += n_1mp * log_1mp
+        terms.append(log_coeff + (k * t - i * eps) + log1mexp(expo))
+    return math.exp(logsumexp(terms))
+
+
+def float_delta_br(k: int, eps: float, eps_g: float) -> float:
+    """BR optimal delta: the float sum's max over the k+1 rounded tilts."""
+    cands = {
+        min(max((eps_g + (ell + 1) * eps) / (k + 1), 0.0), eps) for ell in range(k + 1)
+    }
+    return max(_float_delta_br_at_t(k, eps, eps_g, t) for t in sorted(cands))
+
+
+def _float_delta_mixed_at_t(k: int, m: int, eps: float, eps_g: float, t: float) -> float:
+    kb = k - m
+    log_qb, log_1mqb = dp_slot_log_probs(eps)
+    if kb > 0:
+        log_q, log_1mq, _, _ = grr_log_probs(eps, t)
+    else:
+        log_q, log_1mq = 0.0, -math.inf
+    terms = []
+    for i in range(kb + 1):
+        if i > 0 and log_1mq == -math.inf:
+            break
+        if kb - i > 0 and log_q == -math.inf:
+            continue
+        log_br = log_binomial(kb, i)
+        if kb - i > 0:
+            log_br += (kb - i) * log_q
+        if i > 0:
+            log_br += i * log_1mq
+        for j in range(m + 1):
+            expo = eps_g - eps * (m - 2 * j - i) - t * kb
+            if expo >= 0.0:
+                continue
+            log_dp = log_binomial(m, j) + (m - j) * log_qb + j * log_1mqb
+            terms.append(log_br + log_dp + log1mexp(expo))
+    return math.exp(logsumexp(terms))
+
+
+def float_delta_mixed(k: int, m: int, eps: float, eps_g: float) -> float:
+    """Mixed optimal delta as a float double sum in the q-form."""
+    return max(
+        _float_delta_mixed_at_t(k, m, eps, eps_g, t)
+        for t in mixed_candidate_ts(k, m, eps, eps_g)
+    )
 
 
 def _mp_delta_br_at_t(k: int, eps, eps_g, t):

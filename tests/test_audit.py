@@ -101,9 +101,10 @@ class TestHockeyStickExact:
 
 class TestMixedBruteForce:
     def test_pure_dp_case(self) -> None:
-        assert mixed_brute_force_sup(3, 3, 0.5, 0.8) == pytest.approx(
-            delta_opt_dp(3, 0.5, 0.8), abs=1e-12
-        )
+        for eps_g in (0.8, -0.5):
+            assert mixed_brute_force_sup(3, 3, 0.5, eps_g) == pytest.approx(
+                delta_opt_dp(3, 0.5, eps_g), abs=1e-12
+            )
 
     def test_matches_mixed_closed_form(self) -> None:
         for k in (2, 3, 4):

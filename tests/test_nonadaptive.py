@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpcomp import nonadaptive
 from dpcomp.nonadaptive import (
     CompositionQuery,
     brute_force_delta,
@@ -170,10 +171,10 @@ class TestDeltaOptBr:
 
         for k, eps, eps_g in [(3, 0.5, 0.6), (4, 1.0, 1.1), (2, 0.8, -0.2)]:
             best = delta_opt_br_nonadaptive(k, eps, eps_g)
-            from dpcomp.nonadaptive import _delta_br_at_t
+            from dpcomp.nonadaptive import _delta_at_t
 
             ts = np.linspace(0.0, eps, 100_001)
-            grid = max(_delta_br_at_t(k, eps, eps_g, float(t)) for t in ts)
+            grid = max(_delta_at_t(k, 0, eps, eps_g, float(t)) for t in ts)
             assert grid <= best + 1e-9
 
 
@@ -239,6 +240,55 @@ class TestDeltaOptMixed:
                 for m in range(7)
             ]
             assert all(a <= b + 1e-14 for a, b in zip(vals, vals[1:]))
+
+
+class TestOneEvaluator:
+    """The three bounds as views of one sum, against the separate sums."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.floats(min_value=0.01, max_value=5.0),
+        st.floats(min_value=-1.0, max_value=1.0),
+    )
+    def test_dp_and_br_match_separate_sums_exactly(self, k, eps, frac):
+        eps_g = frac * (k * eps)
+        dp = delta_opt_dp(k, eps, eps_g)
+        br = delta_opt_br_nonadaptive(k, eps, eps_g)
+        assert dp == oracles.float_delta_dp(k, eps, eps_g)
+        assert br == oracles.float_delta_br(k, eps, eps_g)
+        # the mixed bound's endpoints are these views, bit for bit
+        assert delta_opt_mixed(CompositionQuery(k=k, m=k, eps=eps, eps_g=eps_g)) == dp
+        assert delta_opt_mixed(CompositionQuery(k=k, m=0, eps=eps, eps_g=eps_g)) == br
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.data(),
+        st.floats(min_value=0.01, max_value=5.0),
+        st.floats(min_value=-1.0, max_value=1.0),
+    )
+    def test_mixed_matches_separate_sum(self, k, data, eps, frac):
+        m = data.draw(st.integers(0, k))
+        eps_g = frac * (k * eps)
+        got = delta_opt_mixed(CompositionQuery(k=k, m=m, eps=eps, eps_g=eps_g))
+        want = oracles.float_delta_mixed(k, m, eps, eps_g)
+        assert got == pytest.approx(want, abs=1e-13)
+
+    def test_inversion_reuses_rows(self, monkeypatch):
+        # one ln C(200, .) row serves every bisection step
+        calls = []
+        log_binomial = nonadaptive.log_binomial
+
+        def counted(n, i):
+            calls.append((n, i))
+            return log_binomial(n, i)
+
+        monkeypatch.setattr(nonadaptive, "log_binomial", counted)
+        nonadaptive._log_binomial_row.cache_clear()
+        nonadaptive._dp_weights.cache_clear()
+        eps_inverse(1e-6, "dp", 200, 0.05)
+        assert 0 < len(calls) <= 201
 
 
 class TestEpsInverse:
