@@ -20,7 +20,6 @@ from .adaptive import (
     ThreeSlotDeltas,
     delta_opt_recursive,
     ordering_gap_curve,
-    single_br_position_invariance,
     xyz_closed_forms,
 )
 from .audit import (
@@ -29,7 +28,6 @@ from .audit import (
     audit_trunc_gauss,
     audit_two_point,
     hockey_stick_exact,
-    mixed_brute_force_sup,
     monte_carlo_delta,
 )
 from .calibration import (
@@ -96,7 +94,6 @@ __all__ = [
     "delta_opt_recursive",
     "xyz_closed_forms",
     "ordering_gap_curve",
-    "single_br_position_invariance",
     # setwise accounting
     "PureDP",
     "BoundedRange",
@@ -133,7 +130,6 @@ __all__ = [
     # audits
     "AuditReport",
     "hockey_stick_exact",
-    "mixed_brute_force_sup",
     "monte_carlo_delta",
     "audit_two_point",
     "audit_composed_dp",

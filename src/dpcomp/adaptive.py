@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .nonadaptive import CompositionQuery, _tilt_q, delta_opt_mixed, grr_params
+from .nonadaptive import _tilt_q, grr_params
 from .numerics import golden_max
 
 __all__ = [
@@ -38,18 +38,13 @@ __all__ = [
     "GridSpec",
     "ThreeSlotDeltas",
     "delta_opt_recursive",
-    "reduction_identity",
     "single_br_delta",
     "two_br_delta",
-    "lambda_expansion",
-    "lambda_expansion_delta",
     "x_curve",
     "y_curve",
     "z_curve",
     "xyz_closed_forms",
     "ordering_gap_curve",
-    "single_br_position_invariance",
-    "worst_case_ordering_check",
 ]
 
 _SLOTS = ("dp", "br")
@@ -219,21 +214,6 @@ def delta_opt_recursive(
     return ev.eval_scalar(0, eps_g)
 
 
-def reduction_identity(alpha: float, eps: float, t: float) -> float:
-    """Closed form of q_t [1-e^(a-t)]_+ + (1-q_t) [1-e^(a+eps-t)]_+.
-
-    Three branches in t: zero until a, then a single tilted term, then the
-    constant total-variation value 1 - e^a once t >= a + eps.
-    """
-    if not (0.0 <= t <= eps):
-        raise ValueError(f"t must lie in [0, eps]=[0, {eps}], got {t}")
-    if t <= alpha:
-        return 0.0
-    if t <= alpha + eps:
-        return grr_params(eps, t).q * -math.expm1(alpha - t)
-    return -math.expm1(alpha)
-
-
 def single_br_delta(eps: float, budget: float) -> float:
     """Optimal delta of one adaptive BR slot at the given budget.
 
@@ -285,34 +265,6 @@ def two_br_delta(
     if refine_rounds > 0 and hi > lo:
         best = max(best, golden_max(val, lo, hi, refine_rounds))
     return best
-
-
-def lambda_expansion(ell: int, eps: float) -> np.ndarray:
-    """Binomial weights of an ell-fold pure-DP budget walk.
-
-    lambda[i] = C(ell, i) qb^(ell-i) (1-qb)^i with qb = e^eps/(1+e^eps),
-    built by the two-term recurrence so the construction is independent
-    of the closed-form binomial route.
-    """
-    if ell < 0:
-        raise ValueError(f"ell must be nonnegative, got {ell}")
-    qb = 1.0 / (1.0 + math.exp(-eps))
-    lam = np.array([1.0])
-    for _ in range(ell):
-        nxt = np.zeros(lam.size + 1)
-        nxt[:-1] += qb * lam
-        nxt[1:] += (1.0 - qb) * lam
-        lam = nxt
-    return lam
-
-
-def lambda_expansion_delta(ell: int, eps: float, eps_g: float) -> float:
-    """Delta of ell pure-DP slots evaluated through the weight expansion."""
-    lam = lambda_expansion(ell, eps)
-    i = np.arange(ell + 1)
-    expo = (2 * i - ell) * eps + eps_g
-    vals = np.where(expo < 0.0, -np.expm1(np.minimum(expo, 0.0)), 0.0)
-    return float(np.sum(lam * vals))
 
 
 # ---------------------------------------------------------------------------
@@ -449,55 +401,3 @@ def ordering_gap_curve(
             }
         )
     return rows
-
-
-def single_br_position_invariance(
-    k: int,
-    eps: float,
-    eps_g: float,
-    grid: GridSpec | None = None,
-    tol: float = 1e-6,
-) -> bool:
-    """Whether a lone BR slot's position is irrelevant among k-1 DP slots.
-
-    Checks all k positions against each other and against the
-    non-adaptive mixed bound with k-1 DP slots, within tol.
-    """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    ref = delta_opt_mixed(CompositionQuery(k=k, m=k - 1, eps=eps, eps_g=eps_g))
-    for pos in range(k):
-        slots = tuple("br" if i == pos else "dp" for i in range(k))
-        val = delta_opt_recursive(MechanismSequence(slots, eps), eps_g, grid)
-        if abs(val - ref) > tol:
-            return False
-    return True
-
-
-def worst_case_ordering_check(
-    seq_a: MechanismSequence,
-    seq_b: MechanismSequence,
-    eps_g: float,
-    grid: GridSpec | None = None,
-    tol: float = 1e-9,
-) -> bool:
-    """Whether the BR-earlier of two transposed sequences is no worse.
-
-    The sequences must differ by exactly one adjacent transposition of a
-    'br' and a 'dp' slot; returns True when the sequence running the BR
-    slot earlier has the smaller (or equal, within tol) delta.
-    """
-    if seq_a.eps != seq_b.eps or len(seq_a.slots) != len(seq_b.slots):
-        raise ValueError("sequences must share eps and length")
-    diffs = [i for i, (a, b) in enumerate(zip(seq_a.slots, seq_b.slots)) if a != b]
-    if len(diffs) != 2 or diffs[1] != diffs[0] + 1:
-        raise ValueError("sequences must differ by one adjacent transposition")
-    i = diffs[0]
-    if {seq_a.slots[i], seq_a.slots[i + 1]} != {"dp", "br"}:
-        raise ValueError("the transposed slots must be one 'dp' and one 'br'")
-    br_earlier, dp_earlier = (
-        (seq_a, seq_b) if seq_a.slots[i] == "br" else (seq_b, seq_a)
-    )
-    d_br = delta_opt_recursive(br_earlier, eps_g, grid)
-    d_dp = delta_opt_recursive(dp_earlier, eps_g, grid)
-    return d_br <= d_dp + tol

@@ -3,14 +3,15 @@
 Two routes that deliberately share no code with the closed forms they
 check.  The exact route enumerates every outcome of a product of
 two-point response pairs and sums the positive part of P - e^eps Q
-directly; it is feasible up to 20 factors and serves as ground truth for
-the composition formulas.  The Monte-Carlo route samples a mechanism on
-a fixed pair of neighboring inputs, bins the outcomes, and estimates the
-same positive-part mass empirically with a bootstrap standard error.
+directly; it is feasible up to 20 factors and gives the two-point audit
+its exact bound.  The Monte-Carlo route samples a mechanism on a fixed
+pair of neighboring inputs, bins the outcomes, and estimates the same
+positive-part mass empirically with a bootstrap standard error.
 Binning biases the estimate downward (merged mass cannot separate), and
 fitting the optimal event to the empirical counts adds upward noise, so
 a Monte-Carlo audit can refute a claimed bound but never certify it;
-reports carry that caveat.
+reports carry that caveat.  The brute-force searches that check the
+composition formulas themselves are test oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -23,20 +24,12 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .mechanisms import RngState, TruncGaussConfig
-from .nonadaptive import (
-    CompositionQuery,
-    _tilt_q,
-    delta_opt_dp,
-    grr_params,
-    mixed_candidate_ts,
-)
-from .numerics import golden_max
+from .nonadaptive import delta_opt_dp, grr_params
 from .setwise import Zcdp, zcdp_dp_guarantee
 
 __all__ = [
     "AuditReport",
     "hockey_stick_exact",
-    "mixed_brute_force_sup",
     "monte_carlo_delta",
     "audit_two_point",
     "audit_composed_dp",
@@ -113,59 +106,6 @@ def hockey_stick_exact(
         q_out = np.concatenate([q_out * p_i, q_out * (1.0 - p_i)])
     diff = p_out - math.exp(eps_g) * q_out
     return float(np.sum(np.maximum(diff, 0.0)))
-
-
-def mixed_brute_force_sup(
-    k: int, m: int, eps: float, eps_g: float, grid_points: int = 200
-) -> float:
-    """Worst-case delta of m pure-DP and k-m range-bounded slots, by search.
-
-    Every DP slot is the two-point pair with both likelihood ratios at
-    e^eps; the remaining slots share one tilt t, swept over a dense grid
-    on [0, eps] plus the stationary candidates, then polished by golden
-    section around the best grid point.  No closed-form composition
-    result is consulted, so this is a fair check of those formulas.
-    """
-    CompositionQuery(k=k, m=m, eps=eps, eps_g=eps_g)
-    if grid_points < 2:
-        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
-    if k > _MAX_EXACT_SLOTS:
-        raise ValueError(f"exact enumeration limited to {_MAX_EXACT_SLOTS} slots")
-    dp = grr_params(2.0 * eps, eps)
-    n_br = k - m
-    scale = math.exp(eps_g)
-
-    def delta_at_grid(ts: np.ndarray) -> np.ndarray:
-        qs = _tilt_q(eps, ts)
-        ps = np.exp(-ts) * qs
-        p_out = np.ones((ts.size, 1))
-        q_out = np.ones((ts.size, 1))
-        for _ in range(m):
-            p_out = np.concatenate([p_out * dp.q, p_out * (1.0 - dp.q)], axis=1)
-            q_out = np.concatenate([q_out * dp.p, q_out * (1.0 - dp.p)], axis=1)
-        for _ in range(n_br):
-            p_out = np.concatenate(
-                [p_out * qs[:, None], p_out * (1.0 - qs)[:, None]], axis=1
-            )
-            q_out = np.concatenate(
-                [q_out * ps[:, None], q_out * (1.0 - ps)[:, None]], axis=1
-            )
-        return np.maximum(p_out - scale * q_out, 0.0).sum(axis=1)
-
-    ts = np.unique(
-        np.concatenate(
-            [
-                np.linspace(0.0, eps, grid_points),
-                np.asarray(mixed_candidate_ts(k, m, eps, eps_g)),
-            ]
-        )
-    )
-    values = delta_at_grid(ts)
-    best = int(np.argmax(values))
-    lo = ts[max(best - 1, 0)]
-    hi = ts[min(best + 1, ts.size - 1)]
-    polished = golden_max(lambda t: float(delta_at_grid(np.array([t]))[0]), lo, hi, 80)
-    return max(float(values[best]), polished)
 
 
 def _category_counts(

@@ -102,6 +102,8 @@ def _parse_grid(text: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"grid must look like lo:hi:step, got {text!r}")
     lo, hi, step = (float(p) for p in parts)
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise ValueError(f"grid parts must be finite, got {text!r}")
     if not (step > 0 and hi >= lo):
         raise ValueError(f"grid needs step > 0 and hi >= lo, got {text!r}")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
@@ -239,9 +241,9 @@ def _cmd_compose(args: argparse.Namespace, seed: int) -> int:
 # ------------------------------------------------------------------- compare
 
 
-def _spec_from_args(args: argparse.Namespace, default_d: Optional[int] = None) -> HistogramSpec:
-    d = args.d if getattr(args, "d", None) else (default_d or args.delta0)
-    d_bar = args.d_bar if getattr(args, "d_bar", None) else d
+def _spec_from_args(args: argparse.Namespace) -> HistogramSpec:
+    d = args.d or args.delta0
+    d_bar = args.d_bar or d
     return HistogramSpec(d=d, delta0=args.delta0, tau=args.tau, d_bar=d_bar)
 
 

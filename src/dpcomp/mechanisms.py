@@ -120,12 +120,9 @@ class RngState:
     """
 
     seed: int
-    algorithm: str = "pcg64"
     _path: tuple[int, ...] = field(default=(), repr=False)
 
     def __post_init__(self) -> None:
-        if self.algorithm != "pcg64":
-            raise ValueError(f"unsupported algorithm {self.algorithm!r}")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
 
@@ -144,9 +141,7 @@ class RngState:
     def derive(self, index: int) -> "RngState":
         if index < 0:
             raise ValueError(f"derivation index must be >= 0, got {index}")
-        return RngState(
-            seed=self.seed, algorithm=self.algorithm, _path=self._path + (index,)
-        )
+        return RngState(seed=self.seed, _path=self._path + (index,))
 
 
 def _uniforms(gen: np.random.Generator, size: Optional[int]) -> np.ndarray:
@@ -368,7 +363,7 @@ class TruncGaussConfig:
         s = self.tau * self.sigma
         lo = std_normal_cdf(-self.t_level / s)
         hi = std_normal_cdf(self.t_level / s)
-        u = np.maximum(gen.random(n), _MIN_UNIFORM)
+        u = _uniforms(gen, n)
         return s * ndtri(lo + u * (hi - lo))
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -40,8 +40,6 @@ __all__ = [
     "delta_opt_mixed",
     "mixed_candidate_ts",
     "eps_inverse",
-    "brute_force_delta",
-    "permutation_invariance_check",
 ]
 
 # above the ~2,100 halvings from 2^1024 down to adjacent floats near 0
@@ -279,48 +277,3 @@ def eps_inverse(
         0.0, k * eps, tol_abs=max(tol, math.ulp(0.0)), max_iter=_MAX_HALVINGS
     )
     return halve(lambda eg: f(eg) <= delta_target, bracket)
-
-
-def brute_force_delta(
-    slots: Sequence[tuple[float, float]], eps_g: float
-) -> float:
-    """Exact hockey-stick delta of a heterogeneous two-point product.
-
-    slots is a sequence of (t_i, eps_i) pairs, at most 20 of them; the sum
-    runs over all 2^k outcome bit-strings.  Per-outcome log-probabilities
-    are assembled per slot and exponentiated only at the final subtraction.
-    """
-    k = len(slots)
-    if k == 0:
-        raise ValueError("need at least one slot")
-    if k > 20:
-        raise ValueError(f"brute force limited to 20 slots, got {k}")
-    if math.isnan(eps_g):
-        raise ValueError("eps_g must not be NaN")
-    logs = [grr_log_probs(e, t) for (t, e) in slots]
-
-    n = 1 << k
-    bit = np.arange(n)
-    log_p_out = np.zeros(n)
-    log_q_out = np.zeros(n)
-    for i, (log_q, log_1mq, log_p, log_1mp) in enumerate(logs):
-        chosen = (bit >> i) & 1
-        log_p_out += np.where(chosen == 0, log_q, log_1mq)
-        log_q_out += np.where(chosen == 0, log_p, log_1mp)
-    with np.errstate(over="ignore"):
-        diff = np.exp(log_p_out) - np.exp(eps_g + log_q_out)
-    return float(np.sum(np.maximum(diff, 0.0)))
-
-
-def permutation_invariance_check(
-    slots: Sequence[tuple[float, float]],
-    eps_g: float,
-    perm: Sequence[int],
-    tol: float = 1e-12,
-) -> bool:
-    """Whether the brute-force delta is unchanged under reordering slots."""
-    if sorted(perm) != list(range(len(slots))):
-        raise ValueError(f"perm must be a permutation of 0..{len(slots)-1}")
-    base = brute_force_delta(slots, eps_g)
-    permuted = brute_force_delta([slots[i] for i in perm], eps_g)
-    return abs(base - permuted) <= tol

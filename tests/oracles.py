@@ -6,8 +6,11 @@ directly in linear space (no log-sum-exp), literal enumeration over
 outcome bit-strings, quadrature, off-the-shelf constrained solvers, and
 linear scans in place of indexes.  The float sums for the nonadaptive
 bounds are the package's former separate routes, kept as the reference
-its single evaluator must reproduce.  Frozen constants in the tests cite the
-producing function by name.
+its single evaluator must reproduce.  The module also holds the checks
+that compose package functions into a second route: a brute-force
+supremum over mixed two-point products and the position-invariance
+check for one BR slot among DP slots.  Frozen constants in the tests
+cite the producing function by name.
 """
 
 from __future__ import annotations
@@ -21,8 +24,18 @@ from typing import Callable, Sequence
 import mpmath as mp
 import numpy as np
 
-from dpcomp.nonadaptive import dp_slot_log_probs, grr_log_probs, mixed_candidate_ts
-from dpcomp.numerics import log1mexp, log1pexp, log_binomial, logsumexp
+from dpcomp.adaptive import GridSpec, MechanismSequence, delta_opt_recursive
+from dpcomp.audit import _MAX_EXACT_SLOTS
+from dpcomp.nonadaptive import (
+    CompositionQuery,
+    _tilt_q,
+    delta_opt_mixed,
+    dp_slot_log_probs,
+    grr_log_probs,
+    grr_params,
+    mixed_candidate_ts,
+)
+from dpcomp.numerics import golden_max, log1mexp, log1pexp, log_binomial, logsumexp
 from dpcomp.setwise import (
     AccountantStateError,
     BoundedRange,
@@ -269,6 +282,59 @@ def mp_delta_mixed(k: int, m: int, eps, eps_g) -> float:
         return float(best)
 
 
+def mixed_brute_force_sup(
+    k: int, m: int, eps: float, eps_g: float, grid_points: int = 200
+) -> float:
+    """Worst-case delta of m pure-DP and k-m range-bounded slots, by search.
+
+    Every DP slot is the two-point pair with both likelihood ratios at
+    e^eps; the remaining slots share one tilt t, swept over a dense grid
+    on [0, eps] plus the stationary candidates, then polished by golden
+    section around the best grid point.  No closed-form composition
+    result is consulted, so this is a fair check of those formulas.
+    """
+    CompositionQuery(k=k, m=m, eps=eps, eps_g=eps_g)
+    if grid_points < 2:
+        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
+    if k > _MAX_EXACT_SLOTS:
+        raise ValueError(f"exact enumeration limited to {_MAX_EXACT_SLOTS} slots")
+    dp = grr_params(2.0 * eps, eps)
+    n_br = k - m
+    scale = math.exp(eps_g)
+
+    def delta_at_grid(ts: np.ndarray) -> np.ndarray:
+        qs = _tilt_q(eps, ts)
+        ps = np.exp(-ts) * qs
+        p_out = np.ones((ts.size, 1))
+        q_out = np.ones((ts.size, 1))
+        for _ in range(m):
+            p_out = np.concatenate([p_out * dp.q, p_out * (1.0 - dp.q)], axis=1)
+            q_out = np.concatenate([q_out * dp.p, q_out * (1.0 - dp.p)], axis=1)
+        for _ in range(n_br):
+            p_out = np.concatenate(
+                [p_out * qs[:, None], p_out * (1.0 - qs)[:, None]], axis=1
+            )
+            q_out = np.concatenate(
+                [q_out * ps[:, None], q_out * (1.0 - ps)[:, None]], axis=1
+            )
+        return np.maximum(p_out - scale * q_out, 0.0).sum(axis=1)
+
+    ts = np.unique(
+        np.concatenate(
+            [
+                np.linspace(0.0, eps, grid_points),
+                np.asarray(mixed_candidate_ts(k, m, eps, eps_g)),
+            ]
+        )
+    )
+    values = delta_at_grid(ts)
+    best = int(np.argmax(values))
+    lo = ts[max(best - 1, 0)]
+    hi = ts[min(best + 1, ts.size - 1)]
+    polished = golden_max(lambda t: float(delta_at_grid(np.array([t]))[0]), lo, hi, 80)
+    return max(float(values[best]), polished)
+
+
 # ---------------------------------------------------------------------------
 # Three-slot adaptive closed forms (one DP slot, two BR slots) in mpf.
 # ---------------------------------------------------------------------------
@@ -329,16 +395,6 @@ def mp_xyz_deltas(eps, eps_g) -> tuple[float, float]:
         return float(dp_first), float(br_first)
 
 
-def mp_reduction_direct(alpha, eps, t) -> float:
-    """Direct two-term positive-part evaluation of the one-slot identity."""
-    with mp.workdps(DPS):
-        alpha, eps, t = mp.mpf(alpha), mp.mpf(eps), mp.mpf(t)
-        q = mp_q(eps, t)
-        a = 1 - mp.e ** (alpha - t)
-        b = 1 - mp.e ** (alpha + eps - t)
-        return float(q * max(a, 0) + (1 - q) * max(b, 0))
-
-
 def mp_single_br_closed(eps, y) -> float:
     """Best single-BR delta at budget y: sup_t of the one-slot identity."""
     with mp.workdps(DPS):
@@ -369,6 +425,29 @@ def grid_terminal_br(m: int, eps: float, budget: float, n: int = 4001) -> np.nda
     t = np.linspace(0.0, eps, n)
     q = (1.0 - np.exp(t - eps)) / (1.0 - math.exp(-eps))
     return q * tail(budget - t) + (1.0 - q) * tail(budget + eps - t)
+
+
+def single_br_position_invariance(
+    k: int,
+    eps: float,
+    eps_g: float,
+    grid: GridSpec | None = None,
+    tol: float = 1e-6,
+) -> bool:
+    """Whether a lone BR slot's position is irrelevant among k-1 DP slots.
+
+    Checks all k positions against each other and against the
+    non-adaptive mixed bound with k-1 DP slots, within tol.
+    """
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    ref = delta_opt_mixed(CompositionQuery(k=k, m=k - 1, eps=eps, eps_g=eps_g))
+    for pos in range(k):
+        slots = tuple("br" if i == pos else "dp" for i in range(k))
+        val = delta_opt_recursive(MechanismSequence(slots, eps), eps_g, grid)
+        if abs(val - ref) > tol:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

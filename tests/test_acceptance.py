@@ -19,15 +19,9 @@ from dpcomp.adaptive import (
     GridSpec,
     MechanismSequence,
     delta_opt_recursive,
-    single_br_position_invariance,
     xyz_closed_forms,
 )
-from dpcomp.audit import (
-    audit_composed_dp,
-    audit_trunc_gauss,
-    audit_two_point,
-    mixed_brute_force_sup,
-)
+from dpcomp.audit import audit_composed_dp, audit_trunc_gauss, audit_two_point
 from dpcomp.calibration import HistogramSpec, solve_sigma_zcdp
 from dpcomp.cli import figure_data
 from dpcomp.mechanisms import (
@@ -47,6 +41,8 @@ from dpcomp.nonadaptive import (
 )
 from dpcomp.numerics import std_normal_cdf
 from dpcomp.setwise import BoundedRange, Cdp, PureDP, SetwiseAccountant
+
+from .oracles import mixed_brute_force_sup, single_br_position_invariance
 
 
 @contextmanager

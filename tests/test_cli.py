@@ -52,8 +52,10 @@ class TestExitCodes:
         assert "k" in err
 
     def test_malformed_grid_is_usage_error(self, capsys):
-        code, _, _ = run(capsys, ["compose", "dp", "--k", "3", "--eps", "0.5", "--eps-g-grid", "0:1"])
-        assert code == 2
+        for grid in ("0:1", "0:inf:1", "-inf:0:1", "0:1e400:1"):
+            argv = ["compose", "dp", "--k", "3", "--eps", "0.5", f"--eps-g-grid={grid}"]
+            code, _, _ = run(capsys, argv)
+            assert code == 2, grid
 
     @pytest.mark.parametrize(
         "state, field",

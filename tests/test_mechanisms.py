@@ -109,8 +109,6 @@ class TestRngState:
         with pytest.raises(ValueError):
             RngState(seed=-1)
         with pytest.raises(ValueError):
-            RngState(seed=1, algorithm="mt19937")
-        with pytest.raises(ValueError):
             RngState(seed=1).substream(-1)
         with pytest.raises(ValueError):
             RngState(seed=1).derive(-1)

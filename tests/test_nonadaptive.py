@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from dpcomp import nonadaptive
 from dpcomp.nonadaptive import (
     CompositionQuery,
-    brute_force_delta,
     delta_opt_br_nonadaptive,
     delta_opt_dp,
     delta_opt_mixed,
@@ -20,13 +19,9 @@ from dpcomp.nonadaptive import (
     grr_log_probs,
     grr_params,
     mixed_candidate_ts,
-    permutation_invariance_check,
 )
 
 from . import oracles
-
-# one fixed heterogeneous instance, reused across brute-force tests
-INSTANCE = [(0.2, 0.8), (0.5, 1.0), (0.1, 0.6), (0.7, 0.9)]
 
 eps_strategy = st.floats(min_value=0.05, max_value=3.0)
 
@@ -337,65 +332,3 @@ class TestEpsInverse:
         for tol in (-1e-9, math.nan):
             with pytest.raises(ValueError):
                 eps_inverse(1e-6, "dp", 2, 0.1, tol=tol)
-
-
-class TestBruteForce:
-    def test_frozen_instance(self):
-        # values from product_delta (literal bit-string enumeration, mpf)
-        assert brute_force_delta(INSTANCE, 0.0) == pytest.approx(
-            0.30466600408935607, abs=1e-13
-        )
-        assert brute_force_delta(INSTANCE, 0.5) == pytest.approx(
-            0.12727499465868983, abs=1e-13
-        )
-        assert brute_force_delta(INSTANCE, 1.2) == pytest.approx(
-            0.035211821825917845, abs=1e-13
-        )
-        assert brute_force_delta(INSTANCE, -0.3) == pytest.approx(
-            0.3968193593381278, abs=1e-13
-        )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            brute_force_delta([], 0.0)
-        with pytest.raises(ValueError):
-            brute_force_delta([(0.1, 0.5)] * 21, 0.0)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.data())
-    def test_against_literal_enumeration(self, data):
-        k = data.draw(st.integers(1, 5))
-        slots = []
-        for _ in range(k):
-            eps = data.draw(eps_strategy)
-            frac = data.draw(st.floats(min_value=0.0, max_value=1.0))
-            slots.append((frac * eps, eps))
-        eps_g = data.draw(st.floats(min_value=-1.0, max_value=2.5))
-        qp = [(oracles.mp_q(e, t), oracles.mp_p(e, t)) for (t, e) in slots]
-        want = oracles.product_delta(qp, eps_g)
-        assert brute_force_delta(slots, eps_g) == pytest.approx(want, abs=1e-12)
-
-    def test_dp_slots_reproduce_closed_form(self):
-        for k in (1, 3, 6):
-            for eg in (0.0, 0.4, 1.1):
-                slots = [(0.5, 1.0)] * k  # (2 eps, eps) pairs at eps = 0.5
-                assert brute_force_delta(slots, eg) == pytest.approx(
-                    delta_opt_dp(k, 0.5, eg), abs=1e-12
-                )
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.data())
-    def test_permutation_invariance(self, data):
-        k = data.draw(st.integers(2, 5))
-        slots = []
-        for _ in range(k):
-            eps = data.draw(eps_strategy)
-            frac = data.draw(st.floats(min_value=0.0, max_value=1.0))
-            slots.append((frac * eps, eps))
-        perm = data.draw(st.permutations(list(range(k))))
-        eps_g = data.draw(st.floats(min_value=-0.5, max_value=2.0))
-        assert permutation_invariance_check(slots, eps_g, perm)
-
-    def test_permutation_validation(self):
-        with pytest.raises(ValueError):
-            permutation_invariance_check(INSTANCE, 0.0, [0, 1, 2, 2])
