@@ -4,8 +4,10 @@ Maps a histogram sensitivity profile and a target (eps_g, delta) to the
 noise scale of a concrete mechanism, and back.  Three calibration routes
 are covered: per-coordinate Laplace composed under the optimal pure-DP
 bound, Gaussian under zCDP, and Gaussian under its exact hockey-stick
-curve composed as generic approximate DP.  The comparison helpers
-produce the rows behind the accuracy-versus-budget tables.
+curve.  Over k releases the curve route prices each release at its
+smallest eps for delta/(2k) and composes the k pure parts under the
+optimal pure-DP bound.  The comparison helpers produce the rows behind
+the accuracy-versus-budget tables.
 
 Noise scales are expressed in units of the per-count cap tau, so a
 Gaussian entry means per-coordinate standard deviation tau * sigma.
@@ -36,6 +38,8 @@ __all__ = [
 
 _MAX_DOUBLINGS = 80
 _MAX_BISECTIONS = 200
+# relative bracket width at which the analytic-Gaussian solves stop
+_TOL_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -97,39 +101,29 @@ def analytic_gaussian_delta(sigma: float, eps: float) -> float:
     return min(1.0, max(0.0, delta))
 
 
-def analytic_gaussian_eps(
-    sigma: float,
-    delta: float,
-    tol_rel: float = 1e-12,
-    max_bisections: int = _MAX_BISECTIONS,
-) -> float:
+def analytic_gaussian_eps(sigma: float, delta: float) -> float:
     """Smallest eps at which N(0, sigma^2) vs N(1, sigma^2) admits delta.
 
     Returned from the feasible end: analytic_gaussian_delta(sigma, eps)
     <= delta holds, and the bracket it closes is within
-    tol_rel * max(1, eps) of the root.
+    1e-12 * max(1, eps) of the root.
     """
     _check_delta(delta)
-    if max_bisections < 1:
-        raise ValueError(f"max_bisections must be >= 1, got {max_bisections}")
     if analytic_gaussian_delta(sigma, 0.0) <= delta:
         return 0.0
     ok = lambda e: analytic_gaussian_delta(sigma, e) <= delta
     lo, hi = expand(ok, 0.0, 1.0, _MAX_DOUBLINGS)
-    bracket = Bracket(lo, hi, tol_abs=tol_rel, max_iter=max_bisections, tol_rel=tol_rel)
+    bracket = Bracket(lo, hi, tol_abs=_TOL_REL, max_iter=_MAX_BISECTIONS, tol_rel=_TOL_REL)
     return halve(ok, bracket)
 
 
 def solve_sigma_analytic(
-    eps: float,
-    delta: float,
-    tol_rel: float = 1e-12,
-    max_bisections: int = _MAX_BISECTIONS,
+    eps: float, delta: float, max_bisections: int = _MAX_BISECTIONS
 ) -> float:
     """Smallest sigma at which the Gaussian curve passes (eps, delta).
 
     Returned from the feasible end: analytic_gaussian_delta(sigma, eps)
-    <= delta holds, and the bracket it closes is within tol_rel * sigma
+    <= delta holds, and the bracket it closes is within 1e-12 * sigma
     of the root.
     """
     if not (math.isfinite(eps) and eps >= 0):
@@ -139,7 +133,7 @@ def solve_sigma_analytic(
         raise ValueError(f"max_bisections must be >= 1, got {max_bisections}")
     ok = lambda s: analytic_gaussian_delta(s, eps) <= delta
     lo, hi = expand(ok, 0.0, 1.0, _MAX_DOUBLINGS)
-    bracket = Bracket(lo, hi, tol_abs=0.0, max_iter=max_bisections, tol_rel=tol_rel)
+    bracket = Bracket(lo, hi, tol_abs=0.0, max_iter=max_bisections, tol_rel=_TOL_REL)
     return halve(ok, bracket)
 
 
@@ -234,26 +228,22 @@ def single_release_comparison(
 
 
 def kfold_comparison(
-    k: int,
-    spec: HistogramSpec,
-    sigma: float,
-    delta: float,
-    grid_points: int = 50,
+    k: int, spec: HistogramSpec, sigma: float, delta: float
 ) -> list[dict]:
     """eps_g of k adaptive histogram releases at equal per-count noise.
 
     Laplace composes all k * delta0 touched coordinates under the
     optimal pure-DP bound at failure budget delta.  The zCDP route sums
     rho over releases.  The analytic route gives each release
-    (eps_1, delta/(2k)) from its exact curve, composes the k pure parts
-    optimally with slack delta/2, and searches eps_1 over a log grid
-    [eps_min, 100 eps_min] since weakening the per-release point can
-    strengthen the composition.
+    (eps_1, delta/(2k)) from its exact curve and composes the k pure
+    parts optimally with slack delta/2.  It takes eps_1 = eps_min, the
+    smallest eps the curve admits at delta/(2k): every larger eps_1
+    carries the same per-release delta, and the composed pure-DP delta
+    is nondecreasing in the per-slot eps, so no eps_1 above eps_min
+    gives a smaller eps_g.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if grid_points < 2:
-        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     _check_delta(delta)
     eps1 = laplace_eps_coord(sigma)
     rows = [
@@ -274,22 +264,14 @@ def kfold_comparison(
     ]
     sigma_eff = sigma / math.sqrt(spec.delta0)
     eps_min = analytic_gaussian_eps(sigma_eff, delta / (2.0 * k))
-    if eps_min == 0.0:
-        best_eps_g, best_eps1 = 0.0, 0.0
-    else:
-        best_eps_g, best_eps1 = math.inf, math.nan
-        for i in range(grid_points):
-            e1 = eps_min * 100.0 ** (i / (grid_points - 1.0))
-            eg = eps_inverse(delta / 2.0, "dp", k, e1)
-            if eg < best_eps_g:
-                best_eps_g, best_eps1 = eg, e1
+    eps_g = 0.0 if eps_min == 0.0 else eps_inverse(delta / 2.0, "dp", k, eps_min)
     rows.append(
         {
             "method": "gaussian_analytic_dp",
             "k": k,
             "count": k,
-            "eps_each": best_eps1,
-            "eps_g": best_eps_g,
+            "eps_each": eps_min,
+            "eps_g": eps_g,
         }
     )
     return rows

@@ -144,17 +144,23 @@ def load_histogram_counts(path: str) -> dict[str, float]:
         return {str(k): float(v) for k, v in data.items()}
     if path.endswith(".csv"):
         counts: dict[str, float] = {}
-        for line in raw.splitlines():
+        rows = 0
+        for lineno, line in enumerate(raw.splitlines(), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             cells = line.split(",")
             if len(cells) != 2:
                 raise ValueError(f"{path}: expected element,count rows, got {line!r}")
+            rows += 1
             try:
                 value = float(cells[1])
             except ValueError:
-                continue  # header row
+                if rows == 1:
+                    continue  # header row
+                raise ValueError(
+                    f"{path}: line {lineno}: count is not a number in {line!r}"
+                ) from None
             counts[cells[0]] = value
         if not counts:
             raise ValueError(f"{path}: no count rows found")
@@ -242,8 +248,8 @@ def _cmd_compose(args: argparse.Namespace, seed: int) -> int:
 
 
 def _spec_from_args(args: argparse.Namespace) -> HistogramSpec:
-    d = args.d or args.delta0
-    d_bar = args.d_bar or d
+    d = args.delta0 if args.d is None else args.d
+    d_bar = d if args.d_bar is None else args.d_bar
     return HistogramSpec(d=d, delta0=args.delta0, tau=args.tau, d_bar=d_bar)
 
 
@@ -252,9 +258,7 @@ def _cmd_compare(args: argparse.Namespace, seed: int) -> int:
     if args.mode == "single":
         rows_raw = single_release_comparison(spec, args.sigma, args.delta)
     else:
-        rows_raw = kfold_comparison(
-            args.k, spec, args.sigma, args.delta, grid_points=args.grid_points
-        )
+        rows_raw = kfold_comparison(args.k, spec, args.sigma, args.delta)
     params = {
         "command": f"compare {args.mode}",
         "delta0": args.delta0,
@@ -469,9 +473,10 @@ def _cmd_figures(args: argparse.Namespace, seed: int) -> int:
 def _cmd_topk(args: argparse.Namespace, seed: int) -> int:
     counts = load_histogram_counts(args.input)
     d = len(counts)
-    delta0 = args.delta0 if args.delta0 else min(args.k or d, d)
-    d_bar = args.d_bar if args.d_bar else d
-    spec = HistogramSpec(d=d, delta0=delta0, tau=args.tau, d_bar=max(d, d_bar))
+    k = d if args.k is None else args.k
+    delta0 = min(k, d) if args.delta0 is None else args.delta0
+    d_bar = d if args.d_bar is None else args.d_bar
+    spec = HistogramSpec(d=d, delta0=delta0, tau=args.tau, d_bar=d_bar)
     hist = histogram_from_counts(counts, spec=spec)
     rng = RngState(seed)
 
@@ -486,6 +491,8 @@ def _cmd_topk(args: argparse.Namespace, seed: int) -> int:
             raise ValueError("known-gauss requires --sigma")
         released = known_gauss(hist, args.sigma, rng)
         if args.k is not None:
+            if args.k < 1:
+                raise ValueError(f"k must be >= 1, got {args.k}")
             released = released[: args.k]
         rows = [[rank, e, v] for rank, (e, v) in enumerate(released, start=1)]
     elif mode == "lsnoise":
@@ -595,7 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--d", type=int, default=None)
     compare.add_argument("--d-bar", type=int, default=None)
     compare.add_argument("--k", type=int, default=1)
-    compare.add_argument("--grid-points", type=int, default=50)
     _add_common(compare)
 
     figures = sub.add_parser("figures", help="emit the data behind one figure")

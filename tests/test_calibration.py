@@ -18,7 +18,7 @@ from dpcomp.calibration import (
     solve_sigma_analytic,
     solve_sigma_zcdp,
 )
-from dpcomp.nonadaptive import delta_opt_dp
+from dpcomp.nonadaptive import delta_opt_dp, eps_inverse
 
 from .oracles import mp_analytic_gaussian_delta, mp_gaussian_zcdp_eps
 
@@ -237,8 +237,31 @@ class TestComparisons:
         endpoint = eps_inverse(5e-7, "dp", 5, eps_min)
         assert an["eps_g"] <= endpoint + 1e-12
 
+    @pytest.mark.parametrize(
+        "k, delta0, sigma, delta",
+        [(5, 10, 10.0, 1e-6), (1, 1, 2.0, 1e-9), (10, 50, 3.0, 1e-4), (3, 1, 1e4, 0.5)],
+    )
+    def test_kfold_analytic_row_is_minimal_eps(self, k, delta0, sigma, delta) -> None:
+        spec = HistogramSpec(d=delta0, delta0=delta0, tau=1.0, d_bar=delta0)
+        rows = kfold_comparison(k, spec, sigma, delta)
+        an = next(r for r in rows if r["method"] == "gaussian_analytic_dp")
+        eps_min = analytic_gaussian_eps(sigma / math.sqrt(delta0), delta / (2.0 * k))
+        eps_g = 0.0 if eps_min == 0.0 else eps_inverse(delta / 2.0, "dp", k, eps_min)
+        assert (an["eps_each"], an["eps_g"]) == (eps_min, eps_g)
+
+    @given(
+        st.integers(min_value=1, max_value=100),
+        st.floats(min_value=1e-3, max_value=3.0),
+        st.floats(min_value=1.0, max_value=100.0, exclude_min=True),
+        st.floats(min_value=-5.0, max_value=50.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_composed_dp_delta_nondecreasing_in_eps(self, k, eps, ratio, eps_g) -> None:
+        # why the analytic k-fold row takes the smallest per-release eps
+        assert delta_opt_dp(k, eps, eps_g) <= delta_opt_dp(k, eps * ratio, eps_g) + 1e-12
+
     def test_kfold_validation(self) -> None:
         with pytest.raises(ValueError):
             kfold_comparison(0, SPEC, 1.0, 1e-6)
-        with pytest.raises(ValueError):
-            kfold_comparison(2, SPEC, 1.0, 1e-6, grid_points=1)
+        with pytest.raises(TypeError):
+            kfold_comparison(2, SPEC, 1.0, 1e-6, grid_points=5)

@@ -57,6 +57,36 @@ class TestExitCodes:
             code, _, _ = run(capsys, argv)
             assert code == 2, grid
 
+    def test_explicit_zero_or_low_cap_is_usage_error(self, capsys, tmp_path, corpus_file):
+        four = tmp_path / "four.txt"
+        four.write_text("a b c d")
+        single = ["compare", "single", "--delta0", "10", "--sigma", "10", "--delta", "1e-6"]
+        for argv in (
+            single + ["--d", "0"],
+            single + ["--d-bar", "0"],
+            ["topk", "--mode", "known-lap", "--input", corpus_file, "--k", "2",
+             "--eps", "1.0", "--delta0", "0"],
+            ["topk", "--mode", "known-lap", "--input", corpus_file, "--k", "2",
+             "--eps", "1.0", "--d-bar", "0"],
+            ["topk", "--mode", "known-gauss", "--input", corpus_file, "--sigma", "2.0",
+             "--k", "0"],
+            ["topk", "--mode", "known-gauss", "--input", corpus_file, "--sigma", "2.0",
+             "--k", "-1", "--delta0", "1"],
+            ["topk", "--mode", "trunc-gauss", "--input", str(four), "--sigma", "1.2",
+             "--delta", "1e-3", "--delta0", "1", "--d-bar", "2"],
+        ):
+            code, _, err = run(capsys, argv)
+            assert code == 2, argv
+            assert "invalid parameters" in err, argv
+
+    def test_removed_grid_points_is_usage_error(self, capsys):
+        code, _, _ = run(
+            capsys,
+            ["compare", "kfold", "--k", "5", "--delta0", "10", "--sigma", "10",
+             "--delta", "1e-6", "--grid-points", "5"],
+        )
+        assert code == 2
+
     @pytest.mark.parametrize(
         "state, field",
         [
@@ -287,6 +317,18 @@ class TestTopkCommand:
         path = tmp_path / "counts.csv"
         path.write_text("# a comment\nelement,count\na,50\nb,30\nc,5\n")
         assert load_histogram_counts(str(path)) == {"a": 50.0, "b": 30.0, "c": 5.0}
+
+    def test_csv_bad_count_row_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text("element,count\na,5\nb,x\nc,9\n")
+        with pytest.raises(ValueError, match="line 3"):
+            load_histogram_counts(str(path))
+        code, _, err = run(
+            capsys,
+            ["topk", "--mode", "known-lap", "--input", str(path), "--k", "1", "--eps", "1.0"],
+        )
+        assert code == 2
+        assert "b,x" in err
 
     def test_text_input_tokenizes_lowercase(self, tmp_path):
         path = tmp_path / "doc.txt"
