@@ -133,12 +133,28 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN.findall(text.lower())
 
 
+def _unique_pairs(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    out: dict[str, object] = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"element {key!r} appears more than once")
+        out[key] = value
+    return out
+
+
 def load_histogram_counts(path: str) -> dict[str, float]:
-    """Counts from a .json mapping, a two-column .csv, or a text corpus."""
+    """Counts from a .json mapping, a two-column .csv, or a text corpus.
+
+    An element listed twice in a .json or .csv input is an error: its
+    count would otherwise depend on which row came last.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         raw = handle.read()
     if path.endswith(".json"):
-        data = json.loads(raw)
+        try:
+            data = json.loads(raw, object_pairs_hook=_unique_pairs)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         if not isinstance(data, dict):
             raise ValueError(f"{path}: expected an object mapping element to count")
         return {str(k): float(v) for k, v in data.items()}
@@ -161,7 +177,12 @@ def load_histogram_counts(path: str) -> dict[str, float]:
                 raise ValueError(
                     f"{path}: line {lineno}: count is not a number in {line!r}"
                 ) from None
-            counts[cells[0]] = value
+            element = cells[0]
+            if element in counts:
+                raise ValueError(
+                    f"{path}: line {lineno}: element {element!r} is listed twice"
+                )
+            counts[element] = value
         if not counts:
             raise ValueError(f"{path}: no count rows found")
         return counts

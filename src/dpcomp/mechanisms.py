@@ -13,14 +13,23 @@ truncated-Gaussian release covers the unknown-domain case: counts are
 padded to a public domain-size cap, noised within a hard window, and
 published only above a threshold that silences every count one user
 could have created.
+
+Releases run on a histogram's canonical columns (ids, float64 counts and
+id ranks, sorted once by count descending then id), so a request costs
+array passes rather than a Python sort.  Each selection round draws
+Gumbels only for the prefix of elements that can still win it; the
+draws it skips could not change the choice, so every seeded output is
+the one a full-width draw gives.
 """
 
 from __future__ import annotations
 
 import math
+import types
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from functools import cached_property
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 from scipy.special import ndtri
@@ -50,6 +59,49 @@ __all__ = [
 ]
 
 _MIN_UNIFORM = 2.0**-64
+_MAX_UNIFORM = 1.0 - 2.0**-53  # largest value Generator.random returns
+
+# Width of the interval holding every Gumbel value -ln(-ln u) that
+# sample_gumbel can return: _uniforms keeps u in [2^-64, 1 - 2^-53], and
+# the transform is increasing, so the values lie in [-3.79, 36.74].
+#
+# Pruning bound.  In one selection round the remaining elements are in
+# canonical order, so their scores s_0 >= s_1 >= ... are nonincreasing.
+# The round picks the first index of the maximum of s_i + g_i.  If
+#     s_i < s_0 * (1 - 2^-40) - (_GUMBEL_SPAN + 1)
+# then s_i + g_i < s_0 + g_0 for every pair of draws: the exact gap is
+# above 1 + 2^-40 * s_0, while the two float sums, the computed cut and
+# the computed Gumbel values are each off by a few ulps of s_0 + 37 at
+# most.  So element i can neither win nor tie, and the argmax over the
+# elements at or above the cut equals the argmax over all of them, with
+# the same first-index tie-break.  A PCG64 gen.random(c) returns the first
+# c values of gen.random(n), so drawing only for that prefix reproduces
+# the full-width round exactly.
+_GUMBEL_SPAN = float(
+    np.log(-np.log(_MIN_UNIFORM)) - np.log(-np.log(_MAX_UNIFORM))
+)
+_CUT_SCALE = 1.0 - 2.0**-40
+
+
+class _Columns(NamedTuple):
+    """A histogram in canonical release order: count descending, id ascending.
+
+    id_rank holds each element's position in id order, so sorting by
+    (value, id_rank) orders ties by id without comparing strings.
+    """
+
+    ids: list[str]
+    counts: np.ndarray
+    id_rank: np.ndarray
+
+
+def _take(ids: Sequence[str], positions: np.ndarray) -> list[str]:
+    return list(map(ids.__getitem__, positions.tolist()))
+
+
+def _descending(values: np.ndarray, id_rank: np.ndarray) -> np.ndarray:
+    """Positions ordering values descending, ties by id ascending."""
+    return np.lexsort((id_rank, -values))
 
 
 @dataclass(frozen=True)
@@ -58,22 +110,41 @@ class Histogram:
 
     The spec is optional for plain counting, but any mechanism that
     prices privacy needs it: tau bounds one user's effect on a count and
-    d_bar caps how many entries the histogram may carry.
+    d_bar caps how many entries the histogram may carry.  The histogram
+    keeps its own read-only copy of the counts, as floats, so later
+    changes to the caller's mapping reach neither its checks nor its
+    releases.
     """
 
     counts: Mapping[str, float]
     spec: Optional[HistogramSpec] = None
 
     def __post_init__(self) -> None:
-        for key, value in self.counts.items():
+        owned = dict(zip(self.counts, map(float, self.counts.values())))
+        for key, count in owned.items():
             if not isinstance(key, str):
                 raise TypeError(f"element ids must be strings, got {key!r}")
-            if not (math.isfinite(value) and value >= 0):
+            if not (math.isfinite(count) and count >= 0):
                 raise ValueError(f"count for {key!r} must be finite and >= 0")
-        if self.spec is not None and len(self.counts) > self.spec.d_bar:
+        if self.spec is not None and len(owned) > self.spec.d_bar:
             raise ValueError(
-                f"{len(self.counts)} entries exceed the public cap {self.spec.d_bar}"
+                f"{len(owned)} entries exceed the public cap {self.spec.d_bar}"
             )
+        object.__setattr__(self, "counts", types.MappingProxyType(owned))
+
+    def __reduce__(self):
+        return (Histogram, (dict(self.counts), self.spec))
+
+    @cached_property
+    def _columns(self) -> _Columns:
+        # built on first use, not on construction, so building a histogram
+        # stays one pass over the counts
+        ids = list(self.counts)
+        counts = np.fromiter(self.counts.values(), dtype=np.float64, count=len(ids))
+        id_rank = np.empty(len(ids), dtype=np.int64)
+        id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+        order = _descending(counts, id_rank)
+        return _Columns(_take(ids, order), counts[order], id_rank[order])
 
     def require_spec(self) -> HistogramSpec:
         if self.spec is None:
@@ -85,7 +156,8 @@ class Histogram:
 
     def sorted_items(self) -> list[tuple[str, float]]:
         """Items in canonical release order: count descending, id ascending."""
-        return sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        cols = self._columns
+        return list(zip(cols.ids, cols.counts.tolist()))
 
     def restrict(self, elements: Iterable[str]) -> "Histogram":
         return Histogram(
@@ -99,7 +171,7 @@ class Histogram:
 def histogram_from_counts(
     counts: Mapping[str, Union[int, float]], spec: Optional[HistogramSpec] = None
 ) -> Histogram:
-    return Histogram(counts={k: float(v) for k, v in counts.items()}, spec=spec)
+    return Histogram(counts=counts, spec=spec)
 
 
 def histogram_from_text(
@@ -204,18 +276,34 @@ def exp_mech_topk(
     if not (eps_per_round > 0):
         raise ValueError(f"eps_per_round must be positive, got {eps_per_round}")
     tau = hist.require_spec().tau
-    items = hist.sorted_items()
+    cols = hist._columns
     if math.isinf(eps_per_round):
-        return [element for element, _ in items[:k]]
-    ids = [element for element, _ in items]
-    scores = np.array([eps_per_round * count / tau for _, count in items])
+        return cols.ids[:k]
+    with np.errstate(over="ignore"):  # an overflowed score is inf, as in float math
+        scores = eps_per_round * cols.counts / tau
+    negated = -scores  # nondecreasing, for searchsorted
+    # the candidates are the remaining elements at or above the round's
+    # cut, in canonical order; the tail from `cursor` on is untouched
+    positions = np.empty(0, dtype=np.intp)
+    live = np.empty(0)
+    cursor = 0
     chosen: list[str] = []
     for round_index in range(k):
+        top = live[0] if live.size else scores[cursor]
+        # the cut never rises, since the top score never does, so the
+        # candidate prefix only grows
+        cut = top * _CUT_SCALE - (_GUMBEL_SPAN + 1.0)
+        end = int(np.searchsorted(negated, -cut, side="right"))
+        if end > cursor:
+            positions = np.concatenate((positions, np.arange(cursor, end)))
+            live = np.concatenate((live, scores[cursor:end]))
+            cursor = end
         gen = rng.substream(round_index)
-        noise = sample_gumbel(gen, 1.0, size=len(ids))
-        j = int(np.argmax(scores + noise))
-        chosen.append(ids.pop(j))
-        scores = np.delete(scores, j)
+        noise = sample_gumbel(gen, 1.0, size=live.size)
+        j = int(np.argmax(live + noise))
+        chosen.append(cols.ids[positions[j]])
+        positions = np.delete(positions, j)
+        live = np.delete(live, j)
     return chosen
 
 
@@ -391,16 +479,20 @@ def trunc_gauss_release(
         raise ValueError(
             f"histogram has {len(hist)} elements, above the public cap {config.d_bar}"
         )
-    items: list[tuple[Optional[str], float]] = list(hist.sorted_items())
-    items += [(None, 0.0)] * (config.d_bar - len(items))
+    cols = hist._columns
+    d = len(cols.ids)
+    padded = np.zeros(config.d_bar)
+    padded[:d] = cols.counts
     noise = config.window_noise(rng.generator(), config.d_bar)
+    values = padded + noise
     threshold = config.tau + config.t_level
-    released = []
-    for rank, (element, count) in enumerate(items):
-        value = count + float(noise[rank])
-        if value > threshold:
-            released.append(ReleaseEntry(rank=rank, element=element, value=value))
-    return released
+    ranks = np.flatnonzero(values > threshold).tolist()
+    return [
+        ReleaseEntry(
+            rank=rank, element=cols.ids[rank] if rank < d else None, value=value
+        )
+        for rank, value in zip(ranks, values[ranks].tolist())
+    ]
 
 
 def known_lap_topk(
@@ -416,11 +508,16 @@ def known_lap_topk(
     if not (eps_per_coord > 0 and math.isfinite(eps_per_coord)):
         raise ValueError(f"eps_per_coord must be positive, got {eps_per_coord}")
     tau = hist.require_spec().tau
-    items = hist.sorted_items()
-    noise = sample_laplace(rng.generator(), tau / eps_per_coord, size=len(items))
-    noisy = [(element, count + float(n)) for (element, count), n in zip(items, noise)]
-    noisy.sort(key=lambda kv: (-kv[1], kv[0]))
-    return noisy[:k]
+    cols = hist._columns
+    noise = sample_laplace(rng.generator(), tau / eps_per_coord, size=len(cols.ids))
+    noisy = cols.counts + noise
+    # every value tied with the k-th largest stays in, so the id tie-break
+    # decides among them exactly as a full sort would
+    negated = -noisy
+    kth = np.partition(negated, k - 1)[k - 1]
+    tops = np.flatnonzero(negated <= kth)
+    tops = tops[_descending(noisy[tops], cols.id_rank[tops])][:k]
+    return list(zip(_take(cols.ids, tops), noisy[tops].tolist()))
 
 
 def known_gauss(
@@ -434,11 +531,11 @@ def known_gauss(
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     tau = hist.require_spec().tau
-    items = hist.sorted_items()
-    noise = sample_gaussian(rng.generator(), tau * sigma, size=len(items))
-    noisy = [(element, count + float(n)) for (element, count), n in zip(items, noise)]
-    noisy.sort(key=lambda kv: (-kv[1], kv[0]))
-    return noisy
+    cols = hist._columns
+    noise = sample_gaussian(rng.generator(), tau * sigma, size=len(cols.ids))
+    noisy = cols.counts + noise
+    order = _descending(noisy, cols.id_rank)
+    return list(zip(_take(cols.ids, order), noisy[order].tolist()))
 
 
 def gauss_cdp_guarantee(delta0: int, sigma: float) -> Cdp:

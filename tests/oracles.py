@@ -9,8 +9,11 @@ bounds are the package's former separate routes, kept as the reference
 its single evaluator must reproduce.  The module also holds the checks
 that compose package functions into a second route: a brute-force
 supremum over mixed two-point products and the position-invariance
-check for one BR slot among DP slots.  Frozen constants in the tests
-cite the producing function by name.
+check for one BR slot among DP slots.  The list-based release
+mechanisms are the package's former per-request sorts and full-width
+selection rounds, kept as the reference its columnar releases must
+reproduce byte for byte.  Frozen constants in the tests cite the
+producing function by name.
 """
 
 from __future__ import annotations
@@ -19,13 +22,22 @@ import dataclasses
 import itertools
 import json
 import math
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import mpmath as mp
 import numpy as np
 
 from dpcomp.adaptive import GridSpec, MechanismSequence, delta_opt_recursive
 from dpcomp.audit import _MAX_EXACT_SLOTS
+from dpcomp.mechanisms import (
+    Histogram,
+    ReleaseEntry,
+    RngState,
+    TruncGaussConfig,
+    sample_gaussian,
+    sample_gumbel,
+    sample_laplace,
+)
 from dpcomp.nonadaptive import (
     CompositionQuery,
     _tilt_q,
@@ -573,3 +585,68 @@ def grid_sup(f: Callable[[float], float], lo: float, hi: float, n: int) -> float
     """Plain dense-grid supremum used to sanity-check closed-form maxima."""
     ts = np.linspace(lo, hi, n)
     return max(f(float(t)) for t in ts)
+
+
+def list_sorted_items(hist: Histogram) -> list[tuple[str, float]]:
+    """Items in canonical release order by a Python sort of the mapping."""
+    return sorted(hist.counts.items(), key=lambda kv: (-kv[1], kv[0]))
+
+
+def list_exp_mech_topk(
+    hist: Histogram, k: int, eps_per_round: float, rng: RngState
+) -> list[str]:
+    """exp_mech_topk drawing a Gumbel for every remaining element each round."""
+    tau = hist.require_spec().tau
+    items = list_sorted_items(hist)
+    if math.isinf(eps_per_round):
+        return [element for element, _ in items[:k]]
+    ids = [element for element, _ in items]
+    scores = np.array([eps_per_round * count / tau for _, count in items])
+    chosen: list[str] = []
+    for round_index in range(k):
+        gen = rng.substream(round_index)
+        noise = sample_gumbel(gen, 1.0, size=len(ids))
+        j = int(np.argmax(scores + noise))
+        chosen.append(ids.pop(j))
+        scores = np.delete(scores, j)
+    return chosen
+
+
+def list_known_lap_topk(
+    hist: Histogram, k: int, eps_per_coord: float, rng: RngState
+) -> list[tuple[str, float]]:
+    """known_lap_topk on sorted tuple lists."""
+    tau = hist.require_spec().tau
+    items = list_sorted_items(hist)
+    noise = sample_laplace(rng.generator(), tau / eps_per_coord, size=len(items))
+    noisy = [(element, count + float(n)) for (element, count), n in zip(items, noise)]
+    noisy.sort(key=lambda kv: (-kv[1], kv[0]))
+    return noisy[:k]
+
+
+def list_known_gauss(
+    hist: Histogram, sigma: float, rng: RngState
+) -> list[tuple[str, float]]:
+    """known_gauss on sorted tuple lists."""
+    tau = hist.require_spec().tau
+    items = list_sorted_items(hist)
+    noise = sample_gaussian(rng.generator(), tau * sigma, size=len(items))
+    noisy = [(element, count + float(n)) for (element, count), n in zip(items, noise)]
+    noisy.sort(key=lambda kv: (-kv[1], kv[0]))
+    return noisy
+
+
+def list_trunc_gauss_release(
+    hist: Histogram, config: TruncGaussConfig, rng: RngState
+) -> list[ReleaseEntry]:
+    """trunc_gauss_release over a padded tuple list, one entry per rank."""
+    items: list[tuple[Optional[str], float]] = list(list_sorted_items(hist))
+    items += [(None, 0.0)] * (config.d_bar - len(items))
+    noise = config.window_noise(rng.generator(), config.d_bar)
+    threshold = config.tau + config.t_level
+    released = []
+    for rank, (element, count) in enumerate(items):
+        value = count + float(noise[rank])
+        if value > threshold:
+            released.append(ReleaseEntry(rank=rank, element=element, value=value))
+    return released

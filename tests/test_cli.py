@@ -79,6 +79,22 @@ class TestExitCodes:
             assert code == 2, argv
             assert "invalid parameters" in err, argv
 
+    def test_duplicate_element_is_usage_error(self, capsys, tmp_path):
+        csv = tmp_path / "dup.csv"
+        csv.write_text("element,count\na,5\nb,3\na,90\n")
+        dup_json = tmp_path / "dup.json"
+        dup_json.write_text('{"a": 5, "a": 90, "b": 3}')
+        with pytest.raises(ValueError, match=r"line 4: element 'a'"):
+            load_histogram_counts(str(csv))
+        with pytest.raises(ValueError, match=r"element 'a'"):
+            load_histogram_counts(str(dup_json))
+        for path in (csv, dup_json):
+            argv = ["topk", "--mode", "known-gauss", "--sigma", "0.001", "--input", str(path)]
+            code, out, err = run(capsys, argv)
+            assert code == 2, path
+            assert out == ""
+            assert "'a'" in err
+
     def test_removed_grid_points_is_usage_error(self, capsys):
         code, _, _ = run(
             capsys,

@@ -1,12 +1,17 @@
 """Tests for seeded release mechanisms."""
 
 import math
+import pickle
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from dpcomp import mechanisms
 from dpcomp.calibration import HistogramSpec
 from dpcomp.mechanisms import (
     Histogram,
@@ -30,6 +35,8 @@ from dpcomp.mechanisms import (
 )
 from dpcomp.numerics import pava_monotone_nonneg
 from dpcomp.setwise import Cdp, SetwiseAccountant, Zcdp
+
+from . import oracles
 
 SPEC4 = HistogramSpec(d=4, delta0=1, tau=1.0, d_bar=10)
 HIST = histogram_from_counts(
@@ -78,6 +85,38 @@ class TestHistogram:
         assert h.count("x") == 3.0
         assert h.count("y") == 1.0
         assert len(h) == 2
+
+    def test_owns_a_copy_of_its_counts(self) -> None:
+        spec = HistogramSpec(d=2, delta0=1, tau=1.0, d_bar=2)
+        for build in (Histogram, histogram_from_counts):
+            source = {"a": 9.0, "b": 2.0}
+            h = build(counts=source, spec=spec)
+
+            def releases():
+                cfg = TruncGaussConfig.from_target(spec, 0.5, 1e-3)
+                return (
+                    h.sorted_items(),
+                    exp_mech_topk(h, 2, 0.5, RngState(4)),
+                    known_lap_topk(h, 2, 0.5, RngState(4)),
+                    known_gauss(h, 0.5, RngState(4)),
+                    trunc_gauss_release(h, cfg, RngState(4)),
+                )
+
+            before = releases()
+            source["a"] = 0.0
+            source["c"] = -7.0
+            source["e"] = math.nan
+            assert len(h) == 2
+            assert h.count("a") == 9.0
+            assert releases() == before
+            with pytest.raises(TypeError):
+                h.counts["a"] = 1.0  # type: ignore[index]
+
+    def test_pickles(self) -> None:
+        HIST.sorted_items()
+        again = pickle.loads(pickle.dumps(HIST))
+        assert again == HIST
+        assert again.sorted_items() == HIST.sorted_items()
 
 
 class TestRngState:
@@ -578,3 +617,93 @@ class TestKnownBaselines:
             known_gauss(HIST, 0.0, RngState(0))
         with pytest.raises(ValueError):
             gauss_cdp_guarantee(0, 1.0)
+
+
+@st.composite
+def release_cases(draw):
+    """A histogram with ties, flat, zero or huge counts, and release parameters."""
+    ids = draw(
+        st.lists(
+            st.text(alphabet="ab\x00\u00e9", max_size=4), min_size=1, max_size=40, unique=True
+        )
+    )
+    d = len(ids)
+    scale = draw(st.sampled_from([0.0, 1e-3, 1.0, 1e3, 1e15]))
+    shape = draw(st.sampled_from(["flat", "ties", "spread"]))
+    if shape == "flat":
+        counts = [scale] * d
+    elif shape == "ties":
+        counts = [scale * draw(st.integers(0, 3)) for _ in ids]
+    else:
+        counts = [draw(st.floats(0.0, max(scale, 1.0))) for _ in ids]
+    tau = draw(st.sampled_from([0.3, 1.0, 2.5]))
+    d_bar = d + draw(st.sampled_from([0, 1, 25]))
+    spec = HistogramSpec(d=d, delta0=1, tau=tau, d_bar=d_bar)
+    hist = histogram_from_counts(dict(zip(ids, counts)), spec=spec)
+    eps = draw(st.sampled_from([1e-3, 1e-2, 0.1, 1.0, 10.0, 1e3, 1e6, math.inf]))
+    k = draw(st.integers(1, d))
+    sigma = draw(st.sampled_from([1e-3, 0.5, 3.0, 100.0]))
+    delta = draw(st.sampled_from([1e-9, 1e-3, 0.3]))
+    seed = draw(st.integers(0, 2**32))
+    return hist, k, eps, sigma, delta, RngState(seed)
+
+
+class TestColumnarReleases:
+    """The columnar releases against the list-based routes they replace."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(release_cases())
+    def test_identical_to_list_routes(self, case) -> None:
+        hist, k, eps, sigma, delta, rng = case
+        assert hist.sorted_items() == oracles.list_sorted_items(hist)
+        assert exp_mech_topk(hist, k, eps, rng) == oracles.list_exp_mech_topk(
+            hist, k, eps, rng
+        )
+        if math.isfinite(eps):
+            assert known_lap_topk(hist, k, eps, rng) == oracles.list_known_lap_topk(
+                hist, k, eps, rng
+            )
+        assert known_gauss(hist, sigma, rng) == oracles.list_known_gauss(hist, sigma, rng)
+        config = TruncGaussConfig.from_target(hist.require_spec(), sigma, delta)
+        assert trunc_gauss_release(
+            hist, config, rng
+        ) == oracles.list_trunc_gauss_release(hist, config, rng)
+
+    def test_overflowing_scores_select_silently(self) -> None:
+        h = histogram_from_counts({"a": 1e300, "b": 5e299, "c": 1.0}, spec=SPEC4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = exp_mech_topk(h, 3, 1e10, RngState(1))
+        assert got == oracles.list_exp_mech_topk(h, 3, 1e10, RngState(1))
+
+    def test_uniform_prefix_and_gumbel_span(self) -> None:
+        # a shorter draw is the start of a longer one, which lets a
+        # selection round draw only for its candidate prefix
+        for seed, c, n in ((0, 1, 2), (7, 3, 1000), (2**40, 999, 1000)):
+            gen_c, gen_n = RngState(seed).generator(), RngState(seed).generator()
+            assert np.array_equal(gen_c.random(c), gen_n.random(n)[:c])
+        assert np.nextafter(1.0, 0.0) == 1.0 - 2.0**-53
+        ends = np.array([2.0**-64, 1.0 - 2.0**-53])
+        low, high = -np.log(-np.log(ends))
+        assert low == pytest.approx(-3.7924, abs=1e-4)
+        assert high == pytest.approx(36.7368, abs=1e-4)
+        assert mechanisms._GUMBEL_SPAN == high - low
+
+    def test_selection_draws_only_the_candidate_prefix(self, monkeypatch) -> None:
+        d, k = 100_000, 50
+        counts = {f"e{i:06d}": float(int(1e5 / (i + 1))) for i in range(d)}
+        hist = histogram_from_counts(
+            counts, spec=HistogramSpec(d=d, delta0=1, tau=1.0, d_bar=d)
+        )
+        want = oracles.list_exp_mech_topk(hist, k, 1.0, RngState(11))
+        drawn = []
+        original = mechanisms._uniforms
+
+        def counting(gen, size):
+            drawn.append(size)
+            return original(gen, size)
+
+        monkeypatch.setattr(mechanisms, "_uniforms", counting)
+        assert exp_mech_topk(hist, k, 1.0, RngState(11)) == want
+        assert len(drawn) == k
+        assert sum(drawn) < k * d // 100
