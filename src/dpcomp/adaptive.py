@@ -20,13 +20,18 @@ Cost grows like grid^(number of BR slots - 1), the terminal slot adding
 only its candidates; sequences are capped at 12 slots and the intended
 regime is at most two or three BR slots (or arbitrarily many DP slots,
 which are cheap and memoized).
+
+The recursion is the one evaluator of adaptive BR slots.  The closed
+forms for one DP slot and two BR slots (xyz_closed_forms) are written
+out on 0 <= eps_g <= eps; above eps the three orderings coincide and
+their two-BR tail is priced by the recursion.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -38,8 +43,6 @@ __all__ = [
     "GridSpec",
     "ThreeSlotDeltas",
     "delta_opt_recursive",
-    "single_br_delta",
-    "two_br_delta",
     "x_curve",
     "y_curve",
     "z_curve",
@@ -214,59 +217,6 @@ def delta_opt_recursive(
     return ev.eval_scalar(0, eps_g)
 
 
-def single_br_delta(eps: float, budget: float) -> float:
-    """Optimal delta of one adaptive BR slot at the given budget.
-
-    Supremum of the one-slot identity over t: zero above eps, the TV
-    floor below -eps, and q^2 at the midpoint tilt in between.
-    """
-    if budget >= eps:
-        return 0.0
-    if budget <= -eps:
-        return -math.expm1(budget)
-    q = grr_params(eps, (budget + eps) / 2.0).q
-    return q * q * -math.expm1(-eps)
-
-
-def two_br_delta(
-    eps: float, budget: float, grid_points: int = 4001, refine_rounds: int = 60
-) -> float:
-    """Optimal delta of two adaptive BR slots at the given budget.
-
-    One-dimensional supremum over the first tilt with the single-slot
-    closed form inside; kink locations of the inner pieces are added to
-    the grid as exact candidates.
-    """
-    if budget >= 2.0 * eps:
-        return 0.0
-    if budget <= -2.0 * eps:
-        return -math.expm1(budget)
-    w = budget
-    kinks = [w - eps, w, w + eps, w + 2.0 * eps]
-    guesses = [w / 2.0, (w + eps) / 2.0, (w + eps) / 3.0, (w + 2.0 * eps) / 3.0]
-    ts = np.concatenate(
-        [
-            np.linspace(0.0, eps, grid_points),
-            np.clip(np.array(kinks + guesses), 0.0, eps),
-        ]
-    )
-
-    def val(t: float) -> float:
-        q = grr_params(eps, t).q
-        return q * single_br_delta(eps, w - t) + (1.0 - q) * single_br_delta(
-            eps, w + eps - t
-        )
-
-    vals = [val(float(t)) for t in ts]
-    j = int(np.argmax(vals))
-    best = vals[j]
-    h = eps / (grid_points - 1)
-    lo, hi = max(0.0, float(ts[j]) - h), min(eps, float(ts[j]) + h)
-    if refine_rounds > 0 and hi > lo:
-        best = max(best, golden_max(val, lo, hi, refine_rounds))
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Closed forms for one DP slot adaptively composed with two BR slots.
 # All three curves live on 0 <= eps_g <= eps; the DP slot's position is
@@ -307,11 +257,10 @@ def z_curve(eps: float, eps_g: float, t: float) -> float:
 
 @dataclass(frozen=True)
 class ThreeSlotDeltas:
-    """Optimal deltas of the three orderings of {DP, BR, BR}.
+    """Optimal deltas of the three orderings of {DP, BR, BR} at (eps, eps_g).
 
-    Carries the branch curves as single-argument callables of the tilt,
-    already bound to (eps, eps_g), so callers can inspect the pieces the
-    optima were assembled from.
+    The branch curves the optima are assembled from are the module
+    functions x_curve, y_curve and z_curve.
     """
 
     eps: float
@@ -319,9 +268,6 @@ class ThreeSlotDeltas:
     dp_br_br: float
     br_dp_br: float
     br_br_dp: float
-    x: Callable[[float], float] = field(repr=False, compare=False)
-    y: Callable[[float], float] = field(repr=False, compare=False)
-    z: Callable[[float], float] = field(repr=False, compare=False)
 
 
 def xyz_closed_forms(eps: float, eps_g: float) -> ThreeSlotDeltas:
@@ -329,27 +275,18 @@ def xyz_closed_forms(eps: float, eps_g: float) -> ThreeSlotDeltas:
 
     On 0 <= eps_g <= eps the two branch families meet at eps_g = eps/2,
     where both are evaluated and the max taken.  Above eps the orderings
-    coincide and reduce to the DP slot splitting into a two-BR tail.
+    coincide and reduce to the DP slot splitting into a two-BR tail, which
+    delta_opt_recursive prices at its default grid.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive and finite, got {eps}")
     if not (math.isfinite(eps_g) and eps_g >= 0):
         raise ValueError(f"eps_g must be nonnegative and finite, got {eps_g}")
-    def bound_x(t: float) -> float:
-        return x_curve(eps, eps_g, t)
-
-    def bound_y(t: float) -> float:
-        return y_curve(eps, eps_g, t)
-
-    def bound_z(t: float) -> float:
-        return z_curve(eps, eps_g, t)
-
     if eps_g > eps:
         qb = 1.0 / (1.0 + math.exp(-eps))
-        common = qb * two_br_delta(eps, eps_g - eps)
-        return ThreeSlotDeltas(
-            eps, eps_g, common, common, common, x=bound_x, y=bound_y, z=bound_z
-        )
+        tail = MechanismSequence(("br", "br"), eps)
+        common = qb * delta_opt_recursive(tail, eps_g - eps)
+        return ThreeSlotDeltas(eps, eps_g, common, common, common)
 
     def high_branch() -> tuple[float, float]:
         dp_first = x_curve(eps, eps_g, eps / 2.0) + z_curve(
@@ -379,9 +316,7 @@ def xyz_closed_forms(eps: float, eps_g: float) -> ThreeSlotDeltas:
         hi, lo = high_branch(), low_branch()
         dp_first = max(hi[0], lo[0])
         br_first = max(hi[1], lo[1])
-    return ThreeSlotDeltas(
-        eps, eps_g, dp_first, br_first, br_first, x=bound_x, y=bound_y, z=bound_z
-    )
+    return ThreeSlotDeltas(eps, eps_g, dp_first, br_first, br_first)
 
 
 def ordering_gap_curve(
@@ -391,13 +326,15 @@ def ordering_gap_curve(
     rows = []
     for eg in eps_g_values:
         forms = xyz_closed_forms(eps, float(eg))
+        dp_first, br_first = forms.dp_br_br, forms.br_dp_br
         rows.append(
             {
                 "eps_g": float(eg),
-                "delta_dp_br_br": forms.dp_br_br,
-                "delta_br_dp_br": forms.br_dp_br,
-                "abs_gap": forms.dp_br_br - forms.br_dp_br,
-                "ratio": forms.dp_br_br / forms.br_dp_br,
+                "delta_dp_br_br": dp_first,
+                "delta_br_dp_br": br_first,
+                "abs_gap": dp_first - br_first,
+                # equal orderings, including both 0 at eps_g >= 3 eps
+                "ratio": 1.0 if dp_first == br_first else dp_first / br_first,
             }
         )
     return rows

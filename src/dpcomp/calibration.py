@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 from scipy.special import log_ndtr
 
-from .nonadaptive import delta_opt_dp, eps_inverse
+from .nonadaptive import eps_inverse
 from .numerics import Bracket, expand, halve, std_normal_cdf
+from .setwise import _check_delta, _zcdp_eps
 
 __all__ = [
     "HistogramSpec",
@@ -31,7 +32,6 @@ __all__ = [
     "gaussian_zcdp_eps",
     "solve_sigma_zcdp",
     "laplace_eps_coord",
-    "laplace_histogram_delta",
     "single_release_comparison",
     "kfold_comparison",
 ]
@@ -76,11 +76,6 @@ class HistogramSpec:
     @property
     def l2_sensitivity(self) -> float:
         return self.tau * math.sqrt(self.delta0)
-
-
-def _check_delta(delta: float) -> None:
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0,1), got {delta}")
 
 
 def analytic_gaussian_delta(sigma: float, eps: float) -> float:
@@ -150,7 +145,7 @@ def gaussian_zcdp_eps(sigma: float, delta0: int, delta: float) -> float:
         raise ValueError(f"delta0 must be >= 1, got {delta0}")
     _check_delta(delta)
     rho = delta0 / (2.0 * sigma * sigma)
-    return rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta))
+    return _zcdp_eps(rho, rho, delta)
 
 
 def solve_sigma_zcdp(eps: float, delta0: int, delta: float) -> float:
@@ -179,15 +174,6 @@ def laplace_eps_coord(sigma: float) -> float:
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     return math.sqrt(2.0) / sigma
-
-
-def laplace_histogram_delta(eps_coord: float, spec: HistogramSpec, eps_g: float) -> float:
-    """delta of one Laplace histogram release at global budget eps_g.
-
-    One user touches delta0 counts, each a pure eps_coord-DP coordinate,
-    composed under the optimal pure-DP bound.
-    """
-    return delta_opt_dp(spec.delta0, eps_coord, eps_g)
 
 
 def single_release_comparison(

@@ -44,19 +44,15 @@ from .mechanisms import (
     topk_release,
     trunc_gauss_release,
 )
-from .nonadaptive import (
-    CompositionQuery,
-    delta_opt_br_nonadaptive,
-    delta_opt_dp,
-    delta_opt_mixed,
-    eps_inverse,
-)
+from .nonadaptive import CompositionQuery, _bound_curve, delta_opt_mixed, eps_inverse
 from .numerics import BracketError, ConvergenceError
 from .setwise import SetwiseAccountant, global_bound_homogeneous
 
 __all__ = ["figure_data", "load_histogram_counts", "main"]
 
 _SEED_ENV = "DPCOMP_SEED"
+# a larger --eps-g-grid is a typo in its step, not a curve to compute
+_MAX_GRID_POINTS = 10**6
 
 
 def _fmt(value: object) -> str:
@@ -106,7 +102,10 @@ def _parse_grid(text: str) -> list[float]:
         raise ValueError(f"grid parts must be finite, got {text!r}")
     if not (step > 0 and hi >= lo):
         raise ValueError(f"grid needs step > 0 and hi >= lo, got {text!r}")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    last = (hi - lo) / step + 1e-9  # index of the last point, before floor
+    if last >= _MAX_GRID_POINTS:
+        raise ValueError(f"grid has more than {_MAX_GRID_POINTS} points, got {text!r}")
+    count = int(math.floor(last)) + 1
     return [lo + i * step for i in range(count)]
 
 
@@ -198,25 +197,14 @@ def load_histogram_counts(path: str) -> dict[str, float]:
 
 
 def _compose_curve_fn(args: argparse.Namespace) -> Callable[[float], float]:
-    kind = args.kind
-    if kind == "dp":
-        return lambda eg: delta_opt_dp(args.k, args.eps, eg)
-    if kind == "br":
-        return lambda eg: delta_opt_br_nonadaptive(args.k, args.eps, eg)
-    if kind == "mixed":
-        if args.m is None:
-            raise ValueError("compose mixed requires --m")
-        return lambda eg: delta_opt_mixed(
-            CompositionQuery(k=args.k, m=args.m, eps=args.eps, eps_g=eg)
-        )
-    if kind == "adaptive":
-        if not args.slots:
-            raise ValueError("compose adaptive requires --slots, e.g. dp,br,br")
-        seq = MechanismSequence(
-            slots=tuple(s.strip() for s in args.slots.split(",")), eps=args.eps
-        )
-        return lambda eg: delta_opt_recursive(seq, eg)
-    raise ValueError(f"unknown compose kind {kind!r}")
+    if args.kind != "adaptive":
+        return _bound_curve(args.kind, args.k, args.eps, args.m)
+    if not args.slots:
+        raise ValueError("compose adaptive requires --slots, e.g. dp,br,br")
+    seq = MechanismSequence(
+        slots=tuple(s.strip() for s in args.slots.split(",")), eps=args.eps
+    )
+    return lambda eg: delta_opt_recursive(seq, eg)
 
 
 def _cmd_compose(args: argparse.Namespace, seed: int) -> int:

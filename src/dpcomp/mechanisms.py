@@ -36,7 +36,7 @@ from scipy.special import ndtri
 
 from .calibration import HistogramSpec
 from .numerics import Bracket, bisect, expand, pava_monotone_nonneg, std_normal_cdf
-from .setwise import Cdp, Zcdp
+from .setwise import Cdp, Zcdp, _check_delta
 
 __all__ = [
     "Histogram",
@@ -370,8 +370,7 @@ def solve_truncation_level(
         raise ValueError(f"tau must be positive and finite, got {tau}")
     if not (sigma > 0 and math.isfinite(sigma)):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0,1), got {delta}")
+    _check_delta(delta)
 
     def gap(t_level: float) -> float:
         return _trunc_rhs(t_level, delta0, tau, sigma) - delta
@@ -414,8 +413,7 @@ class TruncGaussConfig:
             raise ValueError("delta0 and d_bar must be positive")
         if not (self.tau > 0 and self.sigma > 0):
             raise ValueError("tau and sigma must be positive")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError(f"delta must lie in (0,1), got {self.delta}")
+        _check_delta(self.delta)
         if not self.t_level > self.tau / 2.0:
             raise ValueError(
                 f"t_level must exceed tau/2 = {self.tau / 2.0}, got {self.t_level}"

@@ -34,7 +34,6 @@ __all__ = [
     "CompositionQuery",
     "grr_params",
     "grr_log_probs",
-    "dp_slot_log_probs",
     "delta_opt_dp",
     "delta_opt_br_nonadaptive",
     "delta_opt_mixed",
@@ -106,17 +105,6 @@ def grr_log_probs(eps: float, t: float) -> tuple[float, float, float, float]:
         log_1mp = -math.inf
     log_p = -t + log_q
     return log_q, log_1mq, log_p, log_1mp
-
-
-def dp_slot_log_probs(eps: float) -> tuple[float, float]:
-    """(ln q, ln(1-q)) of the pure-DP worst-case pair, q = e^eps/(1+e^eps).
-
-    A pure eps-DP slot behaves exactly like the (2 eps, eps) two-point
-    pair, whose p is just 1-q.
-    """
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be positive and finite, got {eps}")
-    return -log1pexp(-eps), -log1pexp(eps)
 
 
 @dataclass(frozen=True)
@@ -240,6 +228,21 @@ def delta_opt_mixed(query: CompositionQuery) -> float:
     return max(_delta_at_t(k, m, eps, eps_g, t) for t in ts)
 
 
+def _bound_curve(
+    bound: str, k: int, eps: float, m: int | None
+) -> Callable[[float], float]:
+    """eps_g -> delta of the named bound, "dp", "br" or "mixed" (with m)."""
+    if bound == "dp":
+        return lambda eg: delta_opt_dp(k, eps, eg)
+    if bound == "br":
+        return lambda eg: delta_opt_br_nonadaptive(k, eps, eg)
+    if bound == "mixed":
+        if m is None:
+            raise ValueError("bound='mixed' requires m")
+        return lambda eg: delta_opt_mixed(CompositionQuery(k=k, m=m, eps=eps, eps_g=eg))
+    raise ValueError(f"unknown bound {bound!r}")
+
+
 def eps_inverse(
     delta_target: float,
     bound: str,
@@ -260,16 +263,7 @@ def eps_inverse(
         raise ValueError(f"delta_target must lie in (0,1), got {delta_target}")
     if not tol >= 0.0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
-    if bound == "dp":
-        f: Callable[[float], float] = lambda eg: delta_opt_dp(k, eps, eg)
-    elif bound == "br":
-        f = lambda eg: delta_opt_br_nonadaptive(k, eps, eg)
-    elif bound == "mixed":
-        if m is None:
-            raise ValueError("bound='mixed' requires m")
-        f = lambda eg: delta_opt_mixed(CompositionQuery(k=k, m=m, eps=eps, eps_g=eg))
-    else:
-        raise ValueError(f"unknown bound {bound!r}")
+    f = _bound_curve(bound, k, eps, m)
     if f(0.0) <= delta_target:
         return 0.0
     # tol=0 stops at adjacent floats: no positive width is below ulp(0)

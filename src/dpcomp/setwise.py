@@ -14,7 +14,8 @@ and spends, among the unspent registrations under the same key, the
 earliest one exactly equal to the query; failing that, the earliest one
 if they all hold a single value; otherwise it is ambiguous and rejected.
 So register, consume and each replayed event of from_json cost O(1) key
-computations and dictionary operations.
+computations and dictionary operations.  One table gives each class its
+JSON tag and fields; the keys and the JSON writer and reader read it.
 
 Two accounting routes are provided and kept separate: the subgaussian
 (CDP) route, which pure DP and BR convert into, and the zCDP route with
@@ -112,6 +113,16 @@ class Zcdp:
 
 PrivacyClass = Union[PureDP, BoundedRange, Cdp, Zcdp]
 
+# The accountant's file format and canonical keys: each class's tag and
+# its fields, in the order the class declares them.
+_FORMAT: dict[type, tuple[str, tuple[str, ...]]] = {
+    PureDP: ("pure_dp", ("eps",)),
+    BoundedRange: ("br", ("alpha",)),
+    Cdp: ("cdp", ("mu", "tau")),
+    Zcdp: ("zcdp", ("delta", "xi", "rho")),
+}
+_BY_TAG = {tag: (cls, names) for cls, (tag, names) in _FORMAT.items()}
+
 
 @dataclass(frozen=True)
 class CdpPair:
@@ -175,12 +186,25 @@ def convert_to_zcdp(c: PrivacyClass) -> Zcdp:
     raise TypeError(f"unknown privacy class {type(c).__name__}")
 
 
-def zcdp_dp_guarantee(z: Zcdp, delta: float) -> tuple[float, float]:
-    """(eps_g, total delta) of a zCDP guarantee at conversion slack delta."""
+def _check_delta(delta: float) -> None:
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0,1), got {delta}")
-    eps = z.xi + z.rho + 2.0 * math.sqrt(z.rho * math.log(1.0 / delta))
-    return eps, delta + z.delta
+
+
+def _cdp_eps(mu: float, tau_sq: float, delta: float) -> float:
+    # eps_g of the subgaussian route: total mean mu, total variance tau_sq
+    return mu + math.sqrt(2.0 * tau_sq * math.log(1.0 / delta))
+
+
+def _zcdp_eps(xi_rho: float, rho: float, delta: float) -> float:
+    # eps_g of the zCDP route: xi_rho = total xi + rho, rho = total rho
+    return xi_rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta))
+
+
+def zcdp_dp_guarantee(z: Zcdp, delta: float) -> tuple[float, float]:
+    """(eps_g, total delta) of a zCDP guarantee at conversion slack delta."""
+    _check_delta(delta)
+    return _zcdp_eps(z.xi + z.rho, z.rho, delta), delta + z.delta
 
 
 def global_bound_homogeneous(
@@ -201,8 +225,7 @@ def global_bound_homogeneous(
     """
     if min(m_dp, m_br, m_cdp) < 0 or m_dp + m_br + m_cdp == 0:
         raise ValueError("need nonnegative counts with at least one mechanism")
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0,1), got {delta}")
+    _check_delta(delta)
     mean = 0.0
     var = 0.0
     if m_dp:
@@ -214,29 +237,23 @@ def global_bound_homogeneous(
     if m_cdp:
         mean += m_cdp * mu
         var += m_cdp * tau**2
-    return mean + math.sqrt(2.0 * var * math.log(1.0 / delta))
+    return _cdp_eps(mean, var, delta)
 
 
 def _canonical_key(c: PrivacyClass) -> tuple:
-    if isinstance(c, PureDP):
-        tag, vals = "pure_dp", (c.eps,)
-    elif isinstance(c, BoundedRange):
-        tag, vals = "br", (c.alpha,)
-    elif isinstance(c, Cdp):
-        tag, vals = "cdp", (c.mu, c.tau)
-    else:
-        tag, vals = "zcdp", (c.delta, c.xi, c.rho)
-    return (tag,) + tuple(round(v, 12) for v in vals)
+    try:
+        tag, names = _FORMAT[type(c)]
+    except KeyError:
+        raise TypeError(f"unknown privacy class {type(c).__name__}") from None
+    return (tag, *[round(getattr(c, name), 12) for name in names])
 
 
 def _to_dict(c: PrivacyClass) -> dict:
-    if isinstance(c, PureDP):
-        return {"tag": "pure_dp", "eps": c.eps}
-    if isinstance(c, BoundedRange):
-        return {"tag": "br", "alpha": c.alpha}
-    if isinstance(c, Cdp):
-        return {"tag": "cdp", "mu": c.mu, "tau": c.tau}
-    return {"tag": "zcdp", "delta": c.delta, "xi": c.xi, "rho": c.rho}
+    tag, names = _FORMAT[type(c)]
+    d = {"tag": tag}
+    for name in names:
+        d[name] = getattr(c, name)
+    return d
 
 
 def _field(d: dict, name: str):
@@ -250,17 +267,11 @@ def _from_dict(d: dict) -> PrivacyClass:
     if not isinstance(d, dict):
         raise ValueError(f"accountant JSON entry must be an object, got {d!r}")
     tag = d.get("tag")
-    if tag == "pure_dp":
-        return PureDP(eps=_field(d, "eps"))
-    if tag == "br":
-        return BoundedRange(alpha=_field(d, "alpha"))
-    if tag == "cdp":
-        return Cdp(mu=_field(d, "mu"), tau=_field(d, "tau"))
-    if tag == "zcdp":
-        return Zcdp(
-            delta=_field(d, "delta"), xi=_field(d, "xi"), rho=_field(d, "rho")
-        )
-    raise ValueError(f"unknown tag {tag!r}")
+    # a list or object tag is unknown too, not an unhashable lookup
+    if not (isinstance(tag, str) and tag in _BY_TAG):
+        raise ValueError(f"unknown tag {tag!r}")
+    cls, names = _BY_TAG[tag]
+    return cls(*[_field(d, name) for name in names])
 
 
 class SetwiseAccountant:
@@ -302,10 +313,9 @@ class SetwiseAccountant:
             raise AccountantStateError(
                 "registration is frozen once consumption has started"
             )
-        if not isinstance(c, (PureDP, BoundedRange, Cdp, Zcdp)):
-            raise TypeError(f"unknown privacy class {type(c).__name__}")
+        key = _canonical_key(c)
         self._registered.append(c)
-        same_key = self._unspent.setdefault(_canonical_key(c), {})
+        same_key = self._unspent.setdefault(key, {})
         same_key.setdefault(c, deque()).append(c)
         if isinstance(c, Zcdp):
             self._mu_sum = None
@@ -360,13 +370,12 @@ class SetwiseAccountant:
         Valid only when no zCDP guarantee was registered.
         """
         d = self.delta_slack if delta is None else delta
-        if not (0.0 < d < 1.0):
-            raise ValueError(f"delta must lie in (0,1), got {d}")
+        _check_delta(d)
         if not self._registered:
             raise ValueError("no registered mechanisms")
         if self._mu_sum is None:
             raise ValueError("zCDP registrations present; use global_bound_zcdp")
-        return self._mu_sum + math.sqrt(2.0 * self._tau_sq_sum * math.log(1.0 / d))
+        return _cdp_eps(self._mu_sum, self._tau_sq_sum, d)
 
     def global_bound_zcdp(self, delta: float | None = None) -> tuple[float, float]:
         """(eps_g, total delta) of the zCDP route at conversion slack delta.
@@ -375,12 +384,10 @@ class SetwiseAccountant:
         conversion slack.
         """
         d = self.delta_slack if delta is None else delta
-        if not (0.0 < d < 1.0):
-            raise ValueError(f"delta must lie in (0,1), got {d}")
+        _check_delta(d)
         if not self._registered:
             raise ValueError("no registered mechanisms")
-        eps = self._xi_rho_sum + 2.0 * math.sqrt(self._rho_sum * math.log(1.0 / d))
-        return eps, d + self._delta_sum
+        return _zcdp_eps(self._xi_rho_sum, self._rho_sum, d), d + self._delta_sum
 
     def to_json(self) -> str:
         state = {

@@ -9,7 +9,10 @@ bounds are the package's former separate routes, kept as the reference
 its single evaluator must reproduce.  The module also holds the checks
 that compose package functions into a second route: a brute-force
 supremum over mixed two-point products and the position-invariance
-check for one BR slot among DP slots.  The list-based release
+check for one BR slot among DP slots.  The one- and two-BR adaptive
+deltas (a closed form, and a tilt search around it), the pure-DP slot's
+log-probabilities and the Laplace histogram delta are second routes the
+package no longer calls.  The list-based release
 mechanisms are the package's former per-request sorts and full-width
 selection rounds, kept as the reference its columnar releases must
 reproduce byte for byte.  Frozen constants in the tests cite the
@@ -29,6 +32,7 @@ import numpy as np
 
 from dpcomp.adaptive import GridSpec, MechanismSequence, delta_opt_recursive
 from dpcomp.audit import _MAX_EXACT_SLOTS
+from dpcomp.calibration import HistogramSpec
 from dpcomp.mechanisms import (
     Histogram,
     ReleaseEntry,
@@ -41,8 +45,8 @@ from dpcomp.mechanisms import (
 from dpcomp.nonadaptive import (
     CompositionQuery,
     _tilt_q,
+    delta_opt_dp,
     delta_opt_mixed,
-    dp_slot_log_probs,
     grr_log_probs,
     grr_params,
     mixed_candidate_ts,
@@ -200,6 +204,17 @@ def float_delta_br(k: int, eps: float, eps_g: float) -> float:
         min(max((eps_g + (ell + 1) * eps) / (k + 1), 0.0), eps) for ell in range(k + 1)
     }
     return max(_float_delta_br_at_t(k, eps, eps_g, t) for t in sorted(cands))
+
+
+def dp_slot_log_probs(eps: float) -> tuple[float, float]:
+    """(ln q, ln(1-q)) of the pure-DP worst-case pair, q = e^eps/(1+e^eps).
+
+    A pure eps-DP slot behaves exactly like the (2 eps, eps) two-point
+    pair, whose p is just 1-q.
+    """
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    return -log1pexp(-eps), -log1pexp(eps)
 
 
 def _float_delta_mixed_at_t(k: int, m: int, eps: float, eps_g: float, t: float) -> float:
@@ -418,6 +433,59 @@ def mp_single_br_closed(eps, y) -> float:
         return float(mp_q(eps, (y + eps) / 2) ** 2 * (1 - mp.e ** (-eps)))
 
 
+def single_br_delta(eps: float, budget: float) -> float:
+    """Optimal delta of one adaptive BR slot at the given budget.
+
+    Supremum of the one-slot identity over t: zero above eps, the TV
+    floor below -eps, and q^2 at the midpoint tilt in between.
+    """
+    if budget >= eps:
+        return 0.0
+    if budget <= -eps:
+        return -math.expm1(budget)
+    q = grr_params(eps, (budget + eps) / 2.0).q
+    return q * q * -math.expm1(-eps)
+
+
+def two_br_delta(
+    eps: float, budget: float, grid_points: int = 4001, refine_rounds: int = 60
+) -> float:
+    """Optimal delta of two adaptive BR slots at the given budget.
+
+    One-dimensional supremum over the first tilt with the single-slot
+    closed form inside; kink locations of the inner pieces are added to
+    the grid as exact candidates.
+    """
+    if budget >= 2.0 * eps:
+        return 0.0
+    if budget <= -2.0 * eps:
+        return -math.expm1(budget)
+    w = budget
+    kinks = [w - eps, w, w + eps, w + 2.0 * eps]
+    guesses = [w / 2.0, (w + eps) / 2.0, (w + eps) / 3.0, (w + 2.0 * eps) / 3.0]
+    ts = np.concatenate(
+        [
+            np.linspace(0.0, eps, grid_points),
+            np.clip(np.array(kinks + guesses), 0.0, eps),
+        ]
+    )
+
+    def val(t: float) -> float:
+        q = grr_params(eps, t).q
+        return q * single_br_delta(eps, w - t) + (1.0 - q) * single_br_delta(
+            eps, w + eps - t
+        )
+
+    vals = [val(float(t)) for t in ts]
+    j = int(np.argmax(vals))
+    best = vals[j]
+    h = eps / (grid_points - 1)
+    lo, hi = max(0.0, float(ts[j]) - h), min(eps, float(ts[j]) + h)
+    if refine_rounds > 0 and hi > lo:
+        best = max(best, golden_max(val, lo, hi, refine_rounds))
+    return best
+
+
 def grid_terminal_br(m: int, eps: float, budget: float, n: int = 4001) -> np.ndarray:
     """One BR slot followed by m DP slots, at each point of an n-point tilt grid.
 
@@ -569,6 +637,15 @@ def mp_gaussian_zcdp_eps(sigma, delta0, delta) -> float:
         sigma, d0, delta = mp.mpf(sigma), mp.mpf(delta0), mp.mpf(delta)
         rho = d0 / (2 * sigma**2)
         return float(rho + 2 * mp.sqrt(rho * mp.log(1 / delta)))
+
+
+def laplace_histogram_delta(eps_coord: float, spec: HistogramSpec, eps_g: float) -> float:
+    """delta of one Laplace histogram release at global budget eps_g.
+
+    One user touches delta0 counts, each a pure eps_coord-DP coordinate,
+    composed under the optimal pure-DP bound.
+    """
+    return delta_opt_dp(spec.delta0, eps_coord, eps_g)
 
 
 def mp_trunc_rhs(delta0, tau, sigma, T) -> float:

@@ -13,8 +13,6 @@ from dpcomp.adaptive import (
     MechanismSequence,
     delta_opt_recursive,
     ordering_gap_curve,
-    single_br_delta,
-    two_br_delta,
     x_curve,
     xyz_closed_forms,
     y_curve,
@@ -28,6 +26,7 @@ from dpcomp.nonadaptive import (
 )
 
 from . import oracles
+from .oracles import single_br_delta, two_br_delta
 
 FAST = GridSpec(points_per_level=1001, refine_rounds=40)
 SMALL = GridSpec(points_per_level=401, refine_rounds=30)
@@ -173,8 +172,8 @@ class TestThreeSlotClosedForms:
             xyz_closed_forms(0.0, 0.1)
 
     def test_gap_curve_rows(self):
-        rows = ordering_gap_curve(1.0, [0.1, 0.4, 0.8])
-        assert [r["eps_g"] for r in rows] == [0.1, 0.4, 0.8]
+        rows = ordering_gap_curve(1.0, [0.1, 0.4, 0.8, 3.0, 3.5])
+        assert [r["eps_g"] for r in rows] == [0.1, 0.4, 0.8, 3.0, 3.5]
         for r in rows:
             assert r["abs_gap"] == pytest.approx(
                 r["delta_dp_br_br"] - r["delta_br_dp_br"], abs=1e-15

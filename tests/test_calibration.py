@@ -13,14 +13,17 @@ from dpcomp.calibration import (
     gaussian_zcdp_eps,
     kfold_comparison,
     laplace_eps_coord,
-    laplace_histogram_delta,
     single_release_comparison,
     solve_sigma_analytic,
     solve_sigma_zcdp,
 )
 from dpcomp.nonadaptive import delta_opt_dp, eps_inverse
 
-from .oracles import mp_analytic_gaussian_delta, mp_gaussian_zcdp_eps
+from .oracles import (
+    laplace_histogram_delta,
+    mp_analytic_gaussian_delta,
+    mp_gaussian_zcdp_eps,
+)
 
 SPEC = HistogramSpec(d=1000, delta0=25, tau=1.0, d_bar=1200)
 

@@ -15,7 +15,7 @@ import pytest
 
 import dpcomp
 from dpcomp.calibration import HistogramSpec, solve_sigma_zcdp
-from dpcomp.cli import figure_data, load_histogram_counts, main, tokenize
+from dpcomp.cli import _parse_grid, figure_data, load_histogram_counts, main, tokenize
 from dpcomp.mechanisms import RngState, histogram_from_text, known_lap_topk
 from dpcomp.nonadaptive import CompositionQuery, delta_opt_mixed, eps_inverse
 from dpcomp.setwise import Cdp, PureDP, SetwiseAccountant, Zcdp
@@ -56,6 +56,15 @@ class TestExitCodes:
             argv = ["compose", "dp", "--k", "3", "--eps", "0.5", f"--eps-g-grid={grid}"]
             code, _, _ = run(capsys, argv)
             assert code == 2, grid
+
+    def test_oversized_grid_is_usage_error(self, capsys):
+        # rejected from its size alone: "0:1:1e-300" would ask for ~1e300 points
+        for grid in ("0:1:1e-300", "0:1e300:1e-300", "0:1:1e-6"):
+            argv = ["compose", "dp", "--k", "3", "--eps", "0.5", f"--eps-g-grid={grid}"]
+            code, out, err = run(capsys, argv)
+            assert code == 2, grid
+            assert out == "" and "more than 1000000 points" in err
+        assert len(_parse_grid("0:0.999999:1e-6")) == 10**6
 
     def test_explicit_zero_or_low_cap_is_usage_error(self, capsys, tmp_path, corpus_file):
         four = tmp_path / "four.txt"

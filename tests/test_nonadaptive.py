@@ -14,7 +14,6 @@ from dpcomp.nonadaptive import (
     delta_opt_br_nonadaptive,
     delta_opt_dp,
     delta_opt_mixed,
-    dp_slot_log_probs,
     eps_inverse,
     grr_log_probs,
     grr_params,
@@ -80,7 +79,7 @@ class TestGrrParams:
     def test_dp_slot_is_2eps_eps_pair(self):
         # a pure-DP slot must be the (2 eps, eps) two-point pair
         for eps in (0.1, 0.7, 2.0):
-            log_q, log_1mq = dp_slot_log_probs(eps)
+            log_q, log_1mq = oracles.dp_slot_log_probs(eps)
             g = grr_params(2 * eps, eps)
             assert math.exp(log_q) == pytest.approx(g.q, rel=1e-14)
             assert math.exp(log_1mq) == pytest.approx(1 - g.q, rel=1e-14)

@@ -1,5 +1,6 @@
 """Tests for heterogeneous set-wise accounting."""
 
+import json
 import math
 
 import pytest
@@ -316,6 +317,15 @@ class TestConsumeLifecycle:
         with pytest.raises(ConsumeMismatchError):
             acc.consume(PureDP(1.0))
 
+    def test_unknown_class_is_type_error(self) -> None:
+        acc = SetwiseAccountant(1e-6)
+        with pytest.raises(TypeError, match="unknown privacy class CdpPair"):
+            acc.register(CdpPair(mu=0.1, tau=0.2))
+        acc.register(PureDP(1.0))
+        with pytest.raises(TypeError, match="unknown privacy class str"):
+            acc.consume("pure_dp")
+        assert acc.registered == (PureDP(1.0),) and acc.consumed == ()
+
     def test_consume_matches_with_rounding(self) -> None:
         acc = SetwiseAccountant(1e-6)
         acc.register(PureDP(0.5))
@@ -455,3 +465,28 @@ class TestJsonRoundTrip:
         clone = SetwiseAccountant.from_json(acc.to_json())
         with pytest.raises(AccountantStateError):
             clone.register(PureDP(2.0))
+
+    def test_literal_format_of_every_class(self) -> None:
+        # the tags and field names are the file format: a rename must fail here
+        acc = SetwiseAccountant(delta_slack=1e-6)
+        acc.register(PureDP(0.5)).register(BoundedRange(0.25))
+        acc.register(Cdp(mu=0.125, tau=0.5))
+        acc.register(Zcdp(delta=1e-9, xi=-0.0625, rho=0.5))
+        acc.consume(BoundedRange(0.25))
+        assert acc.to_json() == (
+            '{\n  "consumed": [\n    {\n      "alpha": 0.25,\n      "tag": "br"\n'
+            '    }\n  ],\n  "delta_slack": 1e-06,\n  "registered": [\n    {\n'
+            '      "eps": 0.5,\n      "tag": "pure_dp"\n    },\n    {\n'
+            '      "alpha": 0.25,\n      "tag": "br"\n    },\n    {\n'
+            '      "mu": 0.125,\n      "tag": "cdp",\n      "tau": 0.5\n    },\n'
+            '    {\n      "delta": 1e-09,\n      "rho": 0.5,\n      "tag": "zcdp",\n'
+            '      "xi": -0.0625\n    }\n  ]\n}'
+        )
+
+    @pytest.mark.parametrize("tag", [["pure_dp"], {"pure_dp": 1}, None, 3])
+    def test_non_string_tag_is_value_error(self, tag) -> None:
+        payload = json.dumps(
+            {"registered": [{"tag": tag, "eps": 0.5}], "consumed": [], "delta_slack": 1e-6}
+        )
+        with pytest.raises(ValueError, match="unknown tag"):
+            SetwiseAccountant.from_json(payload)
