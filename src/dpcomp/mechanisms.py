@@ -120,12 +120,21 @@ class Histogram:
     spec: Optional[HistogramSpec] = None
 
     def __post_init__(self) -> None:
-        owned = dict(zip(self.counts, map(float, self.counts.values())))
-        for key, count in owned.items():
-            if not isinstance(key, str):
-                raise TypeError(f"element ids must be strings, got {key!r}")
-            if not (math.isfinite(count) and count >= 0):
-                raise ValueError(f"count for {key!r} must be finite and >= 0")
+        # copying a dict is many times faster than rebuilding it, and
+        # float() returns an exact float unchanged
+        if {float}.issuperset(map(type, self.counts.values())):
+            owned = dict(self.counts)
+        else:
+            owned = dict(zip(self.counts, map(float, self.counts.values())))
+        values = np.fromiter(owned.values(), dtype=np.float64, count=len(owned))
+        valid = np.isfinite(values) & (values >= 0)
+        if not (valid.all() and {str}.issuperset(map(type, owned))):
+            # name the first offending entry, in insertion order
+            for key, count in owned.items():
+                if not isinstance(key, str):
+                    raise TypeError(f"element ids must be strings, got {key!r}")
+                if not (math.isfinite(count) and count >= 0):
+                    raise ValueError(f"count for {key!r} must be finite and >= 0")
         if self.spec is not None and len(owned) > self.spec.d_bar:
             raise ValueError(
                 f"{len(owned)} entries exceed the public cap {self.spec.d_bar}"

@@ -15,7 +15,9 @@ log-probabilities and the Laplace histogram delta are second routes the
 package no longer calls.  The list-based release
 mechanisms are the package's former per-request sorts and full-width
 selection rounds, kept as the reference its columnar releases must
-reproduce byte for byte.  Frozen constants in the tests cite the
+reproduce byte for byte, and the audit categorizer that bins every trial
+by its own binary search is the reference for the sorted-sample counts.
+Frozen constants in the tests cite the
 producing function by name.
 """
 
@@ -727,3 +729,41 @@ def list_trunc_gauss_release(
         if value > threshold:
             released.append(ReleaseEntry(rank=rank, element=element, value=value))
     return released
+
+
+def searchsorted_category_counts(
+    xs: np.ndarray, ys: np.ndarray, n_bins: int
+) -> tuple[np.ndarray, np.ndarray, str]:
+    """audit's categorizer binning every trial by its own binary search.
+
+    The categories are the pooled distinct values when there are at most
+    n_bins of them, else the pooled-quantile bins; NaN is the final
+    category.  Raises when neither sample has a finite outcome.
+    """
+    pooled = np.concatenate([xs, ys])
+    finite = pooled[~np.isnan(pooled)]
+    if finite.size and np.unique(finite).size <= n_bins:
+        atoms = np.unique(finite)
+        mode = f"atoms({atoms.size})"
+
+        def index(v: np.ndarray) -> np.ndarray:
+            return np.searchsorted(atoms, v)
+
+        n_cat = atoms.size
+    else:
+        edges = np.unique(np.quantile(finite, np.linspace(0.0, 1.0, n_bins + 1)))
+        mode = f"quantile({edges.size - 1})"
+
+        def index(v: np.ndarray) -> np.ndarray:
+            return np.clip(
+                np.searchsorted(edges, v, side="right") - 1, 0, edges.size - 2
+            )
+
+        n_cat = edges.size - 1
+
+    def counts(sample: np.ndarray) -> np.ndarray:
+        miss = np.isnan(sample)
+        c = np.bincount(index(sample[~miss]), minlength=n_cat)
+        return np.append(c, miss.sum()).astype(np.int64)
+
+    return counts(xs), counts(ys), mode

@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dpcomp.audit import (
     AuditReport,
+    _category_counts,
     audit_composed_dp,
     audit_trunc_gauss,
     audit_two_point,
@@ -25,7 +26,61 @@ from dpcomp.nonadaptive import (
     grr_params,
 )
 
-from .oracles import mixed_brute_force_sup, product_delta
+from .oracles import (
+    mixed_brute_force_sup,
+    product_delta,
+    searchsorted_category_counts,
+)
+
+# two_point(eps=1.0, t=0.3) at eps_g 0.2 and the one-bin trunc_gauss
+# instance (sigma 1, delta 1e-3) at conversion slack 0.1, both with 1e5
+# trials, as produced by the per-trial binary-search categorizer
+# (oracles.searchsorted_category_counts)
+TWO_POINT_JSON = (
+    '{\n  "bound_delta": 0.07578655941618495,\n  "empirical_delta": 0.07206458523846726,'
+    '\n  "eps_g": 0.2,\n  "mechanism": "two_point(eps=1.0, t=0.3)",\n  "metadata": {'
+    '\n    "binning": "atoms(2)",\n    "n_trials": 100000,'
+    '\n    "note": "binning biases the estimate downward; consistency check only"\n  },'
+    '\n  "std_error": 0.0022224413336074584,\n  "verdict": "consistent"\n}'
+)
+TRUNC_GAUSS_JSON = (
+    '{\n  "bound_delta": 0.101,\n  "empirical_delta": 0.011832855808386923,'
+    '\n  "eps_g": 2.645966026289347,\n  "mechanism": "trunc_gauss(sigma=1.0, tau=1.0)",'
+    '\n  "metadata": {\n    "binning": "quantile(1000)",\n    "conversion_delta": 0.1,'
+    '\n    "counts": [\n      5.083730058647234,\n      4.083730058647234\n    ],'
+    '\n    "n_trials": 100000,'
+    '\n    "note": "binning biases the estimate downward; consistency check only"\n  },'
+    '\n  "std_error": 0.001605170338617728,\n  "verdict": "consistent"\n}'
+)
+
+
+@st.composite
+def _outcome_samples(draw):
+    """Two samples over 1 to n_bins + 1 distinct finite values, each drawn
+    at least once, plus NaN, with +-0.0, +-inf and heavy ties."""
+    n_bins = draw(st.integers(2, 12))
+    # half the cases hold one distinct value too many for atoms
+    n_distinct = draw(st.one_of(st.just(n_bins + 1), st.integers(1, n_bins)))
+    values = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 1.0, math.inf, -math.inf]),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            min_size=n_distinct,
+            max_size=n_distinct,
+            unique=True,
+        )
+    )
+    pool = np.array(values + [math.nan])
+    extra = draw(st.lists(st.integers(0, n_distinct), max_size=150))
+    picks = draw(st.permutations(list(range(n_distinct)) + extra))
+    negate = draw(st.lists(st.booleans(), min_size=len(picks), max_size=len(picks)))
+    outcomes = pool[picks]
+    # a zero drawn twice may carry either sign
+    outcomes[np.array(negate) & (outcomes == 0.0)] *= -1.0
+    cut = draw(st.integers(0, len(picks)))
+    return outcomes[:cut], outcomes[cut:], n_bins
 
 
 class TestHockeyStickExact:
@@ -124,6 +179,36 @@ class TestMixedBruteForce:
             mixed_brute_force_sup(3, 1, 0.5, 0.8, grid_points=1)
 
 
+class TestCategoryCounts:
+    @settings(max_examples=400, deadline=None)
+    @given(_outcome_samples())
+    def test_matches_per_trial_binning(self, case) -> None:
+        xs, ys, n_bins = case
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = _category_counts(xs, ys, n_bins)
+            try:
+                want = searchsorted_category_counts(xs, ys, n_bins)
+            except ValueError:
+                # infinities can turn every quantile edge into NaN, which
+                # leaves the per-trial route no bin to index
+                assume(False)
+        assert got[2] == want[2]
+        for g, w in zip(got[:2], want[:2]):
+            assert g.dtype == w.dtype == np.int64
+            assert np.array_equal(g, w)
+
+    def test_quantile_and_atom_modes(self) -> None:
+        gen = np.random.default_rng(0)
+        xs = np.where(gen.random(5000) < 0.1, np.nan, gen.normal(size=5000))
+        ys = gen.normal(size=4000)
+        for n_bins, mode in ((1000, "quantile(1000)"), (10000, "atoms(8473)")):
+            got = _category_counts(xs, ys, n_bins)
+            want = searchsorted_category_counts(xs, ys, n_bins)
+            assert got[2] == want[2] == mode
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+
 class TestAuditReport:
     def test_verdict_threshold(self) -> None:
         base = dict(
@@ -219,6 +304,35 @@ class TestMonteCarloDelta:
 
         est, _ = monte_carlo_delta(always, never, 0.0, 10**5, RngState(2))
         assert est == pytest.approx(1.0, abs=1e-12)
+
+    def test_no_finite_outcome_has_no_mass(self) -> None:
+        # both laws put all mass on "no output", so they coincide
+        def never(gen, n):
+            return np.full(n, np.nan)
+
+        for eps_g in (0.0, 1.0):
+            est = monte_carlo_delta(never, never, eps_g, 10**5, RngState(2))
+            assert est == (0.0, 0.0)
+
+    def test_composed_dp_consistent_for_long_products(self) -> None:
+        # binning every bit string overfits the empirical event once 2^k
+        # nears the trial count; the count of second outcomes is exact
+        for k in (10, 16, 25):
+            for seed in range(3):
+                report = audit_composed_dp(k, 0.1, 0.5, 10**5, RngState(seed))
+                assert report.verdict == "consistent", (k, seed)
+                assert report.metadata["binning"] == (
+                    f"atoms({k + 1}) by the count of second outcomes"
+                )
+
+    def test_reports_match_per_trial_binning(self) -> None:
+        assert audit_two_point(1.0, 0.3, 0.2, 10**5, RngState(7)).to_json() == (
+            TWO_POINT_JSON
+        )
+        spec = HistogramSpec(d=1, delta0=1, tau=1.0, d_bar=1)
+        config = TruncGaussConfig.from_target(spec, 1.0, 1e-3)
+        report = audit_trunc_gauss(config, 10**5, RngState(3), conversion_delta=0.1)
+        assert report.to_json() == TRUNC_GAUSS_JSON
 
     def test_validation(self) -> None:
         def sampler(gen, n):

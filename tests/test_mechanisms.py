@@ -64,6 +64,21 @@ class TestHistogram:
             Histogram(counts={"a": math.inf})
         with pytest.raises(TypeError):
             Histogram(counts={1: 2.0})  # type: ignore[dict-item]
+        # the first offending entry in insertion order names the error
+        with pytest.raises(ValueError, match=r"count for 'b' must be finite and >= 0"):
+            Histogram(counts={"a": 1, "b": math.nan, 3: 1.0})  # type: ignore[dict-item]
+        with pytest.raises(TypeError, match=r"element ids must be strings, got 3"):
+            Histogram(counts={"a": 1.0, 3: 1.0, "b": -1.0})  # type: ignore[dict-item]
+        with pytest.raises(ValueError, match=r"count for 'c' must be finite"):
+            Histogram(counts={"a": 2, "b": 0.0, "c": -math.inf})
+
+    def test_counts_become_floats(self) -> None:
+        class Key(str):
+            pass
+
+        h = Histogram(counts={Key("a"): 3, "b": np.float32(0.5), "c": -0.0})
+        assert h.counts == {"a": 3.0, "b": 0.5, "c": 0.0}
+        assert all(type(v) is float for v in h.counts.values())
 
     def test_entry_cap(self) -> None:
         small = HistogramSpec(d=4, delta0=1, tau=1.0, d_bar=4)
