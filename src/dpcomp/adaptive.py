@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .nonadaptive import _tilt_q, grr_params
+from .nonadaptive import grr_params
 from .numerics import golden_max
 
 __all__ = [
@@ -53,6 +53,12 @@ __all__ = [
 _SLOTS = ("dp", "br")
 _MAX_SLOTS = 12
 _CHUNK = 1 << 21  # elements per vectorized BR chunk
+
+
+def _tilt_q(eps: float, ts: np.ndarray) -> np.ndarray:
+    # grr_params's q elementwise over an array of tilts; kept out of __all__
+    # so traced runs count only scalar grr_params calls
+    return np.expm1(ts - eps) / math.expm1(-eps)
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,10 @@ __all__ = [
 Sampler = Callable[[np.random.Generator, int], np.ndarray]
 
 _MAX_EXACT_SLOTS = 20
+# trials per block of the two-point samplers: a (rows, k) block of
+# uniforms stays small and cache-resident whatever the trial count, and
+# PCG64 fills consecutive blocks with the stream one (n, k) draw would use
+_SAMPLE_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -136,13 +140,17 @@ def _category_counts(
     Finite outcomes become categories either by their distinct values
     (when the pooled samples hold at most n_bins of them) or by
     pooled-quantile bins; NaN outcomes land in a dedicated final
-    category so "no output" stays a visible event.  Each sample is
+    category so "no output" stays a visible event.  An infinite outcome
+    has no quantile bin and raises ValueError.  Each sample is
     sorted once and every count is a difference of two positions in it,
     so no trial is binned on its own.
     """
-    # NaN sorts last, so the finite outcomes are a prefix of each sample
+    # NaN sorts last, so the finite outcomes are a prefix of each sample,
+    # with any -inf at its start and any +inf at its end
     samples = [np.sort(xs), np.sort(ys)]
     finite = [s[: np.searchsorted(s, np.nan)] for s in samples]
+    if any(f.size and (f[0] == -np.inf or f[-1] == np.inf) for f in finite):
+        raise ValueError("outcomes must be finite or NaN, got an infinite one")
     # one sample with too many distinct values rules out atoms unpooled
     distinct = [_distinct(f) for f in finite]
     atoms = np.union1d(*distinct) if max(d.size for d in distinct) <= n_bins else None
@@ -194,7 +202,8 @@ def monte_carlo_delta(
     the empirically optimal event, every category where the first law
     outweighs e^eps_g times the second.  The standard error is the
     spread of the estimate across multinomial resamples of both count
-    vectors (substream 2).
+    vectors (substream 2).  Each outcome is a finite float or NaN ("no
+    output"); a sampler that returns +-inf raises ValueError.
     """
     if n_trials < 10**5:
         raise ValueError(f"need at least 1e5 trials for a stable tail, got {n_trials}")
@@ -221,8 +230,10 @@ def _second_outcome_sampler(first_prob: float, k: int) -> Sampler:
     # many of them took the second value
     def sample(gen: np.random.Generator, n: int) -> np.ndarray:
         ones = np.zeros(n, dtype=np.int64)
-        for column in (gen.random((n, k)) >= first_prob).T:
-            ones += column
+        for start in range(0, n, _SAMPLE_ROWS):
+            block = ones[start : start + _SAMPLE_ROWS]
+            for column in (gen.random((block.size, k)) >= first_prob).T:
+                block += column
         return ones.astype(float)
 
     return sample

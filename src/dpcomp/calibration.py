@@ -69,14 +69,6 @@ class HistogramSpec:
         if not (isinstance(self.d_bar, int) and self.d_bar >= self.d):
             raise ValueError(f"d_bar must be an integer >= d, got {self.d_bar}")
 
-    @property
-    def l1_sensitivity(self) -> float:
-        return self.tau * self.delta0
-
-    @property
-    def l2_sensitivity(self) -> float:
-        return self.tau * math.sqrt(self.delta0)
-
 
 def analytic_gaussian_delta(sigma: float, eps: float) -> float:
     """Exact hockey-stick divergence of N(0, sigma^2) from N(1, sigma^2).
@@ -176,6 +168,29 @@ def laplace_eps_coord(sigma: float) -> float:
     return math.sqrt(2.0) / sigma
 
 
+def _noise_rows(k: int, spec: HistogramSpec, sigma: float, delta: float) -> list[dict]:
+    # the laplace_pure and gaussian_zcdp rows of k releases, shared by
+    # both comparisons
+    _check_delta(delta)
+    eps1 = laplace_eps_coord(sigma)
+    return [
+        {
+            "method": "laplace_pure",
+            "k": k,
+            "count": k * spec.delta0,
+            "eps_each": eps1,
+            "eps_g": eps_inverse(delta, "dp", k * spec.delta0, eps1),
+        },
+        {
+            "method": "gaussian_zcdp",
+            "k": k,
+            "count": k,
+            "eps_each": math.nan,
+            "eps_g": gaussian_zcdp_eps(sigma, k * spec.delta0, delta),
+        },
+    ]
+
+
 def single_release_comparison(
     spec: HistogramSpec, sigma: float, delta: float
 ) -> list[dict]:
@@ -185,31 +200,16 @@ def single_release_comparison(
     via zCDP, and Gaussian via its exact curve.  eps_each is the
     per-composed-unit budget where one exists.
     """
-    _check_delta(delta)
-    eps1 = laplace_eps_coord(sigma)
-    rows = [
-        {
-            "method": "laplace_pure",
-            "k": 1,
-            "count": spec.delta0,
-            "eps_each": eps1,
-            "eps_g": eps_inverse(delta, "dp", spec.delta0, eps1),
-        },
-        {
-            "method": "gaussian_zcdp",
-            "k": 1,
-            "count": 1,
-            "eps_each": math.nan,
-            "eps_g": gaussian_zcdp_eps(sigma, spec.delta0, delta),
-        },
+    rows = _noise_rows(1, spec, sigma, delta)
+    rows.append(
         {
             "method": "gaussian_analytic",
             "k": 1,
             "count": 1,
             "eps_each": math.nan,
             "eps_g": analytic_gaussian_eps(sigma / math.sqrt(spec.delta0), delta),
-        },
-    ]
+        }
+    )
     return rows
 
 
@@ -230,24 +230,7 @@ def kfold_comparison(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    _check_delta(delta)
-    eps1 = laplace_eps_coord(sigma)
-    rows = [
-        {
-            "method": "laplace_pure",
-            "k": k,
-            "count": k * spec.delta0,
-            "eps_each": eps1,
-            "eps_g": eps_inverse(delta, "dp", k * spec.delta0, eps1),
-        },
-        {
-            "method": "gaussian_zcdp",
-            "k": k,
-            "count": k,
-            "eps_each": math.nan,
-            "eps_g": gaussian_zcdp_eps(sigma, k * spec.delta0, delta),
-        },
-    ]
+    rows = _noise_rows(k, spec, sigma, delta)
     sigma_eff = sigma / math.sqrt(spec.delta0)
     eps_min = analytic_gaussian_eps(sigma_eff, delta / (2.0 * k))
     eps_g = 0.0 if eps_min == 0.0 else eps_inverse(delta / 2.0, "dp", k, eps_min)

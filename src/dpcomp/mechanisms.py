@@ -35,7 +35,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .calibration import HistogramSpec
-from .numerics import Bracket, bisect, expand, pava_monotone_nonneg, std_normal_cdf
+from .numerics import Bracket, expand, halve, pava_monotone_nonneg, std_normal_cdf
 from .setwise import Cdp, Zcdp, _check_delta
 
 __all__ = [
@@ -196,8 +196,11 @@ class RngState:
     substream(i) is deterministic in (seed, derivation path, i) and
     independent across i, so mechanisms can split randomness by role
     (selection round, count noise, bootstrap) without coordinating draw
-    counts.  derive(j) forks a child state whose streams never collide
-    with the parent's.
+    counts.  derive(j) forks a child state one level down the path, so
+    its substreams and those of every other child are distinct.  The
+    child's own generator() sits at the same path as the parent's
+    substream(j) and is the same stream: a caller uses either the
+    index j for a substream or for a child, not both.
     """
 
     seed: int
@@ -225,47 +228,32 @@ class RngState:
         return RngState(seed=self.seed, _path=self._path + (index,))
 
 
-def _uniforms(gen: np.random.Generator, size: Optional[int]) -> np.ndarray:
-    u = gen.random(size if size is not None else 1)
+def _uniforms(gen: np.random.Generator, size: int) -> np.ndarray:
     # keep away from 0 so inverse CDFs stay finite
-    return np.maximum(u, _MIN_UNIFORM)
+    return np.maximum(gen.random(size), _MIN_UNIFORM)
 
 
-def _maybe_scalar(x: np.ndarray, size: Optional[int]) -> Union[float, np.ndarray]:
-    return float(x[0]) if size is None else x
-
-
-def sample_laplace(
-    gen: np.random.Generator, scale: float, size: Optional[int] = None
-) -> Union[float, np.ndarray]:
+def sample_laplace(gen: np.random.Generator, scale: float, size: int) -> np.ndarray:
     """Laplace(0, scale) by inverting the CDF of one uniform per draw."""
     if not (math.isfinite(scale) and scale > 0):
         raise ValueError(f"scale must be positive and finite, got {scale}")
     u = _uniforms(gen, size) - 0.5
     mag = np.minimum(np.abs(u), np.nextafter(0.5, 0.0))
-    x = -scale * np.sign(u) * np.log1p(-2.0 * mag)
-    return _maybe_scalar(x, size)
+    return -scale * np.sign(u) * np.log1p(-2.0 * mag)
 
 
-def sample_gaussian(
-    gen: np.random.Generator, scale: float, size: Optional[int] = None
-) -> Union[float, np.ndarray]:
+def sample_gaussian(gen: np.random.Generator, scale: float, size: int) -> np.ndarray:
     """N(0, scale^2) via the normal quantile of one uniform per draw."""
     if not (math.isfinite(scale) and scale > 0):
         raise ValueError(f"scale must be positive and finite, got {scale}")
-    x = scale * ndtri(_uniforms(gen, size))
-    return _maybe_scalar(x, size)
+    return scale * ndtri(_uniforms(gen, size))
 
 
-def sample_gumbel(
-    gen: np.random.Generator, scale: float, size: Optional[int] = None
-) -> Union[float, np.ndarray]:
+def sample_gumbel(gen: np.random.Generator, scale: float, size: int) -> np.ndarray:
     """Gumbel(0, scale) via -scale * ln(-ln u)."""
     if not (math.isfinite(scale) and scale > 0):
         raise ValueError(f"scale must be positive and finite, got {scale}")
-    u = _uniforms(gen, size)
-    x = -scale * np.log(-np.log(u))
-    return _maybe_scalar(x, size)
+    return -scale * np.log(-np.log(_uniforms(gen, size)))
 
 
 def exp_mech_topk(
@@ -358,6 +346,11 @@ def _trunc_rhs(t_level: float, delta0: int, tau: float, sigma: float) -> float:
     s = tau * sigma
     num = std_normal_cdf((tau - t_level) / s) - std_normal_cdf(-t_level / s)
     den = std_normal_cdf(t_level / s) - std_normal_cdf(-t_level / s)
+    if den == 0.0:
+        raise ValueError(
+            f"the noise mass of the window [-{t_level}, {t_level}] rounds to 0 "
+            f"at scale tau*sigma = {s}"
+        )
     return delta0 * num / den
 
 
@@ -368,10 +361,12 @@ def solve_truncation_level(
 
     The slack of the window [count - T, count + T], maximized over the
     delta0 counts one user can shift by up to tau, is decreasing in T
-    and equals delta0 / 2 at T = tau exactly; the root is bracketed
-    upward from there (doubling until sign change), or back toward
-    tau / 2 when delta is large.  Returned from the feasible end, so
-    _trunc_rhs(T, ...) <= delta.
+    and equals delta0 / 2 at T = tau exactly.  The slack is measured at
+    tau: above delta, the root is bracketed upward from there (doubling
+    until the slack fits); otherwise back toward tau / 2.  Both ends of
+    the bracket are measured, and the result is its feasible end, so
+    _trunc_rhs(T, ...) <= delta.  ValueError when the window's noise
+    mass rounds to zero (tau * sigma far above T).
     """
     if delta0 < 1:
         raise ValueError(f"delta0 must be >= 1, got {delta0}")
@@ -381,22 +376,22 @@ def solve_truncation_level(
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     _check_delta(delta)
 
-    def gap(t_level: float) -> float:
-        return _trunc_rhs(t_level, delta0, tau, sigma) - delta
+    def fits(t_level: float) -> bool:
+        return _trunc_rhs(t_level, delta0, tau, sigma) <= delta
 
-    if delta < delta0 / 2.0:
-        lo, hi = expand(lambda t: gap(t) < 0.0, tau, 8.0 * tau * sigma + tau, 60)
+    if not fits(tau):
+        lo, hi = expand(fits, tau, 8.0 * tau * sigma + tau, 60)
     else:
         hi = tau
         lo = 0.75 * tau
         for _ in range(60):
-            if gap(lo) > 0.0:
+            if not fits(lo):
                 break
             lo = 0.5 * (lo + 0.5 * tau)
         else:
             raise ValueError("truncation level did not bracket near tau/2")
     tol = 1e-12 * max(1.0, tau * sigma)
-    return bisect(gap, Bracket(lo=lo, hi=hi, tol_abs=tol))
+    return halve(fits, Bracket(lo=lo, hi=hi, tol_abs=tol))
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .numerics import Bracket, halve, log1mexp, log1pexp, log_binomial, logsumexp
 
 __all__ = [
@@ -80,12 +78,6 @@ def grr_params(eps: float, t: float) -> GrrParams:
     q = math.expm1(t - eps) / math.expm1(-eps)
     p = math.exp(-t) * q
     return GrrParams(eps=eps, t=t, q=q, p=p)
-
-
-def _tilt_q(eps: float, ts: np.ndarray) -> np.ndarray:
-    # grr_params's q elementwise over an array of tilts; kept out of __all__
-    # so traced runs count only scalar grr_params calls
-    return np.expm1(ts - eps) / math.expm1(-eps)
 
 
 def grr_log_probs(eps: float, t: float) -> tuple[float, float, float, float]:

@@ -3,10 +3,9 @@
 Log-space combinatorics, accurate log/exp differences, the standard normal
 CDF, the pool-adjacent-violators projection used by the order-constrained
 noise mechanism, and the package's only one-dimensional solvers: one
-halving loop (``halve``, fronted by the sign-change root-finder
-``bisect``), one doubling loop (``expand``) and one golden-section search
-(``golden_max``).  Every root search returns the feasible end of its
-final bracket, never a midpoint.
+halving loop (``halve``), one doubling loop (``expand``) and one
+golden-section search (``golden_max``).  Every root search returns the
+feasible end of its final bracket, never a midpoint.
 
 Probabilities that can underflow are carried as natural logs throughout the
 package; ``-inf`` encodes an exact zero.
@@ -30,7 +29,6 @@ __all__ = [
     "log1pexp",
     "logsumexp",
     "std_normal_cdf",
-    "bisect",
     "pava_monotone_nonneg",
 ]
 # halve, expand and golden_max stay out of __all__: they run inside the
@@ -105,7 +103,7 @@ def std_normal_cdf(z: float) -> float:
 
 @dataclass(frozen=True)
 class Bracket:
-    """An interval handed to ``bisect`` or ``halve``.
+    """An interval handed to ``halve``.
 
     Halving stops at width max(tol_abs, tol_rel * |hi|), or once the ends
     are adjacent floats; max_iter bounds the halvings.
@@ -171,30 +169,6 @@ def expand(
             return lo, hi
         lo, hi = hi, hi * 2.0
     raise BracketError(f"no point up to {hi} passes after {max_doublings} doublings")
-
-
-def bisect(f: Callable[[float], float], bracket: Bracket) -> float:
-    """Root of f on the bracket by deterministic interval halving.
-
-    Verifies the sign change up front (BracketError otherwise) and raises
-    ConvergenceError if max_iter halvings do not shrink the interval to
-    its tolerance.  Exact zeros of f at an end are returned as they are;
-    otherwise the result is the end on bracket.hi's side of the root,
-    where f has the sign of f(hi) or is zero.
-    """
-    flo, fhi = f(bracket.lo), f(bracket.hi)
-    if math.isnan(flo) or math.isnan(fhi):
-        raise BracketError("f is NaN at a bracket endpoint")
-    if flo == 0.0:
-        return bracket.lo
-    if fhi == 0.0:
-        return bracket.hi
-    if (flo > 0) == (fhi > 0):
-        raise BracketError(
-            f"no sign change on [{bracket.lo}, {bracket.hi}]: f(lo)={flo}, f(hi)={fhi}"
-        )
-    sign = math.copysign(1.0, fhi)
-    return halve(lambda x: sign * f(x) >= 0.0, bracket)
 
 
 def golden_max(f: Callable[[float], float], lo: float, hi: float, rounds: int) -> float:

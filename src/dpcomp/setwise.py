@@ -220,23 +220,24 @@ def global_bound_homogeneous(
     """Closed-form CDP-route bound for a homogeneous registered set.
 
     m_dp pure eps-DP, m_br alpha-BR and m_cdp (mu, tau)-CDP mechanisms at
-    failure budget delta.  Counts may be zero; their parameters are then
-    ignored.
+    failure budget delta, summing the convert_to_cdp pair of each class
+    with a nonzero count.  Those classes check their parameters as on
+    construction; a zero count's parameters are ignored.
     """
     if min(m_dp, m_br, m_cdp) < 0 or m_dp + m_br + m_cdp == 0:
         raise ValueError("need nonnegative counts with at least one mechanism")
     _check_delta(delta)
     mean = 0.0
     var = 0.0
-    if m_dp:
-        mean += m_dp * dp_mean_loss(eps)
-        var += m_dp * eps**2
-    if m_br:
-        mean += m_br * br_mean_loss(alpha)
-        var += m_br * alpha**2 / 4.0
-    if m_cdp:
-        mean += m_cdp * mu
-        var += m_cdp * tau**2
+    for count, cls, params in (
+        (m_dp, PureDP, (eps,)),
+        (m_br, BoundedRange, (alpha,)),
+        (m_cdp, Cdp, (mu, tau)),
+    ):
+        if count:
+            pair = convert_to_cdp(cls(*params))
+            mean += count * pair.mu
+            var += count * pair.tau**2
     return _cdp_eps(mean, var, delta)
 
 

@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 import mpmath as mp
 import numpy as np
 
-from dpcomp.adaptive import GridSpec, MechanismSequence, delta_opt_recursive
+from dpcomp.adaptive import GridSpec, MechanismSequence, _tilt_q, delta_opt_recursive
 from dpcomp.audit import _MAX_EXACT_SLOTS
 from dpcomp.calibration import HistogramSpec
 from dpcomp.mechanisms import (
@@ -46,7 +46,6 @@ from dpcomp.mechanisms import (
 )
 from dpcomp.nonadaptive import (
     CompositionQuery,
-    _tilt_q,
     delta_opt_dp,
     delta_opt_mixed,
     grr_log_probs,

@@ -9,8 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dpcomp.audit import (
+    _SAMPLE_ROWS,
     AuditReport,
     _category_counts,
+    _second_outcome_sampler,
     audit_composed_dp,
     audit_trunc_gauss,
     audit_two_point,
@@ -184,6 +186,10 @@ class TestCategoryCounts:
     @given(_outcome_samples())
     def test_matches_per_trial_binning(self, case) -> None:
         xs, ys, n_bins = case
+        if np.isinf(np.concatenate([xs, ys])).any():
+            with pytest.raises(ValueError, match="infinite"):
+                _category_counts(xs, ys, n_bins)
+            return
         with np.errstate(invalid="ignore", over="ignore"):
             got = _category_counts(xs, ys, n_bins)
             try:
@@ -313,6 +319,29 @@ class TestMonteCarloDelta:
         for eps_g in (0.0, 1.0):
             est = monte_carlo_delta(never, never, eps_g, 10**5, RngState(2))
             assert est == (0.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_infinite_outcomes_rejected(self, bad) -> None:
+        def with_inf(gen, n):
+            out = gen.random(n)
+            out[n // 2] = bad
+            return out
+
+        def plain(gen, n):
+            return gen.random(n)
+
+        for sample_p, sample_q in ((with_inf, plain), (plain, with_inf)):
+            with pytest.raises(ValueError, match="infinite"):
+                monte_carlo_delta(sample_p, sample_q, 0.5, 10**5, RngState(0))
+
+    @pytest.mark.parametrize("k", [1, 3, 12])
+    def test_blocked_draws_match_one_shot(self, k) -> None:
+        # a trial count that is not a multiple of the block size
+        n = 2 * _SAMPLE_ROWS + 1234
+        first_prob = grr_params(0.6, 0.3).q
+        got = _second_outcome_sampler(first_prob, k)(RngState(4).generator(), n)
+        one_shot = (RngState(4).generator().random((n, k)) >= first_prob).sum(axis=1)
+        assert np.array_equal(got, one_shot.astype(float))
 
     def test_composed_dp_consistent_for_long_products(self) -> None:
         # binning every bit string overfits the empirical event once 2^k

@@ -29,11 +29,6 @@ SPEC = HistogramSpec(d=1000, delta0=25, tau=1.0, d_bar=1200)
 
 
 class TestHistogramSpec:
-    def test_sensitivities(self) -> None:
-        s = HistogramSpec(d=100, delta0=9, tau=2.0, d_bar=128)
-        assert s.l1_sensitivity == pytest.approx(18.0, abs=0.0)
-        assert s.l2_sensitivity == pytest.approx(6.0, abs=0.0)
-
     def test_validation(self) -> None:
         with pytest.raises(ValueError):
             HistogramSpec(d=0, delta0=1, tau=1.0, d_bar=1)
@@ -218,6 +213,15 @@ class TestComparisons:
         assert by_method["gaussian_zcdp"]["count"] == 5
         for r in rows:
             assert r["eps_g"] > 0.0 and math.isfinite(r["eps_g"])
+
+    @pytest.mark.parametrize("delta0, sigma", [(1, 2.0), (25, 13.1), (50, 0.7)])
+    def test_single_release_is_kfold_at_one(self, delta0, sigma) -> None:
+        # one release shares the Laplace and zCDP rows of k = 1, bit for bit
+        spec = HistogramSpec(d=delta0, delta0=delta0, tau=1.0, d_bar=delta0)
+        single = single_release_comparison(spec, sigma, 1e-6)
+        kfold = kfold_comparison(1, spec, sigma, 1e-6)
+        assert single[:2] == kfold[:2]
+        assert [r["method"] for r in single[:2]] == ["laplace_pure", "gaussian_zcdp"]
 
     def test_kfold_matches_single_release_zcdp(self) -> None:
         # the rho sum is linear, so k releases at L0 = delta0 price like

@@ -148,6 +148,18 @@ class TestExitCodes:
         assert code == 3
         assert "converge" in err
 
+    def test_vanishing_window_mass_is_usage_error(self, capsys, corpus_file):
+        # tau * sigma = 1e17 leaves the truncation window no float mass
+        for argv in (
+            ["audit", "trunc-gauss", "--sigma", "1e17", "--delta", "1e-6"],
+            ["topk", "--mode", "trunc-gauss", "--input", corpus_file,
+             "--sigma", "1e17", "--delta", "1e-6", "--delta0", "1"],
+        ):
+            code, out, err = run(capsys, argv)
+            assert code == 2, argv
+            assert out == ""
+            assert "invalid parameters" in err and "rounds to 0" in err
+
     def test_missing_input_is_exit_four(self, capsys):
         code, _, _ = run(capsys, ["compose", "setwise", "--config", "/does/not/exist.json"])
         assert code == 4
@@ -383,6 +395,16 @@ class TestAuditCommand:
         report = json.loads(out)
         assert report["verdict"] == "consistent"
         assert report["metadata"]["conversion_delta"] == 1e-6
+
+    def test_trunc_gauss_audit_at_half_slack(self, capsys):
+        # delta = delta0 / 2, where the slack at T = tau rounds above delta
+        code, out, _ = run(
+            capsys,
+            ["audit", "trunc-gauss", "--sigma", "0.341", "--delta", "0.5",
+             "--tau", "0.121", "--trials", "100000", "--seed", "1"],
+        )
+        assert code == 0
+        assert json.loads(out)["verdict"] == "consistent"
 
 
 class TestCalibrateCommand:

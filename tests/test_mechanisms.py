@@ -159,6 +159,18 @@ class TestRngState:
             child.substream(1).random(4), rng.derive(0).substream(1).random(4)
         )
 
+    def test_child_generator_is_parent_substream(self) -> None:
+        # derive(j) and substream(j) share a path, so an index serves a
+        # substream or a child, never both
+        for rng in (RngState(seed=7), RngState(seed=7).derive(3)):
+            for j in (0, 1, 5):
+                assert np.array_equal(
+                    rng.derive(j).generator().random(6), rng.substream(j).random(6)
+                )
+        assert not np.array_equal(
+            RngState(7).derive(1).substream(0).random(6), RngState(7).substream(1).random(6)
+        )
+
     def test_validation(self) -> None:
         with pytest.raises(ValueError):
             RngState(seed=-1)
@@ -184,12 +196,6 @@ class TestSamplers:
         assert gum == pytest.approx(
             [2.7232800502029817, 0.3883037836517247, 3.761777574777169], abs=1e-15
         )
-
-    def test_scalar_form(self) -> None:
-        rng = RngState(seed=42)
-        x = sample_laplace(rng.generator(), 2.0)
-        assert isinstance(x, float)
-        assert x == pytest.approx(1.5877572852834136, abs=1e-15)
 
     def test_matches_quantile_functions(self) -> None:
         # same uniforms through the reference quantile functions
@@ -248,7 +254,7 @@ class TestSamplers:
         gen = RngState(seed=1).generator()
         for sampler in (sample_laplace, sample_gaussian, sample_gumbel):
             with pytest.raises(ValueError):
-                sampler(gen, 0.0)
+                sampler(gen, 0.0, 1)
 
 
 class TestExpMechTopk:
@@ -424,6 +430,8 @@ class TestTruncationLevel:
             (25, 1.0, 10.0, 1e-6),
             (3, 0.5, 4.0, 1e-3),
             (1, 1.0, 10.0, 0.75),
+            # delta = delta0 / 2, where the slack at tau rounds to +1.1e-16
+            (1, 0.121, 0.341, 0.5),
         ):
             t_level = solve_truncation_level(delta0, tau, sigma, delta)
             assert abs(_trunc_rhs(t_level, delta0, tau, sigma) - delta) <= 1e-9
@@ -450,6 +458,25 @@ class TestTruncationLevel:
     def test_large_slack_root_below_tau(self) -> None:
         t_level = solve_truncation_level(1, 1.0, 10.0, 0.75)
         assert 0.5 < t_level < 1.0
+
+    def test_half_slack_brackets_on_measured_sign(self) -> None:
+        # at delta = delta0 / 2 the root is tau itself, and the computed
+        # slack there may land on either side of delta
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            tau = float(10.0 ** rng.uniform(-1.0, 1.0))
+            sigma = float(10.0 ** rng.uniform(-0.5, 1.5))
+            t_level = solve_truncation_level(1, tau, sigma, 0.5)
+            rhs = _trunc_rhs(t_level, 1, tau, sigma)
+            assert rhs <= 0.5
+            assert 0.5 - rhs <= 1e-9
+
+    def test_vanishing_window_mass_is_value_error(self) -> None:
+        # T / (tau sigma) = 1e-17: the window's noise mass rounds to 0
+        with pytest.raises(ValueError, match="rounds to 0"):
+            _trunc_rhs(1.0, 1, 1.0, 1e17)
+        with pytest.raises(ValueError, match="rounds to 0"):
+            solve_truncation_level(1, 1.0, 1e17, 1e-6)
 
     def test_validation(self) -> None:
         with pytest.raises(ValueError):

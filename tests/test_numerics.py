@@ -15,7 +15,6 @@ from dpcomp.numerics import (
     Bracket,
     BracketError,
     ConvergenceError,
-    bisect,
     expand,
     golden_max,
     halve,
@@ -130,26 +129,26 @@ class TestStdNormalCdf:
 
 
 class TestBisect:
-    def test_simple_root(self):
-        root = bisect(lambda x: x * x - 2.0, Bracket(0.0, 2.0, tol_abs=1e-12))
-        assert root == pytest.approx(math.sqrt(2.0), abs=1e-11)
+    """The one halving loop, ``halve``, on sign-change predicates."""
 
-    def test_bad_bracket(self):
-        with pytest.raises(BracketError):
-            bisect(lambda x: x * x + 1.0, Bracket(-1.0, 1.0))
+    def test_simple_root(self):
+        root = halve(lambda x: x * x - 2.0 >= 0.0, Bracket(0.0, 2.0, tol_abs=1e-12))
+        assert root == pytest.approx(math.sqrt(2.0), abs=1e-11)
 
     def test_budget_exhausted(self):
         with pytest.raises(ConvergenceError):
-            bisect(
-                lambda x: x - 1.0 / 3.0,
+            halve(
+                lambda x: x >= 1.0 / 3.0,
                 Bracket(0.0, 1.0, tol_abs=1e-12, max_iter=3),
             )
 
     def test_endpoint_root(self):
-        assert bisect(lambda x: x, Bracket(0.0, 1.0)) == 0.0
+        # the ends are never evaluated: a root at lo is closed in from above
+        root = halve(lambda x: x >= 0.0, Bracket(0.0, 1.0))
+        assert 0.0 < root <= 1e-9
 
     def test_decreasing_function(self):
-        root = bisect(lambda x: 1.0 - x, Bracket(0.0, 3.0, tol_abs=1e-12))
+        root = halve(lambda x: 1.0 - x <= 0.0, Bracket(0.0, 3.0, tol_abs=1e-12))
         assert root == pytest.approx(1.0, abs=1e-11)
 
     def test_bracket_validation(self):
@@ -162,12 +161,14 @@ class TestBisect:
     def test_returns_hi_side_end(self, sign):
         # nine halvings: the midpoint of the final bracket lies below 1/3
         f = lambda x: sign * (x - 1.0 / 3.0)
-        root = bisect(f, Bracket(0.0, 1.0, tol_abs=2e-3))
+        # ok holds where f has the sign it has at hi
+        ok = (lambda x: f(x) >= 0.0) if sign > 0 else (lambda x: f(x) <= 0.0)
+        root = halve(ok, Bracket(0.0, 1.0, tol_abs=2e-3))
         assert sign * f(root) >= 0.0
         assert root - 1.0 / 3.0 <= 2e-3
 
     def test_stops_at_adjacent_floats(self):
-        root = bisect(lambda x: x * x - 2.0, Bracket(1.0, 2.0, tol_abs=5e-324))
+        root = halve(lambda x: x * x - 2.0 >= 0.0, Bracket(1.0, 2.0, tol_abs=5e-324))
         assert root * root - 2.0 > 0.0
         below = math.nextafter(root, 0.0)
         assert below * below - 2.0 < 0.0
@@ -175,19 +176,19 @@ class TestBisect:
     def test_relative_tolerance(self):
         calls = []
 
-        def f(x):
+        def ok(x):
             calls.append(x)
-            return x - 1.5e6
+            return x >= 1.5e6
 
-        root = bisect(f, Bracket(0.0, 4e6, tol_abs=0.0, tol_rel=1e-3))
+        root = halve(ok, Bracket(0.0, 4e6, tol_abs=0.0, tol_rel=1e-3))
         assert 0.0 <= root - 1.5e6 <= 1e-3 * root
-        # 12 halvings reach width 4e6 / 2^12 < 1e-3 * 1.5e6, plus both ends
-        assert len(calls) == 2 + 12
+        # 12 halvings reach width 4e6 / 2^12 < 1e-3 * 1.5e6; no end is evaluated
+        assert len(calls) == 12
 
     def test_budget_spent_exactly_on_tolerance(self):
         # three halvings take [0, 1] to width 1/8 = tol_abs
-        root = bisect(
-            lambda x: x - 1.0 / 3.0, Bracket(0.0, 1.0, tol_abs=0.125, max_iter=3)
+        root = halve(
+            lambda x: x >= 1.0 / 3.0, Bracket(0.0, 1.0, tol_abs=0.125, max_iter=3)
         )
         assert root == 0.375
 
