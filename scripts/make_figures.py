@@ -27,8 +27,8 @@ def main() -> int:
             [
                 "figures",
                 str(figure),
-                "--output-dir",
-                args.output_dir,
+                "-o",
+                os.path.join(args.output_dir, f"fig{figure}.csv"),
                 "--seed",
                 str(args.seed),
             ]

@@ -56,6 +56,12 @@ _MAX_EXACT_SLOTS = 20
 # uniforms stays small and cache-resident whatever the trial count, and
 # PCG64 fills consecutive blocks with the stream one (n, k) draw would use
 _SAMPLE_ROWS = 1 << 14
+# multinomial resamples behind a Monte-Carlo standard error
+_N_BOOTSTRAP = 200
+# largest outcome magnitude a quantile bin takes: np.quantile interpolates
+# as a + (b - a) t, and b - a overflows once |a| or |b| exceeds half the
+# float range
+_MAX_OUTCOME = float(np.finfo(float).max) / 2.0
 
 
 @dataclass(frozen=True)
@@ -140,17 +146,19 @@ def _category_counts(
     Finite outcomes become categories either by their distinct values
     (when the pooled samples hold at most n_bins of them) or by
     pooled-quantile bins; NaN outcomes land in a dedicated final
-    category so "no output" stays a visible event.  An infinite outcome
-    has no quantile bin and raises ValueError.  Each sample is
-    sorted once and every count is a difference of two positions in it,
-    so no trial is binned on its own.
+    category so "no output" stays a visible event.  An infinite outcome,
+    or a finite one beyond half the float range, has no quantile bin and
+    raises ValueError.  Each sample is sorted once and every count is a
+    difference of two positions in it, so no trial is binned on its own.
     """
-    # NaN sorts last, so the finite outcomes are a prefix of each sample,
-    # with any -inf at its start and any +inf at its end
+    # NaN sorts last, so the non-NaN outcomes are a prefix of each sample
+    # whose two ends hold its largest magnitudes, any +-inf among them
     samples = [np.sort(xs), np.sort(ys)]
     finite = [s[: np.searchsorted(s, np.nan)] for s in samples]
-    if any(f.size and (f[0] == -np.inf or f[-1] == np.inf) for f in finite):
-        raise ValueError("outcomes must be finite or NaN, got an infinite one")
+    for f in finite:
+        largest = max(-f[0], f[-1]) if f.size else 0.0
+        if largest > _MAX_OUTCOME:
+            raise ValueError(f"outcome magnitude {largest:.6g} is infinite or past max/2")
     # one sample with too many distinct values rules out atoms unpooled
     distinct = [_distinct(f) for f in finite]
     atoms = np.union1d(*distinct) if max(d.size for d in distinct) <= n_bins else None
@@ -193,7 +201,6 @@ def monte_carlo_delta(
     n_trials: int,
     rng: RngState,
     n_bins: int = 1000,
-    n_bootstrap: int = 200,
 ) -> tuple[float, float]:
     """Empirical positive-part mass between two sampled output laws.
 
@@ -201,16 +208,17 @@ def monte_carlo_delta(
     neighboring inputs (substreams 0 and 1 of rng); the estimate takes
     the empirically optimal event, every category where the first law
     outweighs e^eps_g times the second.  The standard error is the
-    spread of the estimate across multinomial resamples of both count
-    vectors (substream 2).  Each outcome is a finite float or NaN ("no
-    output"); a sampler that returns +-inf raises ValueError.
+    spread of the estimate across 200 multinomial resamples of both count
+    vectors (substream 2).  Each outcome is NaN ("no output") or a finite
+    float of magnitude at most half the float range; a sampler that
+    returns anything else, +-inf included, raises ValueError.
     """
     if n_trials < 10**5:
         raise ValueError(f"need at least 1e5 trials for a stable tail, got {n_trials}")
     if not (math.isfinite(eps_g) and eps_g >= 0.0):
         raise ValueError(f"eps_g must be nonnegative and finite, got {eps_g}")
-    if n_bins < 2 or n_bootstrap < 10:
-        raise ValueError("n_bins must be >= 2 and n_bootstrap >= 10")
+    if n_bins < 2:
+        raise ValueError(f"n_bins must be >= 2, got {n_bins}")
     xs = np.asarray(sample_p(rng.substream(0), n_trials), dtype=float)
     ys = np.asarray(sample_q(rng.substream(1), n_trials), dtype=float)
     if xs.shape != (n_trials,) or ys.shape != (n_trials,):
@@ -219,8 +227,8 @@ def monte_carlo_delta(
     estimate = float(_positive_part(counts_p, counts_q, eps_g))
 
     boot = rng.substream(2)
-    resampled_p = boot.multinomial(n_trials, counts_p / n_trials, size=n_bootstrap)
-    resampled_q = boot.multinomial(n_trials, counts_q / n_trials, size=n_bootstrap)
+    resampled_p = boot.multinomial(n_trials, counts_p / n_trials, size=_N_BOOTSTRAP)
+    resampled_q = boot.multinomial(n_trials, counts_q / n_trials, size=_N_BOOTSTRAP)
     deltas = _positive_part(resampled_p, resampled_q, eps_g)
     return estimate, float(np.std(deltas, ddof=1))
 

@@ -75,12 +75,16 @@ def analytic_gaussian_delta(sigma: float, eps: float) -> float:
 
     sigma is the noise scale in units of the L2 sensitivity.  Valid for
     any finite eps; the tilted tail goes through log-space so large eps
-    cannot overflow.
+    cannot overflow.  At eps = 0 it is the total variation
+    erf(1 / (2 sqrt(2) sigma)) (Balle & Wang, ICML 2018), which keeps its
+    relative precision where Phi(a) - Phi(-a) cancels to 0.
     """
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     if not math.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps}")
+    if eps == 0.0:
+        return math.erf(0.5 / (sigma * math.sqrt(2.0)))
     a = 0.5 / sigma - eps * sigma
     b = -0.5 / sigma - eps * sigma
     tail = eps + float(log_ndtr(b))
@@ -104,9 +108,7 @@ def analytic_gaussian_eps(sigma: float, delta: float) -> float:
     return halve(ok, bracket)
 
 
-def solve_sigma_analytic(
-    eps: float, delta: float, max_bisections: int = _MAX_BISECTIONS
-) -> float:
+def solve_sigma_analytic(eps: float, delta: float) -> float:
     """Smallest sigma at which the Gaussian curve passes (eps, delta).
 
     Returned from the feasible end: analytic_gaussian_delta(sigma, eps)
@@ -116,11 +118,9 @@ def solve_sigma_analytic(
     if not (math.isfinite(eps) and eps >= 0):
         raise ValueError(f"eps must be nonnegative and finite, got {eps}")
     _check_delta(delta)
-    if max_bisections < 1:
-        raise ValueError(f"max_bisections must be >= 1, got {max_bisections}")
     ok = lambda s: analytic_gaussian_delta(s, eps) <= delta
     lo, hi = expand(ok, 0.0, 1.0, _MAX_DOUBLINGS)
-    bracket = Bracket(lo, hi, tol_abs=0.0, max_iter=max_bisections, tol_rel=_TOL_REL)
+    bracket = Bracket(lo, hi, tol_abs=0.0, max_iter=_MAX_BISECTIONS, tol_rel=_TOL_REL)
     return halve(ok, bracket)
 
 

@@ -1,9 +1,10 @@
 """Command-line surface for composition queries, figures, demos, audits.
 
-Every run is reproducible from its arguments: the seed comes from
---seed, falling back to the DPCOMP_SEED environment variable and then to
-0, and all emitted tables carry a `# params:` provenance line plus
+Every run is reproducible from its arguments: the randomized commands
+(figures, topk, audit) take --seed, a nonnegative integer that defaults
+to 0, and all emitted tables carry a `# params:` provenance line plus
 17-significant-digit decimals so regenerated files match byte for byte.
+Each subcommand accepts only the options it reads.
 
 Exit codes: 0 success, 2 usage or precondition violation, 3 a solver
 failed to bracket or converge, 4 I/O failure.
@@ -16,7 +17,6 @@ import contextlib
 import io
 import json
 import math
-import os
 import re
 import sys
 from typing import Callable, Iterator, Mapping, Optional, Sequence
@@ -50,7 +50,6 @@ from .setwise import SetwiseAccountant, global_bound_homogeneous
 
 __all__ = ["figure_data", "load_histogram_counts", "main"]
 
-_SEED_ENV = "DPCOMP_SEED"
 # a larger --eps-g-grid is a typo in its step, not a curve to compute
 _MAX_GRID_POINTS = 10**6
 
@@ -109,15 +108,14 @@ def _parse_grid(text: str) -> list[float]:
     return [lo + i * step for i in range(count)]
 
 
-def _resolve_seed(value: Optional[int]) -> int:
-    if value is None:
-        raw = os.environ.get(_SEED_ENV, "0")
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"{_SEED_ENV} must be an integer, got {raw!r}") from exc
+def _seed(text: str) -> int:
+    """argparse type of --seed: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
     if value < 0:
-        raise ValueError(f"seed must be nonnegative, got {value}")
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
     return value
 
 
@@ -207,7 +205,7 @@ def _compose_curve_fn(args: argparse.Namespace) -> Callable[[float], float]:
     return lambda eg: delta_opt_recursive(seq, eg)
 
 
-def _cmd_compose(args: argparse.Namespace, seed: int) -> int:
+def _cmd_compose(args: argparse.Namespace) -> int:
     if args.kind == "setwise":
         if not args.config:
             raise ValueError("compose setwise requires --config with accountant JSON")
@@ -256,14 +254,8 @@ def _cmd_compose(args: argparse.Namespace, seed: int) -> int:
 # ------------------------------------------------------------------- compare
 
 
-def _spec_from_args(args: argparse.Namespace) -> HistogramSpec:
-    d = args.delta0 if args.d is None else args.d
-    d_bar = d if args.d_bar is None else args.d_bar
-    return HistogramSpec(d=d, delta0=args.delta0, tau=args.tau, d_bar=d_bar)
-
-
-def _cmd_compare(args: argparse.Namespace, seed: int) -> int:
-    spec = _spec_from_args(args)
+def _cmd_compare(args: argparse.Namespace) -> int:
+    spec = HistogramSpec(d=args.delta0, delta0=args.delta0, tau=args.tau, d_bar=args.delta0)
     if args.mode == "single":
         rows_raw = single_release_comparison(spec, args.sigma, args.delta)
     else:
@@ -464,22 +456,19 @@ def figure_data(figure: int, seed: int = 0):
     return _FIGURES[figure](seed)
 
 
-def _cmd_figures(args: argparse.Namespace, seed: int) -> int:
-    params, header, rows = figure_data(args.figure, seed)
-    path = args.output
-    if path == "-" and args.output_dir is not None:
-        path = os.path.join(args.output_dir, f"fig{args.figure}.csv")
-    with _open_output(path) as stream:
+def _cmd_figures(args: argparse.Namespace) -> int:
+    params, header, rows = figure_data(args.figure, args.seed)
+    with _open_output(args.output) as stream:
         _write_table(stream, params, header, rows, args.format)
-    if path != "-":
-        print(path)
+    if args.output != "-":
+        print(args.output)
     return 0
 
 
 # ---------------------------------------------------------------------- topk
 
 
-def _cmd_topk(args: argparse.Namespace, seed: int) -> int:
+def _cmd_topk(args: argparse.Namespace) -> int:
     counts = load_histogram_counts(args.input)
     d = len(counts)
     k = d if args.k is None else args.k
@@ -487,7 +476,7 @@ def _cmd_topk(args: argparse.Namespace, seed: int) -> int:
     d_bar = d if args.d_bar is None else args.d_bar
     spec = HistogramSpec(d=d, delta0=delta0, tau=args.tau, d_bar=d_bar)
     hist = histogram_from_counts(counts, spec=spec)
-    rng = RngState(seed)
+    rng = RngState(args.seed)
 
     mode = args.mode
     if mode == "known-lap":
@@ -521,7 +510,7 @@ def _cmd_topk(args: argparse.Namespace, seed: int) -> int:
     params = {
         "command": f"topk {mode}",
         "input": args.input,
-        "seed": seed,
+        "seed": args.seed,
         "tau": args.tau,
         "delta0": delta0,
         "d": d,
@@ -538,8 +527,8 @@ def _cmd_topk(args: argparse.Namespace, seed: int) -> int:
 # --------------------------------------------------------------------- audit
 
 
-def _cmd_audit(args: argparse.Namespace, seed: int) -> int:
-    rng = RngState(seed)
+def _cmd_audit(args: argparse.Namespace) -> int:
+    rng = RngState(args.seed)
     if args.mechanism == "two-point":
         report = audit_two_point(args.eps, args.t, args.eps_g, args.trials, rng)
     elif args.mechanism == "composed-dp":
@@ -561,13 +550,11 @@ def _cmd_audit(args: argparse.Namespace, seed: int) -> int:
 # ----------------------------------------------------------------- calibrate
 
 
-def _cmd_calibrate(args: argparse.Namespace, seed: int) -> int:
+def _cmd_calibrate(args: argparse.Namespace) -> int:
     if args.route == "zcdp":
         sigma = solve_sigma_zcdp(args.eps, args.delta0, args.delta)
     else:
-        unit = solve_sigma_analytic(
-            args.eps, args.delta, max_bisections=args.max_iter
-        )
+        unit = solve_sigma_analytic(args.eps, args.delta)
         sigma = unit * math.sqrt(args.delta0)
     print(_fmt(sigma))
     return 0
@@ -576,10 +563,15 @@ def _cmd_calibrate(args: argparse.Namespace, seed: int) -> int:
 # -------------------------------------------------------------------- parser
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_output(
+    parser: argparse.ArgumentParser, table: bool = True, seed: bool = False
+) -> None:
+    """-o, plus --format on table writers and --seed on randomized commands."""
     parser.add_argument("--output", "-o", default="-", help="output path, - for stdout")
-    parser.add_argument("--seed", type=int, default=None, help=f"default ${_SEED_ENV} or 0")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    if table:
+        parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    if seed:
+        parser.add_argument("--seed", type=_seed, default=0, help="nonnegative, default 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -600,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     compose.add_argument("--delta", type=float, default=None)
     compose.add_argument("--slots", default=None, help="adaptive slot list, e.g. dp,br,br")
     compose.add_argument("--config", default=None, help="setwise accountant JSON file")
-    _add_common(compose)
+    _add_output(compose)
 
     compare = sub.add_parser("compare", help="noise-matched mechanism comparisons")
     compare.add_argument("mode", choices=("single", "kfold"))
@@ -608,15 +600,12 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--sigma", type=float, required=True)
     compare.add_argument("--delta", type=float, required=True)
     compare.add_argument("--tau", type=float, default=1.0)
-    compare.add_argument("--d", type=int, default=None)
-    compare.add_argument("--d-bar", type=int, default=None)
     compare.add_argument("--k", type=int, default=1)
-    _add_common(compare)
+    _add_output(compare)
 
     figures = sub.add_parser("figures", help="emit the data behind one figure")
     figures.add_argument("figure", type=int, choices=sorted(_FIGURES))
-    figures.add_argument("--output-dir", default=None)
-    _add_common(figures)
+    _add_output(figures, seed=True)
 
     topk = sub.add_parser("topk", help="run one top-k release pipeline")
     topk.add_argument(
@@ -632,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
     topk.add_argument("--tau", type=float, default=1.0)
     topk.add_argument("--delta0", type=int, default=None)
     topk.add_argument("--d-bar", type=int, default=None)
-    _add_common(topk)
+    _add_output(topk, seed=True)
 
     audit = sub.add_parser("audit", help="Monte-Carlo privacy audit, JSON report")
     audit.add_argument("mechanism", choices=("two-point", "composed-dp", "trunc-gauss"))
@@ -646,15 +635,13 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--delta0", type=int, default=1)
     audit.add_argument("--conversion-delta", type=float, default=1e-6)
     audit.add_argument("--trials", type=int, default=100000)
-    _add_common(audit)
+    _add_output(audit, table=False, seed=True)
 
     calibrate = sub.add_parser("calibrate", help="solve sigma for a target (eps, delta)")
     calibrate.add_argument("--route", choices=("analytic", "zcdp"), required=True)
     calibrate.add_argument("--eps", type=float, required=True)
     calibrate.add_argument("--delta", type=float, required=True)
     calibrate.add_argument("--delta0", type=int, default=1)
-    calibrate.add_argument("--max-iter", type=int, default=200)
-    _add_common(calibrate)
 
     return parser
 
@@ -676,7 +663,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args, _resolve_seed(args.seed))
+        return _HANDLERS[args.command](args)
     except (BracketError, ConvergenceError) as exc:
         print(f"dpcomp: solver failed to converge: {exc}", file=sys.stderr)
         return 3

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpcomp.audit import (
@@ -186,22 +186,32 @@ class TestCategoryCounts:
     @given(_outcome_samples())
     def test_matches_per_trial_binning(self, case) -> None:
         xs, ys, n_bins = case
-        if np.isinf(np.concatenate([xs, ys])).any():
-            with pytest.raises(ValueError, match="infinite"):
+        if (np.abs(np.concatenate([xs, ys])) > np.finfo(float).max / 2).any():
+            with pytest.raises(ValueError, match="magnitude"):
                 _category_counts(xs, ys, n_bins)
             return
-        with np.errstate(invalid="ignore", over="ignore"):
-            got = _category_counts(xs, ys, n_bins)
-            try:
-                want = searchsorted_category_counts(xs, ys, n_bins)
-            except ValueError:
-                # infinities can turn every quantile edge into NaN, which
-                # leaves the per-trial route no bin to index
-                assume(False)
+        got = _category_counts(xs, ys, n_bins)
+        want = searchsorted_category_counts(xs, ys, n_bins)
         assert got[2] == want[2]
         for g, w in zip(got[:2], want[:2]):
             assert g.dtype == w.dtype == np.int64
             assert np.array_equal(g, w)
+
+    def test_outcomes_beyond_half_the_float_range_rejected(self) -> None:
+        # b - a overflows in np.quantile's a + (b - a) t, so these finite
+        # outcomes would give a quantile edge of inf
+        xs = np.array([-1.7e308, 1.7e308, 1.6e308])
+        ys = np.array([-1.6e308, 1.5e308])
+        with pytest.raises(ValueError, match="magnitude"):
+            _category_counts(xs, ys, 3)
+        with pytest.raises(ValueError, match="magnitude"):
+            _category_counts(ys, np.array([0.0]), 3)
+        half = np.finfo(float).max / 2
+        xs, ys = np.array([-half, half, 1.0]), np.array([-1.0, half, np.nan])
+        got = _category_counts(xs, ys, 3)
+        want = searchsorted_category_counts(xs, ys, 3)
+        assert got[2] == want[2] == "quantile(3)"
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     def test_quantile_and_atom_modes(self) -> None:
         gen = np.random.default_rng(0)

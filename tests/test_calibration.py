@@ -77,6 +77,14 @@ class TestAnalyticGaussianDelta:
         want = float(mp_analytic_gaussian_delta(sigma, eps))
         assert got == pytest.approx(want, abs=1e-14)
 
+    def test_total_variation_at_eps_zero(self) -> None:
+        # Phi(a) - Phi(-a) cancels to 0 past sigma ~ 3.6e15; above 1e25
+        # the 50-digit oracle itself loses digits
+        for i in range(113):
+            sigma = 10.0 ** (-3.0 + i / 4.0)
+            want = mp_analytic_gaussian_delta(sigma, 0.0)
+            assert analytic_gaussian_delta(sigma, 0.0) == pytest.approx(want, rel=1e-14)
+
     @given(st.floats(min_value=0.1, max_value=20.0))
     @settings(max_examples=50, deadline=None)
     def test_monotone_in_eps_and_sigma(self, sigma: float) -> None:
@@ -122,6 +130,16 @@ class TestSolvers:
 
     def test_eps_analytic_zero_when_free(self) -> None:
         assert analytic_gaussian_eps(1e6, 0.1) == 0.0
+
+    def test_eps_zero_solves_are_feasible(self) -> None:
+        # the total variation at sigma 1e16 is 4e-17, so eps = 0 is no answer
+        eps = analytic_gaussian_eps(1e16, 1e-20)
+        assert eps > 0.0
+        assert mp_analytic_gaussian_delta(1e16, eps) <= 1e-20
+        for delta in (1e-6, 1e-12, 1e-20):
+            sigma = solve_sigma_analytic(0.0, delta)
+            assert mp_analytic_gaussian_delta(sigma, 0.0) <= delta
+            assert mp_analytic_gaussian_delta(sigma * (1.0 - 1e-9), 0.0) > delta
 
     def test_zcdp_eps_frozen(self) -> None:
         assert gaussian_zcdp_eps(13.0937, 25, 1e-6) == pytest.approx(

@@ -1,8 +1,8 @@
 """End-to-end checks of the command-line surface.
 
 Runs main() in process so exit codes, stdout, and written files are all
-observable. The reproducibility tests compare full byte strings: same
-argv and seed must give identical output.
+observable. The reproducibility tests compare full byte strings: the
+same argv must give identical output.
 """
 
 import json
@@ -69,10 +69,8 @@ class TestExitCodes:
     def test_explicit_zero_or_low_cap_is_usage_error(self, capsys, tmp_path, corpus_file):
         four = tmp_path / "four.txt"
         four.write_text("a b c d")
-        single = ["compare", "single", "--delta0", "10", "--sigma", "10", "--delta", "1e-6"]
         for argv in (
-            single + ["--d", "0"],
-            single + ["--d-bar", "0"],
+            ["compare", "single", "--delta0", "0", "--sigma", "10", "--delta", "1e-6"],
             ["topk", "--mode", "known-lap", "--input", corpus_file, "--k", "2",
              "--eps", "1.0", "--delta0", "0"],
             ["topk", "--mode", "known-lap", "--input", corpus_file, "--k", "2",
@@ -113,6 +111,40 @@ class TestExitCodes:
         assert code == 2
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compose", "dp", "--k", "3", "--eps", "0.5", "--eps-g", "0.7", "--seed", "1"],
+            ["compare", "single", "--delta0", "10", "--sigma", "10", "--delta", "1e-6",
+             "--seed", "1"],
+            ["compare", "single", "--delta0", "10", "--sigma", "10", "--delta", "1e-6",
+             "--d", "20"],
+            ["compare", "single", "--delta0", "10", "--sigma", "10", "--delta", "1e-6",
+             "--d-bar", "30"],
+            ["figures", "7", "--output-dir", "{tmp}"],
+            ["audit", "two-point", "--eps", "1.0", "--t", "0.5", "--eps-g", "1.0",
+             "--trials", "100000", "--format", "json"],
+            ["calibrate", "--route", "zcdp", "--eps", "1", "--delta", "1e-6", "--seed", "1"],
+            ["calibrate", "--route", "zcdp", "--eps", "1", "--delta", "1e-6",
+             "--format", "json"],
+            ["calibrate", "--route", "zcdp", "--eps", "1", "--delta", "1e-6",
+             "-o", "{tmp}/sigma.txt"],
+            ["calibrate", "--route", "analytic", "--eps", "1", "--delta", "1e-6",
+             "--max-iter", "200"],
+        ],
+        ids=["compose-seed", "compare-seed", "compare-d", "compare-d-bar",
+             "figures-output-dir", "audit-format", "calibrate-seed", "calibrate-format",
+             "calibrate-output", "calibrate-max-iter"],
+    )
+    def test_option_the_command_does_not_read_is_usage_error(self, capsys, tmp_path, argv):
+        # the option under test is the last but one word; argparse calls a
+        # bare --d an ambiguous prefix of --delta0 and --delta
+        code, out, err = run(capsys, [a.replace("{tmp}", str(tmp_path)) for a in argv])
+        assert code == 2
+        assert out == ""
+        assert f"option: {argv[-2]} " in err or f"arguments: {argv[-2]} " in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "state, field",
         [
             ({"registered": [{"tag": "pure_dp"}], "consumed": [], "delta_slack": 1e-6}, "'eps'"),
@@ -142,8 +174,7 @@ class TestExitCodes:
     def test_exhausted_solver_is_exit_three(self, capsys):
         code, _, err = run(
             capsys,
-            ["calibrate", "--route", "analytic", "--eps", "2.08", "--delta", "1e-6",
-             "--delta0", "25", "--max-iter", "1"],
+            ["calibrate", "--route", "analytic", "--eps", "0", "--delta", "1e-30"],
         )
         assert code == 3
         assert "converge" in err
@@ -285,22 +316,19 @@ class TestReproducibility:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
-    def test_env_seed_matches_explicit_seed(self, capsys, corpus_file, monkeypatch):
+    def test_default_seed_is_zero(self, capsys, corpus_file):
         argv = ["topk", "--mode", "known-lap", "--input", corpus_file, "--k", "2", "--eps", "1.0"]
-        monkeypatch.setenv("DPCOMP_SEED", "7")
-        _, via_env, _ = run(capsys, argv)
-        monkeypatch.delenv("DPCOMP_SEED")
-        _, via_flag, _ = run(capsys, argv + ["--seed", "7"])
         _, via_default, _ = run(capsys, argv)
-        assert via_env == via_flag
-        assert via_default != via_env  # default seed is 0
+        _, via_zero, _ = run(capsys, argv + ["--seed", "0"])
+        _, via_seven, _ = run(capsys, argv + ["--seed", "7"])
+        assert via_default == via_zero != via_seven
 
-    def test_bad_env_seed_is_usage_error(self, capsys, corpus_file, monkeypatch):
+    def test_bad_seed_is_usage_error(self, capsys, corpus_file):
         argv = ["topk", "--mode", "known-lap", "--input", corpus_file, "--k", "2", "--eps", "1.0"]
-        for env_seed, extra in (("not-a-number", []), ("-1", []), ("0", ["--seed", "-1"])):
-            monkeypatch.setenv("DPCOMP_SEED", env_seed)
-            code, _, _ = run(capsys, argv + extra)
-            assert code == 2
+        for seed in ("-1", "not-a-number", "1.5"):
+            code, out, err = run(capsys, argv + ["--seed", seed])
+            assert code == 2, seed
+            assert out == "" and "--seed" in err, seed
 
 
 class TestTopkCommand:
@@ -442,9 +470,9 @@ class TestFigureData:
             figure_data(8)
 
     def test_figures_command_writes_file(self, capsys, tmp_path):
-        code, out, _ = run(capsys, ["figures", "7", "--output-dir", str(tmp_path)])
-        assert code == 0
         path = tmp_path / "fig7.csv"
+        code, out, _ = run(capsys, ["figures", "7", "-o", str(path)])
+        assert code == 0
         assert str(path) in out
         lines = path.read_text().splitlines()
         assert lines[1] == "delta0,sigma,t_level"
