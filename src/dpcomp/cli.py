@@ -36,6 +36,7 @@ from .mechanisms import (
     Histogram,
     RngState,
     TruncGaussConfig,
+    _check_k,
     histogram_from_counts,
     known_gauss,
     known_lap_topk,
@@ -143,7 +144,9 @@ def load_histogram_counts(path: str) -> dict[str, float]:
     """Counts from a .json mapping, a two-column .csv, or a text corpus.
 
     An element listed twice in a .json or .csv input is an error: its
-    count would otherwise depend on which row came last.
+    count would otherwise depend on which row came last.  A .json count
+    must be a JSON number within the float range, not a string, a bool
+    or null.
     """
     with open(path, "r", encoding="utf-8") as handle:
         raw = handle.read()
@@ -154,7 +157,19 @@ def load_histogram_counts(path: str) -> dict[str, float]:
             raise ValueError(f"{path}: {exc}") from None
         if not isinstance(data, dict):
             raise ValueError(f"{path}: expected an object mapping element to count")
-        return {str(k): float(v) for k, v in data.items()}
+        counts = {}
+        for element, value in data.items():
+            if type(value) not in (int, float):  # bool is an int subclass
+                raise ValueError(
+                    f"{path}: count for {element!r} is not a number: {json.dumps(value)}"
+                )
+            try:
+                counts[element] = float(value)
+            except OverflowError:
+                raise ValueError(
+                    f"{path}: count for {element!r} is beyond the float range"
+                ) from None
+        return counts
     if path.endswith(".csv"):
         counts: dict[str, float] = {}
         rows = 0
@@ -487,11 +502,10 @@ def _cmd_topk(args: argparse.Namespace) -> int:
     elif mode == "known-gauss":
         if args.sigma is None:
             raise ValueError("known-gauss requires --sigma")
-        released = known_gauss(hist, args.sigma, rng)
         if args.k is not None:
-            if args.k < 1:
-                raise ValueError(f"k must be >= 1, got {args.k}")
-            released = released[: args.k]
+            _check_k(args.k, d)
+        # the release is a view: only the rows written are built
+        released = known_gauss(hist, args.sigma, rng)[: args.k]
         rows = [[rank, e, v] for rank, (e, v) in enumerate(released, start=1)]
     elif mode == "lsnoise":
         if args.k is None or args.eps is None or args.sigma is None:

@@ -20,16 +20,23 @@ array passes rather than a Python sort.  Each selection round draws
 Gumbels only for the prefix of elements that can still win it; the
 draws it skips could not change the choice, so every seeded output is
 the one a full-width draw gives.
+
+The known-domain baselines and Histogram.sorted_items return their pairs
+as a ReleasedPairs view over those columns, so a d-element release
+builds an (id, value) tuple only for each pair a caller reads.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 import types
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 import numpy as np
 from scipy.special import ndtri
@@ -104,6 +111,71 @@ def _descending(values: np.ndarray, id_rank: np.ndarray) -> np.ndarray:
     return np.lexsort((id_rank, -values))
 
 
+def _check_k(k: int, d: int) -> None:
+    if not (isinstance(k, int) and 1 <= k <= d):
+        raise ValueError(f"k must be an integer in [1, {d}], got {k}")
+
+
+# Pairs one step of ReleasedPairs iteration builds, so reading all d
+# pairs holds at most this many extra tuples beyond what the reader keeps.
+_ITER_CHUNK = 4096
+
+
+class ReleasedPairs(Sequence):
+    """A read-only sequence of (id, value) pairs read from release columns.
+
+    Pair i is (ids[positions[i]], float(values[i])), the tuple a list of
+    pairs would hold, built only when it is read: a caller that keeps the
+    first k pairs of a d-element release pays for k tuples, not d.  A
+    slice is another view over the same arrays and copies nothing;
+    iteration builds the pairs a chunk at a time.  It equals any sequence
+    of equal pairs, lists and tuples included, and is unhashable, like a
+    list.  list(pairs) materializes it.
+    """
+
+    __slots__ = ("_ids", "_positions", "_values")
+
+    def __init__(self, ids: list[str], positions: np.ndarray, values: np.ndarray) -> None:
+        self._ids = ids
+        self._positions = positions
+        self._values = values
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __getitem__(
+        self, index: Union[int, slice]
+    ) -> Union[tuple[str, float], "ReleasedPairs"]:
+        if isinstance(index, slice):
+            return ReleasedPairs(self._ids, self._positions[index], self._values[index])
+        i = operator.index(index)  # numpy raises IndexError out of range
+        return self._ids[self._positions[i]], float(self._values[i])
+
+    def __iter__(self) -> Iterator[tuple[str, float]]:
+        ids = self._ids.__getitem__
+        for start in range(0, len(self._values), _ITER_CHUNK):
+            stop = start + _ITER_CHUNK
+            yield from zip(
+                map(ids, self._positions[start:stop].tolist()),
+                self._values[start:stop].tolist(),
+            )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    def __reduce__(self):
+        # pickle the pairs in view, not the whole ids column behind them
+        ids = _take(self._ids, self._positions)
+        return ReleasedPairs, (ids, np.arange(len(ids)), self._values)
+
+
 @dataclass(frozen=True)
 class Histogram:
     """Element counts keyed by identifier, plus their sensitivity profile.
@@ -113,7 +185,9 @@ class Histogram:
     d_bar caps how many entries the histogram may carry.  The histogram
     keeps its own read-only copy of the counts, as floats, so later
     changes to the caller's mapping reach neither its checks nor its
-    releases.
+    releases.  A count must be a real number (an int, a float, or another
+    numbers.Real) and not a bool; each owned count equals float(count)
+    exactly, and an int beyond the float range is a ValueError.
     """
 
     counts: Mapping[str, float]
@@ -124,9 +198,10 @@ class Histogram:
         # float() returns an exact float unchanged
         if {float}.issuperset(map(type, self.counts.values())):
             owned = dict(self.counts)
+            values = np.fromiter(owned.values(), dtype=np.float64, count=len(owned))
         else:
-            owned = dict(zip(self.counts, map(float, self.counts.values())))
-        values = np.fromiter(owned.values(), dtype=np.float64, count=len(owned))
+            values = _float_column(self.counts)
+            owned = dict(zip(self.counts, values.tolist()))
         valid = np.isfinite(values) & (values >= 0)
         if not (valid.all() and {str}.issuperset(map(type, owned))):
             # name the first offending entry, in insertion order
@@ -163,10 +238,14 @@ class Histogram:
     def count(self, element: str) -> float:
         return self.counts.get(element, 0.0)
 
-    def sorted_items(self) -> list[tuple[str, float]]:
-        """Items in canonical release order: count descending, id ascending."""
+    def sorted_items(self) -> ReleasedPairs:
+        """Items in canonical release order: count descending, id ascending.
+
+        A read-only sequence of (id, count) pairs that slices without
+        copying; list(...) materializes it.
+        """
         cols = self._columns
-        return list(zip(cols.ids, cols.counts.tolist()))
+        return ReleasedPairs(cols.ids, np.arange(len(cols.ids)), cols.counts)
 
     def restrict(self, elements: Iterable[str]) -> "Histogram":
         return Histogram(
@@ -175,6 +254,31 @@ class Histogram:
 
     def __len__(self) -> int:
         return len(self.counts)
+
+
+def _is_count_type(kind: type) -> bool:
+    return issubclass(kind, numbers.Real) and not issubclass(kind, bool)
+
+
+def _float_column(counts: Mapping[str, object]) -> np.ndarray:
+    """The counts as float64 in one pass, each equal to float(count).
+
+    Names the first count, in insertion order, that is not a real number
+    (TypeError) or lies beyond the float range (ValueError).
+    """
+    if not all(map(_is_count_type, set(map(type, counts.values())))):
+        for key, count in counts.items():
+            if not _is_count_type(type(count)):
+                raise TypeError(f"count for {key!r} must be a real number, got {count!r}")
+    try:
+        return np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
+    except OverflowError:
+        for key, count in counts.items():
+            try:
+                float(count)
+            except OverflowError:
+                raise ValueError(f"count for {key!r} is beyond the float range") from None
+        raise
 
 
 def histogram_from_counts(
@@ -268,8 +372,7 @@ def exp_mech_topk(
     perturbations from substream r.  eps=inf degenerates to the
     deterministic canonical order (count descending, id ascending).
     """
-    if not (isinstance(k, int) and 1 <= k <= len(hist)):
-        raise ValueError(f"k must be an integer in [1, {len(hist)}], got {k}")
+    _check_k(k, len(hist))
     if not (eps_per_round > 0):
         raise ValueError(f"eps_per_round must be positive, got {eps_per_round}")
     tau = hist.require_spec().tau
@@ -499,14 +602,16 @@ def trunc_gauss_release(
 
 def known_lap_topk(
     hist: Histogram, k: int, eps_per_coord: float, rng: RngState
-) -> list[tuple[str, float]]:
+) -> ReleasedPairs:
     """Known-domain baseline: Laplace(tau/eps) on every count, top k kept.
 
-    Each coordinate is eps_per_coord-DP; the composed release prices at
-    the optimal pure-DP bound over the delta0 touched coordinates.
+    Returns the k largest noisy counts as a read-only sequence of
+    (id, value) pairs, sorted by noisy value, that slices without
+    copying; list(...) materializes it.  Each coordinate is
+    eps_per_coord-DP; the composed release prices at the optimal pure-DP
+    bound over the delta0 touched coordinates.
     """
-    if not (isinstance(k, int) and 1 <= k <= len(hist)):
-        raise ValueError(f"k must be an integer in [1, {len(hist)}], got {k}")
+    _check_k(k, len(hist))
     if not (eps_per_coord > 0 and math.isfinite(eps_per_coord)):
         raise ValueError(f"eps_per_coord must be positive, got {eps_per_coord}")
     tau = hist.require_spec().tau
@@ -519,16 +624,17 @@ def known_lap_topk(
     kth = np.partition(negated, k - 1)[k - 1]
     tops = np.flatnonzero(negated <= kth)
     tops = tops[_descending(noisy[tops], cols.id_rank[tops])][:k]
-    return list(zip(_take(cols.ids, tops), noisy[tops].tolist()))
+    return ReleasedPairs(cols.ids, tops, noisy[tops])
 
 
-def known_gauss(
-    hist: Histogram, sigma: float, rng: RngState
-) -> list[tuple[str, float]]:
+def known_gauss(hist: Histogram, sigma: float, rng: RngState) -> ReleasedPairs:
     """Known-domain baseline: N(0, (tau*sigma)^2) on every count.
 
-    Returns all noisy counts, sorted by noisy value.  The release is
-    concentrated-DP with the parameters of gauss_cdp_guarantee.
+    Returns all noisy counts, sorted by noisy value, as a read-only
+    sequence of (id, value) pairs that slices without copying: a caller
+    that keeps the top k builds k tuples, not d.  list(...) materializes
+    it.  The release is concentrated-DP with the parameters of
+    gauss_cdp_guarantee.
     """
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
@@ -537,7 +643,7 @@ def known_gauss(
     noise = sample_gaussian(rng.generator(), tau * sigma, size=len(cols.ids))
     noisy = cols.counts + noise
     order = _descending(noisy, cols.id_rank)
-    return list(zip(_take(cols.ids, order), noisy[order].tolist()))
+    return ReleasedPairs(cols.ids, order, noisy[order])
 
 
 def gauss_cdp_guarantee(delta0: int, sigma: float) -> Cdp:

@@ -16,7 +16,7 @@ import pytest
 import dpcomp
 from dpcomp.calibration import HistogramSpec, solve_sigma_zcdp
 from dpcomp.cli import _parse_grid, figure_data, load_histogram_counts, main, tokenize
-from dpcomp.mechanisms import RngState, histogram_from_text, known_lap_topk
+from dpcomp.mechanisms import RngState, histogram_from_text, known_gauss, known_lap_topk
 from dpcomp.nonadaptive import CompositionQuery, delta_opt_mixed, eps_inverse
 from dpcomp.setwise import Cdp, PureDP, SetwiseAccountant, Zcdp
 
@@ -101,6 +101,39 @@ class TestExitCodes:
             assert code == 2, path
             assert out == ""
             assert "'a'" in err
+
+    @pytest.mark.parametrize(
+        "text, shown",
+        [
+            ('{"b": 3, "a": "7"}', '"7"'),
+            ('{"b": 3, "a": true}', "true"),
+            ('{"b": 3, "a": null}', "null"),
+            ('{"b": 3, "a": [7]}', "[7]"),
+            ('{"b": 3, "a": 1' + "0" * 400 + "}", "beyond the float range"),
+        ],
+        ids=["string", "bool", "null", "list", "400-digit-int"],
+    )
+    def test_json_count_that_is_not_a_float_is_usage_error(self, capsys, tmp_path, text, shown):
+        path = tmp_path / "counts.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r"count for 'a'"):
+            load_histogram_counts(str(path))
+        argv = ["topk", "--mode", "known-gauss", "--sigma", "1.0", "--input", str(path)]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "count for 'a'" in err and shown in err
+
+    def test_k_above_d_is_usage_error(self, capsys, corpus_file):
+        # the corpus has 8 distinct tokens
+        for argv in (
+            ["--mode", "known-gauss", "--sigma", "2.0", "--k", "9"],
+            ["--mode", "known-lap", "--eps", "1.0", "--k", "9"],
+        ):
+            code, out, err = run(capsys, ["topk", "--input", corpus_file] + argv)
+            assert code == 2, argv
+            assert out == ""
+            assert "k must be an integer in [1, 8], got 9" in err, argv
 
     def test_removed_grid_points_is_usage_error(self, capsys):
         code, _, _ = run(
@@ -361,6 +394,22 @@ class TestTopkCommand:
             code, out, _ = run(capsys, ["topk", "--input", corpus_file, "--seed", "3"] + extra)
             assert code == 0
             assert out.splitlines()[1] == "rank,element,noisy_count"
+
+    def test_known_gauss_writes_every_row_or_the_top_k(self, capsys, corpus_file):
+        tokens = tokenize(CORPUS)
+        d = len(set(tokens))
+        spec = HistogramSpec(d=d, delta0=d, tau=1.0, d_bar=d)
+        want = list(known_gauss(histogram_from_text(tokens, spec=spec), 2.0, RngState(5)))
+        argv = ["topk", "--mode", "known-gauss", "--input", corpus_file, "--sigma", "2.0",
+                "--seed", "5", "--delta0", str(d)]
+        for extra, n in (([], d), (["--k", "3"], 3), (["--k", str(d)], d)):
+            code, out, _ = run(capsys, argv + extra)
+            assert code == 0
+            rows = [line.split(",") for line in out.strip().splitlines()[2:]]
+            assert [(r[1], float(r[2])) for r in rows] == want[:n]
+            code, out, _ = run(capsys, argv + extra + ["--format", "json"])
+            rows = json.loads(out)["rows"]
+            assert [(r["element"], r["noisy_count"]) for r in rows] == want[:n]
 
     def test_missing_mode_flags_are_usage_errors(self, capsys, corpus_file):
         code, _, _ = run(capsys, ["topk", "--mode", "lsnoise", "--input", corpus_file, "--k", "2"])

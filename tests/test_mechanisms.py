@@ -15,6 +15,7 @@ from dpcomp import mechanisms
 from dpcomp.calibration import HistogramSpec
 from dpcomp.mechanisms import (
     Histogram,
+    ReleasedPairs,
     ReleaseEntry,
     RngState,
     TruncGaussConfig,
@@ -71,6 +72,13 @@ class TestHistogram:
             Histogram(counts={"a": 1.0, 3: 1.0, "b": -1.0})  # type: ignore[dict-item]
         with pytest.raises(ValueError, match=r"count for 'c' must be finite"):
             Histogram(counts={"a": 2, "b": 0.0, "c": -math.inf})
+        # a count that is not a real number is not read as one
+        for bad in ("3", b"3", True, np.bool_(False), None, [1.0]):
+            with pytest.raises(TypeError, match=r"count for 'b' must be a real number"):
+                Histogram(counts={"a": 2, "b": bad, "c": "4"})
+        # the smallest int that float() rounds past the largest float
+        with pytest.raises(ValueError, match=r"count for 'b' is beyond the float range"):
+            Histogram(counts={"a": 2, "b": 2**1024 - 2**970, "c": 10**400})
 
     def test_counts_become_floats(self) -> None:
         class Key(str):
@@ -79,6 +87,27 @@ class TestHistogram:
         h = Histogram(counts={Key("a"): 3, "b": np.float32(0.5), "c": -0.0})
         assert h.counts == {"a": 3.0, "b": 0.5, "c": 0.0}
         assert all(type(v) is float for v in h.counts.values())
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(0, 2**1024 - 2**970 - 1),
+                st.integers(2**53 - 4, 2**53 + 4),
+                st.integers(2**1024 - 2**971, 2**1024 - 2**970 - 1),
+                st.floats(0.0, 1e300),
+                st.floats(0.0, 1e30).map(np.float32),
+                st.integers(0, 2**62).map(np.int64),
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    def test_owned_counts_are_float_of_each_count(self, values) -> None:
+        h = Histogram(counts={f"e{i}": v for i, v in enumerate(values)})
+        owned = list(h.counts.values())
+        assert all(type(v) is float for v in owned)
+        assert [v.hex() for v in owned] == [float(v).hex() for v in values]
 
     def test_entry_cap(self) -> None:
         small = HistogramSpec(d=4, delta0=1, tau=1.0, d_bar=4)
@@ -697,15 +726,17 @@ class TestColumnarReleases:
     @given(release_cases())
     def test_identical_to_list_routes(self, case) -> None:
         hist, k, eps, sigma, delta, rng = case
-        assert hist.sorted_items() == oracles.list_sorted_items(hist)
+        assert list(hist.sorted_items()) == oracles.list_sorted_items(hist)
         assert exp_mech_topk(hist, k, eps, rng) == oracles.list_exp_mech_topk(
             hist, k, eps, rng
         )
         if math.isfinite(eps):
-            assert known_lap_topk(hist, k, eps, rng) == oracles.list_known_lap_topk(
+            assert list(known_lap_topk(hist, k, eps, rng)) == oracles.list_known_lap_topk(
                 hist, k, eps, rng
             )
-        assert known_gauss(hist, sigma, rng) == oracles.list_known_gauss(hist, sigma, rng)
+        assert list(known_gauss(hist, sigma, rng)) == oracles.list_known_gauss(
+            hist, sigma, rng
+        )
         config = TruncGaussConfig.from_target(hist.require_spec(), sigma, delta)
         assert trunc_gauss_release(
             hist, config, rng
@@ -749,3 +780,84 @@ class TestColumnarReleases:
         assert exp_mech_topk(hist, k, 1.0, RngState(11)) == want
         assert len(drawn) == k
         assert sum(drawn) < k * d // 100
+
+
+class TestReleasedPairs:
+    """The read-only pair view against the list it stands for."""
+
+    D = 2 * mechanisms._ITER_CHUNK + 5  # iteration crosses two chunk edges
+
+    @pytest.fixture(scope="class")
+    def release(self):
+        counts = {f"e{i:05d}": float(i % 97) for i in range(self.D)}
+        spec = HistogramSpec(d=self.D, delta0=1, tau=1.0, d_bar=self.D)
+        hist = histogram_from_counts(counts, spec=spec)
+        view = known_gauss(hist, 3.0, RngState(2))
+        assert isinstance(view, ReleasedPairs)
+        want = oracles.list_known_gauss(hist, 3.0, RngState(2))
+        assert list(view) == want
+        return view, want
+
+    def test_index_and_slices(self, release) -> None:
+        view, want = release
+        d = len(want)
+        assert len(view) == d
+        for i in (0, 1, mechanisms._ITER_CHUNK, d - 1, -1, -d):
+            assert view[i] == want[i]
+            assert type(view[i][1]) is float
+        assert view[np.int64(3)] == want[3]
+        for bad in (d, -d - 1):
+            with pytest.raises(IndexError):
+                view[bad]
+        with pytest.raises(TypeError):
+            view[1.0]
+        for s in (
+            slice(None, 7),
+            slice(-5, None),
+            slice(None, None, -1),
+            slice(d - 3, 2, -997),
+            slice(3, None, 1000),
+            slice(5, 5),
+            slice(7, 3),
+            slice(-1, -d - 10, -4096),
+            slice(d + 5, None),
+        ):
+            part = view[s]
+            assert isinstance(part, ReleasedPairs)
+            assert list(part) == want[s]
+            assert len(part) == len(want[s])
+        assert list(view[::-3][5:20:2]) == want[::-3][5:20:2]
+
+    def test_equality_in_both_directions(self, release) -> None:
+        view, want = release
+        small = view[:5]
+        for other in (want[:5], tuple(want[:5]), view[4::-1][::-1]):
+            assert small == other and other == small
+            assert not (small != other) and not (other != small)
+        for other in (want[:4], want[:6], tuple(want[:6]), view[:6], want[1:6], []):
+            assert small != other and other != small
+        assert view[:0] == [] and () == view[:0]
+        assert small != 5 and small != "abcde"
+
+    def test_unhashable_like_a_list(self, release) -> None:
+        with pytest.raises(TypeError):
+            hash(release[0])
+
+    def test_pickle_and_repr(self, release) -> None:
+        view, want = release
+        assert repr(view[:7]) == repr(want[:7])
+        assert repr(view[:0]) == "[]"
+        for part in (view, view[::-5], view[3:4]):
+            again = pickle.loads(pickle.dumps(part))
+            assert isinstance(again, ReleasedPairs)
+            assert again == part and list(again) == list(part)
+        # a slice pickles its own pairs, not the ids column behind it
+        assert len(pickle.dumps(view[3:4])) < 1000
+
+    def test_sorted_items_and_laplace_are_views(self) -> None:
+        items = HIST.sorted_items()
+        assert isinstance(items, ReleasedPairs)
+        assert items[1:3] == [("b", 30.0), ("c", 30.0)]
+        top = known_lap_topk(HIST, 3, 1.0, RngState(5))
+        assert isinstance(top, ReleasedPairs)
+        assert list(top[:2]) == list(known_lap_topk(HIST, 2, 1.0, RngState(5)))
