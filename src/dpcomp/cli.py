@@ -504,7 +504,6 @@ def _cmd_topk(args: argparse.Namespace) -> int:
             raise ValueError("known-gauss requires --sigma")
         if args.k is not None:
             _check_k(args.k, d)
-        # the release is a view: only the rows written are built
         released = known_gauss(hist, args.sigma, rng)[: args.k]
         rows = [[rank, e, v] for rank, (e, v) in enumerate(released, start=1)]
     elif mode == "lsnoise":

@@ -20,23 +20,17 @@ array passes rather than a Python sort.  Each selection round draws
 Gumbels only for the prefix of elements that can still win it; the
 draws it skips could not change the choice, so every seeded output is
 the one a full-width draw gives.
-
-The known-domain baselines and Histogram.sorted_items return their pairs
-as a ReleasedPairs view over those columns, so a d-element release
-builds an (id, value) tuple only for each pair a caller reads.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import operator
 import types
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 from scipy.special import ndtri
@@ -93,87 +87,34 @@ _CUT_SCALE = 1.0 - 2.0**-40
 class _Columns(NamedTuple):
     """A histogram in canonical release order: count descending, id ascending.
 
+    ids is an object array, so a release gathers its ids in one indexing
+    pass and zips the gathered array straight into its (id, value) pairs;
+    that touches each id string about half as often as a list gather.
     id_rank holds each element's position in id order, so sorting by
     (value, id_rank) orders ties by id without comparing strings.
     """
 
-    ids: list[str]
+    ids: np.ndarray
     counts: np.ndarray
     id_rank: np.ndarray
 
 
-def _take(ids: Sequence[str], positions: np.ndarray) -> list[str]:
-    return list(map(ids.__getitem__, positions.tolist()))
-
-
 def _descending(values: np.ndarray, id_rank: np.ndarray) -> np.ndarray:
-    """Positions ordering values descending, ties by id ascending."""
-    return np.lexsort((id_rank, -values))
+    """Positions ordering values descending, ties by id ascending.
+
+    Without ties that order is unique, so one unstable argsort finds it;
+    only values that tie pay for the lexsort on (value, id_rank).
+    """
+    order = np.argsort(-values)
+    ranked = values[order]
+    if np.any(ranked[1:] == ranked[:-1]):
+        return np.lexsort((id_rank, -values))
+    return order
 
 
 def _check_k(k: int, d: int) -> None:
     if not (isinstance(k, int) and 1 <= k <= d):
         raise ValueError(f"k must be an integer in [1, {d}], got {k}")
-
-
-# Pairs one step of ReleasedPairs iteration builds, so reading all d
-# pairs holds at most this many extra tuples beyond what the reader keeps.
-_ITER_CHUNK = 4096
-
-
-class ReleasedPairs(Sequence):
-    """A read-only sequence of (id, value) pairs read from release columns.
-
-    Pair i is (ids[positions[i]], float(values[i])), the tuple a list of
-    pairs would hold, built only when it is read: a caller that keeps the
-    first k pairs of a d-element release pays for k tuples, not d.  A
-    slice is another view over the same arrays and copies nothing;
-    iteration builds the pairs a chunk at a time.  It equals any sequence
-    of equal pairs, lists and tuples included, and is unhashable, like a
-    list.  list(pairs) materializes it.
-    """
-
-    __slots__ = ("_ids", "_positions", "_values")
-
-    def __init__(self, ids: list[str], positions: np.ndarray, values: np.ndarray) -> None:
-        self._ids = ids
-        self._positions = positions
-        self._values = values
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __getitem__(
-        self, index: Union[int, slice]
-    ) -> Union[tuple[str, float], "ReleasedPairs"]:
-        if isinstance(index, slice):
-            return ReleasedPairs(self._ids, self._positions[index], self._values[index])
-        i = operator.index(index)  # numpy raises IndexError out of range
-        return self._ids[self._positions[i]], float(self._values[i])
-
-    def __iter__(self) -> Iterator[tuple[str, float]]:
-        ids = self._ids.__getitem__
-        for start in range(0, len(self._values), _ITER_CHUNK):
-            stop = start + _ITER_CHUNK
-            yield from zip(
-                map(ids, self._positions[start:stop].tolist()),
-                self._values[start:stop].tolist(),
-            )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return repr(list(self))
-
-    def __reduce__(self):
-        # pickle the pairs in view, not the whole ids column behind them
-        ids = _take(self._ids, self._positions)
-        return ReleasedPairs, (ids, np.arange(len(ids)), self._values)
 
 
 @dataclass(frozen=True)
@@ -227,8 +168,9 @@ class Histogram:
         counts = np.fromiter(self.counts.values(), dtype=np.float64, count=len(ids))
         id_rank = np.empty(len(ids), dtype=np.int64)
         id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-        order = _descending(counts, id_rank)
-        return _Columns(_take(ids, order), counts[order], id_rank[order])
+        # counts tie often, so they go straight to the lexsort
+        order = np.lexsort((id_rank, -counts))
+        return _Columns(np.array(ids, dtype=object)[order], counts[order], id_rank[order])
 
     def require_spec(self) -> HistogramSpec:
         if self.spec is None:
@@ -238,14 +180,10 @@ class Histogram:
     def count(self, element: str) -> float:
         return self.counts.get(element, 0.0)
 
-    def sorted_items(self) -> ReleasedPairs:
-        """Items in canonical release order: count descending, id ascending.
-
-        A read-only sequence of (id, count) pairs that slices without
-        copying; list(...) materializes it.
-        """
+    def sorted_items(self) -> list[tuple[str, float]]:
+        """Items in canonical release order: count descending, id ascending."""
         cols = self._columns
-        return ReleasedPairs(cols.ids, np.arange(len(cols.ids)), cols.counts)
+        return list(zip(cols.ids, cols.counts.tolist()))
 
     def restrict(self, elements: Iterable[str]) -> "Histogram":
         return Histogram(
@@ -378,7 +316,7 @@ def exp_mech_topk(
     tau = hist.require_spec().tau
     cols = hist._columns
     if math.isinf(eps_per_round):
-        return cols.ids[:k]
+        return cols.ids[:k].tolist()
     with np.errstate(over="ignore"):  # an overflowed score is inf, as in float math
         scores = eps_per_round * cols.counts / tau
     negated = -scores  # nondecreasing, for searchsorted
@@ -591,25 +529,23 @@ def trunc_gauss_release(
     noise = config.window_noise(rng.generator(), config.d_bar)
     values = padded + noise
     threshold = config.tau + config.t_level
-    ranks = np.flatnonzero(values > threshold).tolist()
+    ranks = np.flatnonzero(values > threshold)
+    # ranks ascend, so the padded ones, which carry no element, come last
+    elements = cols.ids[ranks[ranks < d]].tolist()
+    elements += [None] * (len(ranks) - len(elements))
     return [
-        ReleaseEntry(
-            rank=rank, element=cols.ids[rank] if rank < d else None, value=value
-        )
-        for rank, value in zip(ranks, values[ranks].tolist())
+        ReleaseEntry(rank=rank, element=element, value=value)
+        for rank, element, value in zip(ranks.tolist(), elements, values[ranks].tolist())
     ]
 
 
 def known_lap_topk(
     hist: Histogram, k: int, eps_per_coord: float, rng: RngState
-) -> ReleasedPairs:
+) -> list[tuple[str, float]]:
     """Known-domain baseline: Laplace(tau/eps) on every count, top k kept.
 
-    Returns the k largest noisy counts as a read-only sequence of
-    (id, value) pairs, sorted by noisy value, that slices without
-    copying; list(...) materializes it.  Each coordinate is
-    eps_per_coord-DP; the composed release prices at the optimal pure-DP
-    bound over the delta0 touched coordinates.
+    Each coordinate is eps_per_coord-DP; the composed release prices at
+    the optimal pure-DP bound over the delta0 touched coordinates.
     """
     _check_k(k, len(hist))
     if not (eps_per_coord > 0 and math.isfinite(eps_per_coord)):
@@ -624,17 +560,16 @@ def known_lap_topk(
     kth = np.partition(negated, k - 1)[k - 1]
     tops = np.flatnonzero(negated <= kth)
     tops = tops[_descending(noisy[tops], cols.id_rank[tops])][:k]
-    return ReleasedPairs(cols.ids, tops, noisy[tops])
+    return list(zip(cols.ids[tops], noisy[tops].tolist()))
 
 
-def known_gauss(hist: Histogram, sigma: float, rng: RngState) -> ReleasedPairs:
+def known_gauss(
+    hist: Histogram, sigma: float, rng: RngState
+) -> list[tuple[str, float]]:
     """Known-domain baseline: N(0, (tau*sigma)^2) on every count.
 
-    Returns all noisy counts, sorted by noisy value, as a read-only
-    sequence of (id, value) pairs that slices without copying: a caller
-    that keeps the top k builds k tuples, not d.  list(...) materializes
-    it.  The release is concentrated-DP with the parameters of
-    gauss_cdp_guarantee.
+    Returns all noisy counts, sorted by noisy value.  The release is
+    concentrated-DP with the parameters of gauss_cdp_guarantee.
     """
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
@@ -643,7 +578,7 @@ def known_gauss(hist: Histogram, sigma: float, rng: RngState) -> ReleasedPairs:
     noise = sample_gaussian(rng.generator(), tau * sigma, size=len(cols.ids))
     noisy = cols.counts + noise
     order = _descending(noisy, cols.id_rank)
-    return ReleasedPairs(cols.ids, order, noisy[order])
+    return list(zip(cols.ids[order], noisy[order].tolist()))
 
 
 def gauss_cdp_guarantee(delta0: int, sigma: float) -> Cdp:

@@ -399,7 +399,7 @@ class TestTopkCommand:
         tokens = tokenize(CORPUS)
         d = len(set(tokens))
         spec = HistogramSpec(d=d, delta0=d, tau=1.0, d_bar=d)
-        want = list(known_gauss(histogram_from_text(tokens, spec=spec), 2.0, RngState(5)))
+        want = known_gauss(histogram_from_text(tokens, spec=spec), 2.0, RngState(5))
         argv = ["topk", "--mode", "known-gauss", "--input", corpus_file, "--sigma", "2.0",
                 "--seed", "5", "--delta0", str(d)]
         for extra, n in (([], d), (["--k", "3"], 3), (["--k", str(d)], d)):

@@ -15,7 +15,6 @@ from dpcomp import mechanisms
 from dpcomp.calibration import HistogramSpec
 from dpcomp.mechanisms import (
     Histogram,
-    ReleasedPairs,
     ReleaseEntry,
     RngState,
     TruncGaussConfig,
@@ -726,21 +725,52 @@ class TestColumnarReleases:
     @given(release_cases())
     def test_identical_to_list_routes(self, case) -> None:
         hist, k, eps, sigma, delta, rng = case
-        assert list(hist.sorted_items()) == oracles.list_sorted_items(hist)
+        assert hist.sorted_items() == oracles.list_sorted_items(hist)
         assert exp_mech_topk(hist, k, eps, rng) == oracles.list_exp_mech_topk(
             hist, k, eps, rng
         )
         if math.isfinite(eps):
-            assert list(known_lap_topk(hist, k, eps, rng)) == oracles.list_known_lap_topk(
+            assert known_lap_topk(hist, k, eps, rng) == oracles.list_known_lap_topk(
                 hist, k, eps, rng
             )
-        assert list(known_gauss(hist, sigma, rng)) == oracles.list_known_gauss(
-            hist, sigma, rng
-        )
+        assert known_gauss(hist, sigma, rng) == oracles.list_known_gauss(hist, sigma, rng)
         config = TruncGaussConfig.from_target(hist.require_spec(), sigma, delta)
         assert trunc_gauss_release(
             hist, config, rng
         ) == oracles.list_trunc_gauss_release(hist, config, rng)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 1.5, 2.0, math.inf]),
+                st.floats(-1e6, 1e6),
+            ),
+            max_size=40,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_descending_is_the_lexsort_order(self, values, random) -> None:
+        # an unstable argsort serves untied values; ties, -0.0 == 0.0
+        # included, must still come out in id order
+        id_rank = list(range(len(values)))
+        random.shuffle(id_rank)
+        values, id_rank = np.array(values, dtype=float), np.array(id_rank, dtype=np.int64)
+        want = np.lexsort((id_rank, -values))
+        assert np.array_equal(mechanisms._descending(values, id_rank), want)
+
+    def test_pairs_hold_plain_str_and_float(self) -> None:
+        spec = HistogramSpec(d=5, delta0=1, tau=1.0, d_bar=5)
+        hist = histogram_from_counts({"c": 3, "a": 3, "e": 1, "b": 7, "d": 0}, spec=spec)
+        for pairs in (
+            hist.sorted_items(),
+            known_gauss(hist, 2.0, RngState(1)),
+            known_lap_topk(hist, 3, 1.0, RngState(1)),
+        ):
+            assert type(pairs) is list
+            assert all(type(e) is str and type(v) is float for e, v in pairs)
+        assert type(exp_mech_topk(hist, 2, math.inf, RngState(1))) is list
+        assert hist.sorted_items() == [("b", 7.0), ("a", 3.0), ("c", 3.0), ("e", 1.0), ("d", 0.0)]
 
     def test_overflowing_scores_select_silently(self) -> None:
         h = histogram_from_counts({"a": 1e300, "b": 5e299, "c": 1.0}, spec=SPEC4)
@@ -780,84 +810,3 @@ class TestColumnarReleases:
         assert exp_mech_topk(hist, k, 1.0, RngState(11)) == want
         assert len(drawn) == k
         assert sum(drawn) < k * d // 100
-
-
-class TestReleasedPairs:
-    """The read-only pair view against the list it stands for."""
-
-    D = 2 * mechanisms._ITER_CHUNK + 5  # iteration crosses two chunk edges
-
-    @pytest.fixture(scope="class")
-    def release(self):
-        counts = {f"e{i:05d}": float(i % 97) for i in range(self.D)}
-        spec = HistogramSpec(d=self.D, delta0=1, tau=1.0, d_bar=self.D)
-        hist = histogram_from_counts(counts, spec=spec)
-        view = known_gauss(hist, 3.0, RngState(2))
-        assert isinstance(view, ReleasedPairs)
-        want = oracles.list_known_gauss(hist, 3.0, RngState(2))
-        assert list(view) == want
-        return view, want
-
-    def test_index_and_slices(self, release) -> None:
-        view, want = release
-        d = len(want)
-        assert len(view) == d
-        for i in (0, 1, mechanisms._ITER_CHUNK, d - 1, -1, -d):
-            assert view[i] == want[i]
-            assert type(view[i][1]) is float
-        assert view[np.int64(3)] == want[3]
-        for bad in (d, -d - 1):
-            with pytest.raises(IndexError):
-                view[bad]
-        with pytest.raises(TypeError):
-            view[1.0]
-        for s in (
-            slice(None, 7),
-            slice(-5, None),
-            slice(None, None, -1),
-            slice(d - 3, 2, -997),
-            slice(3, None, 1000),
-            slice(5, 5),
-            slice(7, 3),
-            slice(-1, -d - 10, -4096),
-            slice(d + 5, None),
-        ):
-            part = view[s]
-            assert isinstance(part, ReleasedPairs)
-            assert list(part) == want[s]
-            assert len(part) == len(want[s])
-        assert list(view[::-3][5:20:2]) == want[::-3][5:20:2]
-
-    def test_equality_in_both_directions(self, release) -> None:
-        view, want = release
-        small = view[:5]
-        for other in (want[:5], tuple(want[:5]), view[4::-1][::-1]):
-            assert small == other and other == small
-            assert not (small != other) and not (other != small)
-        for other in (want[:4], want[:6], tuple(want[:6]), view[:6], want[1:6], []):
-            assert small != other and other != small
-        assert view[:0] == [] and () == view[:0]
-        assert small != 5 and small != "abcde"
-
-    def test_unhashable_like_a_list(self, release) -> None:
-        with pytest.raises(TypeError):
-            hash(release[0])
-
-    def test_pickle_and_repr(self, release) -> None:
-        view, want = release
-        assert repr(view[:7]) == repr(want[:7])
-        assert repr(view[:0]) == "[]"
-        for part in (view, view[::-5], view[3:4]):
-            again = pickle.loads(pickle.dumps(part))
-            assert isinstance(again, ReleasedPairs)
-            assert again == part and list(again) == list(part)
-        # a slice pickles its own pairs, not the ids column behind it
-        assert len(pickle.dumps(view[3:4])) < 1000
-
-    def test_sorted_items_and_laplace_are_views(self) -> None:
-        items = HIST.sorted_items()
-        assert isinstance(items, ReleasedPairs)
-        assert items[1:3] == [("b", 30.0), ("c", 30.0)]
-        top = known_lap_topk(HIST, 3, 1.0, RngState(5))
-        assert isinstance(top, ReleasedPairs)
-        assert list(top[:2]) == list(known_lap_topk(HIST, 2, 1.0, RngState(5)))
