@@ -112,6 +112,8 @@ class _RecursiveEvaluator:
         self.terminal = max(
             (i for i, s in enumerate(seq.slots) if s == "br"), default=-1
         )
+        # columns of _cand_matrix at each slot: 7 fixed tilts, then k + mdp + 1
+        self.n_cand = [8 + self.n - i + seq.slots[i:].count("dp") for i in range(self.n)]
 
     def _cand_matrix(self, idx: int, budgets: np.ndarray) -> np.ndarray:
         """Stationary-candidate tilts per budget, clipped into [0, eps]."""
@@ -129,7 +131,7 @@ class _RecursiveEvaluator:
             (2.0 * eps + b) / 3.0,
         ]
         denom = k - mdp + 1
-        for ell in range(k + mdp + 1):
+        for ell in range(self.n_cand[idx] - len(cols)):
             cols.append((b + eps * (ell + 1 - mdp)) / denom)
         mat = np.stack(cols, axis=1)
         np.clip(mat, 0.0, eps, out=mat)
@@ -169,8 +171,7 @@ class _RecursiveEvaluator:
             return self.qb * lo + (1.0 - self.qb) * hi
         out = np.empty_like(budgets)
         g = 0 if idx == self.terminal else self.t_grid.size
-        c = 7 + len(self.slots[idx:]) + self.slots[idx:].count("dp") + 1
-        block = max(1, _CHUNK // (g + c))
+        block = max(1, _CHUNK // (g + self.n_cand[idx]))
         for s in range(0, budgets.size, block):
             b = budgets[s : s + block]
             out[s : s + b.size] = self._tilt_values(idx, b)[1].max(axis=1)

@@ -1,10 +1,11 @@
 """Command-line surface for composition queries, figures, demos, audits.
 
 Every run is reproducible from its arguments: the randomized commands
-(figures, topk, audit) take --seed, a nonnegative integer that defaults
-to 0, and all emitted tables carry a `# params:` provenance line plus
-17-significant-digit decimals so regenerated files match byte for byte.
-Each subcommand accepts only the options it reads.
+(figures, topk, audit) take --seed (a nonnegative integer, default 0);
+tables carry a `# params:` provenance line and 17-significant-digit
+decimals, so regenerated files match byte for byte.  Each compose kind,
+compare mode and audit mechanism is a subcommand of its own that accepts
+only the options it reads; topk checks its per-mode options itself.
 
 Exit codes: 0 success, 2 usage or precondition violation, 3 a solver
 failed to bracket or converge, 4 I/O failure.
@@ -23,7 +24,7 @@ from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .adaptive import GridSpec, MechanismSequence, delta_opt_recursive, ordering_gap_curve
+from .adaptive import MechanismSequence, delta_opt_recursive, ordering_gap_curve
 from .audit import audit_composed_dp, audit_trunc_gauss, audit_two_point
 from .calibration import (
     HistogramSpec,
@@ -209,60 +210,52 @@ def load_histogram_counts(path: str) -> dict[str, float]:
 # ------------------------------------------------------------------- compose
 
 
-def _compose_curve_fn(args: argparse.Namespace) -> Callable[[float], float]:
-    if args.kind != "adaptive":
-        return _bound_curve(args.kind, args.k, args.eps, args.m)
-    if not args.slots:
-        raise ValueError("compose adaptive requires --slots, e.g. dp,br,br")
-    seq = MechanismSequence(
-        slots=tuple(s.strip() for s in args.slots.split(",")), eps=args.eps
-    )
-    return lambda eg: delta_opt_recursive(seq, eg)
+def _write_value(args: argparse.Namespace, compute: Callable[[], float]) -> int:
+    """One number on one line: --format shapes --eps-g-grid tables only."""
+    if args.format == "json":
+        raise ValueError("--format json needs --eps-g-grid; a single value is one line")
+    value = compute()
+    with _open_output(args.output) as stream:
+        stream.write(_fmt(value) + "\n")
+    return 0
 
 
-def _cmd_compose(args: argparse.Namespace) -> int:
-    if args.kind == "setwise":
-        if not args.config:
-            raise ValueError("compose setwise requires --config with accountant JSON")
-        with open(args.config, "r", encoding="utf-8") as handle:
-            accountant = SetwiseAccountant.from_json(handle.read())
-        try:
-            print(_fmt(accountant.global_bound_cdp(args.delta)))
-        except ValueError:
-            eps_g, total = accountant.global_bound_zcdp(args.delta)
-            print(f"{_fmt(eps_g)} {_fmt(total)}")
-        return 0
-
-    if args.invert:
-        if args.delta is None:
-            raise ValueError("--invert requires --delta")
-        if args.kind == "adaptive":
-            raise ValueError("--invert supports dp, br, and mixed only")
-        value = eps_inverse(args.delta, args.kind, args.k, args.eps, m=args.m)
-        print(_fmt(value))
-        return 0
-
-    fn = _compose_curve_fn(args)
+def _write_curve(args: argparse.Namespace, fn: Callable[[float], float], params: dict) -> int:
+    """fn at --eps-g, or a table of fn over --eps-g-grid."""
     if args.eps_g is not None:
-        print(_fmt(fn(args.eps_g)))
-        return 0
-    if args.eps_g_grid is None:
-        raise ValueError("give --eps-g, --eps-g-grid, or --invert with --delta")
+        return _write_value(args, lambda: fn(args.eps_g))
     grid = _parse_grid(args.eps_g_grid)
-    params = {
-        "command": f"compose {args.kind}",
-        "eps": args.eps,
-        "grid": args.eps_g_grid,
-    }
-    if args.kind != "adaptive":
-        params["k"] = args.k
-    if args.kind == "mixed":
-        params["m"] = args.m
-    if args.kind == "adaptive":
-        params["slots"] = args.slots
+    params.update(command=f"compose {args.kind}", eps=args.eps, grid=args.eps_g_grid)
     rows = [[eg, fn(eg)] for eg in grid]
     with _open_output(args.output) as stream:
         _write_table(stream, params, ["eps_g", "delta"], rows, args.format)
+    return 0
+
+
+def _cmd_compose_bound(args: argparse.Namespace) -> int:
+    if args.invert != (args.delta is not None):
+        raise ValueError("--invert and --delta go together")
+    if args.invert:
+        return _write_value(
+            args, lambda: eps_inverse(args.delta, args.kind, args.k, args.eps, m=args.m)
+        )
+    params = {"k": args.k} if args.m is None else {"k": args.k, "m": args.m}
+    return _write_curve(args, _bound_curve(args.kind, args.k, args.eps, args.m), params)
+
+
+def _cmd_compose_adaptive(args: argparse.Namespace) -> int:
+    seq = MechanismSequence(tuple(s.strip() for s in args.slots.split(",")), args.eps)
+    return _write_curve(args, lambda eg: delta_opt_recursive(seq, eg), {"slots": args.slots})
+
+
+def _cmd_compose_setwise(args: argparse.Namespace) -> int:
+    with open(args.config, "r", encoding="utf-8") as handle:
+        accountant = SetwiseAccountant.from_json(handle.read())
+    try:
+        print(_fmt(accountant.global_bound_cdp(args.delta)))
+    except ValueError:
+        eps_g, total = accountant.global_bound_zcdp(args.delta)
+        print(f"{_fmt(eps_g)} {_fmt(total)}")
     return 0
 
 
@@ -497,28 +490,25 @@ def _cmd_topk(args: argparse.Namespace) -> int:
     if mode == "known-lap":
         if args.k is None or args.eps is None:
             raise ValueError("known-lap requires --k and --eps")
-        released = known_lap_topk(hist, args.k, args.eps, rng)
-        rows = [[rank, e, v] for rank, (e, v) in enumerate(released, start=1)]
+        ranked = enumerate(known_lap_topk(hist, args.k, args.eps, rng), start=1)
     elif mode == "known-gauss":
         if args.sigma is None:
             raise ValueError("known-gauss requires --sigma")
         if args.k is not None:
             _check_k(args.k, d)
-        released = known_gauss(hist, args.sigma, rng)[: args.k]
-        rows = [[rank, e, v] for rank, (e, v) in enumerate(released, start=1)]
+        ranked = enumerate(known_gauss(hist, args.sigma, rng)[: args.k], start=1)
     elif mode == "lsnoise":
         if args.k is None or args.eps is None or args.sigma is None:
             raise ValueError("lsnoise requires --k, --eps, and --sigma")
-        released = topk_release(hist, args.k, args.eps, args.sigma, rng)
-        rows = [[rank, e, v] for rank, (e, v) in enumerate(released, start=1)]
-    elif mode == "trunc-gauss":
+        ranked = enumerate(topk_release(hist, args.k, args.eps, args.sigma, rng), start=1)
+    else:
         if args.sigma is None or args.delta is None:
             raise ValueError("trunc-gauss requires --sigma and --delta")
         config = TruncGaussConfig.from_target(spec, args.sigma, args.delta)
         entries = trunc_gauss_release(hist, config, rng)
-        rows = [[e.rank + 1, e.element, e.value] for e in entries]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+        # e.rank counts the unpublished elements too, so ranks can skip
+        ranked = ((e.rank + 1, (e.element, e.value)) for e in entries)
+    rows = [[rank, e, v] for rank, (e, v) in ranked]
 
     params = {
         "command": f"topk {mode}",
@@ -595,30 +585,47 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     compose = sub.add_parser("compose", help="composition bounds and inversions")
-    compose.add_argument("kind", choices=("dp", "br", "mixed", "adaptive", "setwise"))
-    compose.add_argument("--k", type=int, default=None)
-    compose.add_argument("--m", type=int, default=None)
-    compose.add_argument("--eps", type=float, default=None)
-    compose.add_argument("--eps-g", type=float, default=None)
-    compose.add_argument("--eps-g-grid", default=None, help="lo:hi:step")
-    compose.add_argument("--invert", action="store_true", help="emit eps_g at --delta")
-    compose.add_argument("--delta", type=float, default=None)
-    compose.add_argument("--slots", default=None, help="adaptive slot list, e.g. dp,br,br")
-    compose.add_argument("--config", default=None, help="setwise accountant JSON file")
-    _add_output(compose)
+    kinds = compose.add_subparsers(dest="kind", required=True)
+    for kind in ("dp", "br", "mixed", "adaptive"):
+        leaf = kinds.add_parser(kind)
+        if kind == "adaptive":
+            leaf.add_argument("--slots", required=True, help="slot list, e.g. dp,br,br")
+        else:
+            leaf.add_argument("--k", type=int, required=True)
+        if kind == "mixed":
+            leaf.add_argument("--m", type=int, required=True)
+        leaf.add_argument("--eps", type=float, required=True)
+        target = leaf.add_mutually_exclusive_group(required=True)
+        target.add_argument("--eps-g", type=float)
+        target.add_argument("--eps-g-grid", help="lo:hi:step")
+        if kind != "adaptive":
+            target.add_argument("--invert", action="store_true", help="emit eps_g at --delta")
+            leaf.add_argument("--delta", type=float, help="with --invert")
+        _add_output(leaf)
+        run = _cmd_compose_adaptive if kind == "adaptive" else _cmd_compose_bound
+        leaf.set_defaults(run=run, m=None)  # dp and br price with m = None
+    leaf = kinds.add_parser("setwise")
+    leaf.add_argument("--config", required=True, help="accountant JSON file")
+    leaf.add_argument("--delta", type=float, help="default: the accountant's delta_slack")
+    leaf.set_defaults(run=_cmd_compose_setwise)
 
     compare = sub.add_parser("compare", help="noise-matched mechanism comparisons")
-    compare.add_argument("mode", choices=("single", "kfold"))
-    compare.add_argument("--delta0", type=int, required=True)
-    compare.add_argument("--sigma", type=float, required=True)
-    compare.add_argument("--delta", type=float, required=True)
-    compare.add_argument("--tau", type=float, default=1.0)
-    compare.add_argument("--k", type=int, default=1)
-    _add_output(compare)
+    modes = compare.add_subparsers(dest="mode", required=True)
+    for mode in ("single", "kfold"):
+        leaf = modes.add_parser(mode)
+        leaf.add_argument("--delta0", type=int, required=True)
+        leaf.add_argument("--sigma", type=float, required=True)
+        leaf.add_argument("--delta", type=float, required=True)
+        leaf.add_argument("--tau", type=float, default=1.0)
+        if mode == "kfold":
+            leaf.add_argument("--k", type=int, default=1)
+        _add_output(leaf)
+        leaf.set_defaults(run=_cmd_compare)
 
     figures = sub.add_parser("figures", help="emit the data behind one figure")
     figures.add_argument("figure", type=int, choices=sorted(_FIGURES))
     _add_output(figures, seed=True)
+    figures.set_defaults(run=_cmd_figures)
 
     topk = sub.add_parser("topk", help="run one top-k release pipeline")
     topk.add_argument(
@@ -635,38 +642,37 @@ def build_parser() -> argparse.ArgumentParser:
     topk.add_argument("--delta0", type=int, default=None)
     topk.add_argument("--d-bar", type=int, default=None)
     _add_output(topk, seed=True)
+    topk.set_defaults(run=_cmd_topk)
 
     audit = sub.add_parser("audit", help="Monte-Carlo privacy audit, JSON report")
-    audit.add_argument("mechanism", choices=("two-point", "composed-dp", "trunc-gauss"))
-    audit.add_argument("--eps", type=float, default=None)
-    audit.add_argument("--t", type=float, default=None)
-    audit.add_argument("--k", type=int, default=None)
-    audit.add_argument("--eps-g", type=float, default=None)
-    audit.add_argument("--sigma", type=float, default=None)
-    audit.add_argument("--delta", type=float, default=None)
-    audit.add_argument("--tau", type=float, default=1.0)
-    audit.add_argument("--delta0", type=int, default=1)
-    audit.add_argument("--conversion-delta", type=float, default=1e-6)
-    audit.add_argument("--trials", type=int, default=100000)
-    _add_output(audit, table=False, seed=True)
+    mechanisms = audit.add_subparsers(dest="mechanism", required=True)
+    two_point = mechanisms.add_parser("two-point")
+    two_point.add_argument("--eps", type=float, required=True)
+    two_point.add_argument("--t", type=float, required=True)
+    two_point.add_argument("--eps-g", type=float, required=True)
+    composed = mechanisms.add_parser("composed-dp")
+    composed.add_argument("--k", type=int, required=True)
+    composed.add_argument("--eps", type=float, required=True)
+    composed.add_argument("--eps-g", type=float, required=True)
+    trunc = mechanisms.add_parser("trunc-gauss")
+    trunc.add_argument("--sigma", type=float, required=True)
+    trunc.add_argument("--delta", type=float, required=True)
+    trunc.add_argument("--tau", type=float, default=1.0)
+    trunc.add_argument("--delta0", type=int, default=1)
+    trunc.add_argument("--conversion-delta", type=float, default=1e-6)
+    for leaf in (two_point, composed, trunc):
+        leaf.add_argument("--trials", type=int, default=100000)
+        _add_output(leaf, table=False, seed=True)
+        leaf.set_defaults(run=_cmd_audit)
 
     calibrate = sub.add_parser("calibrate", help="solve sigma for a target (eps, delta)")
     calibrate.add_argument("--route", choices=("analytic", "zcdp"), required=True)
     calibrate.add_argument("--eps", type=float, required=True)
     calibrate.add_argument("--delta", type=float, required=True)
     calibrate.add_argument("--delta0", type=int, default=1)
+    calibrate.set_defaults(run=_cmd_calibrate)
 
     return parser
-
-
-_HANDLERS = {
-    "compose": _cmd_compose,
-    "compare": _cmd_compare,
-    "figures": _cmd_figures,
-    "topk": _cmd_topk,
-    "audit": _cmd_audit,
-    "calibrate": _cmd_calibrate,
-}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -676,7 +682,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except (BracketError, ConvergenceError) as exc:
         print(f"dpcomp: solver failed to converge: {exc}", file=sys.stderr)
         return 3

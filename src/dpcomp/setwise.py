@@ -37,7 +37,6 @@ __all__ = [
     "Cdp",
     "Zcdp",
     "PrivacyClass",
-    "CdpPair",
     "AccountantStateError",
     "ConsumeMismatchError",
     "dp_mean_loss",
@@ -124,14 +123,6 @@ _FORMAT: dict[type, tuple[str, tuple[str, ...]]] = {
 _BY_TAG = {tag: (cls, names) for cls, (tag, names) in _FORMAT.items()}
 
 
-@dataclass(frozen=True)
-class CdpPair:
-    """Subgaussian summary (mean mu, scale tau) of one privacy loss."""
-
-    mu: float
-    tau: float
-
-
 def dp_mean_loss(eps: float) -> float:
     """Expected privacy loss of the worst-case pure eps-DP pair."""
     return eps * math.tanh(eps / 2.0)
@@ -155,18 +146,19 @@ def br_mean_loss(alpha: float) -> float:
     return s - math.log1p(s)
 
 
-def convert_to_cdp(c: PrivacyClass) -> CdpPair:
+def convert_to_cdp(c: PrivacyClass) -> Cdp:
     """Subgaussian (mu, tau) summary of a guarantee, for the CDP route.
 
     zCDP guarantees carry delta slack and do not fit this route; convert
     them with convert_to_zcdp instead.
     """
     if isinstance(c, PureDP):
-        return CdpPair(mu=dp_mean_loss(c.eps), tau=c.eps)
+        return Cdp(mu=dp_mean_loss(c.eps), tau=c.eps)
     if isinstance(c, BoundedRange):
-        return CdpPair(mu=br_mean_loss(c.alpha), tau=c.alpha / 2.0)
+        # alpha = 5e-324 halves to 0.0; the next float up is the safe-side tau
+        return Cdp(mu=br_mean_loss(c.alpha), tau=max(c.alpha / 2.0, math.ulp(0.0)))
     if isinstance(c, Cdp):
-        return CdpPair(mu=c.mu, tau=c.tau)
+        return c
     if isinstance(c, Zcdp):
         raise ValueError("zCDP guarantees use the zCDP route, not the CDP route")
     raise TypeError(f"unknown privacy class {type(c).__name__}")

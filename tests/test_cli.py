@@ -14,6 +14,7 @@ import sys
 import pytest
 
 import dpcomp
+from dpcomp.adaptive import MechanismSequence, delta_opt_recursive
 from dpcomp.calibration import HistogramSpec, solve_sigma_zcdp
 from dpcomp.cli import _parse_grid, figure_data, load_histogram_counts, main, tokenize
 from dpcomp.mechanisms import RngState, histogram_from_text, known_gauss, known_lap_topk
@@ -163,10 +164,21 @@ class TestExitCodes:
              "-o", "{tmp}/sigma.txt"],
             ["calibrate", "--route", "analytic", "--eps", "1", "--delta", "1e-6",
              "--max-iter", "200"],
+            ["compose", "setwise", "--config", "acc.json", "--delta", "1e-6", "--k", "3"],
+            ["compose", "adaptive", "--slots", "dp,br", "--eps", "1.0", "--eps-g", "0.5",
+             "--k", "3"],
+            ["compose", "dp", "--k", "3", "--eps", "0.5", "--eps-g", "0.7", "--m", "2"],
+            ["compose", "dp", "--k", "3", "--eps", "0.5", "--eps-g", "0.7", "--slots", "dp"],
+            ["compare", "single", "--delta0", "10", "--sigma", "10", "--delta", "1e-6",
+             "--k", "4"],
+            ["audit", "two-point", "--eps", "1.0", "--t", "0.5", "--eps-g", "1.0",
+             "--sigma", "3"],
+            ["audit", "trunc-gauss", "--sigma", "2", "--delta", "1e-6", "--eps", "0.5"],
         ],
         ids=["compose-seed", "compare-seed", "compare-d", "compare-d-bar",
              "figures-output-dir", "audit-format", "calibrate-seed", "calibrate-format",
-             "calibrate-output", "calibrate-max-iter"],
+             "calibrate-output", "calibrate-max-iter", "setwise-k", "adaptive-k", "dp-m",
+             "dp-slots", "single-k", "two-point-sigma", "trunc-gauss-eps"],
     )
     def test_option_the_command_does_not_read_is_usage_error(self, capsys, tmp_path, argv):
         # the option under test is the last but one word; argparse calls a
@@ -196,6 +208,32 @@ class TestExitCodes:
     def test_invert_without_delta_is_usage_error(self, capsys):
         code, _, _ = run(capsys, ["compose", "dp", "--k", "3", "--eps", "0.5", "--invert"])
         assert code == 2
+
+    def test_delta_without_invert_is_usage_error(self, capsys):
+        for target in (["--eps-g", "0.7"], ["--eps-g-grid", "0:1:0.5"]):
+            argv = ["compose", "dp", "--k", "3", "--eps", "0.5", "--delta", "1e-6"] + target
+            code, out, err = run(capsys, argv)
+            assert code == 2, target
+            assert out == "" and "--invert and --delta go together" in err
+
+    def test_eps_g_with_grid_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys,
+            ["compose", "dp", "--k", "3", "--eps", "0.5", "--eps-g", "0.7",
+             "--eps-g-grid", "0:1:0.5"],
+        )
+        assert code == 2
+        assert out == "" and "not allowed with" in err
+
+    def test_json_format_of_one_value_is_usage_error(self, capsys, tmp_path):
+        out_path = tmp_path / "value.json"
+        for target in (["--eps-g", "0.7"], ["--invert", "--delta", "1e-6"]):
+            argv = ["compose", "br", "--k", "3", "--eps", "0.5", "--format", "json",
+                    "-o", str(out_path)] + target
+            code, out, err = run(capsys, argv)
+            assert code == 2, target
+            assert out == "" and "--eps-g-grid" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_adaptive_invert_unsupported(self, capsys):
         code, _, _ = run(
@@ -274,6 +312,23 @@ class TestComposeCommand:
             eg, delta = (float(x) for x in line.split(","))
             want = delta_opt_mixed(CompositionQuery(k=4, m=2, eps=0.5, eps_g=eg))
             assert delta == want  # 17g survives the round trip exactly
+
+    def test_one_value_goes_to_output(self, capsys, tmp_path):
+        # -o gets the line that stdout carries without it, and stdout stays empty
+        for argv, value in (
+            (["compose", "dp", "--k", "25", "--eps", "0.1", "--invert", "--delta", "1e-6"],
+             eps_inverse(1e-6, "dp", 25, 0.1)),
+            (["compose", "mixed", "--k", "20", "--m", "10", "--eps", "0.1", "--eps-g", "1"],
+             delta_opt_mixed(CompositionQuery(k=20, m=10, eps=0.1, eps_g=1.0))),
+            (["compose", "adaptive", "--slots", "br,br", "--eps", "1", "--eps-g", "0.3"],
+             delta_opt_recursive(MechanismSequence(("br", "br"), 1.0), 0.3)),
+        ):
+            code, stdout, _ = run(capsys, argv)
+            assert code == 0 and stdout == f"{value:.17g}\n"
+            path = tmp_path / "value.txt"
+            code, out, _ = run(capsys, argv + ["-o", str(path)])
+            assert code == 0 and out == ""
+            assert path.read_bytes() == stdout.encode()
 
     def test_adaptive_single_point(self, capsys):
         code, out, _ = run(

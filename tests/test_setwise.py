@@ -12,7 +12,6 @@ from dpcomp.setwise import (
     AccountantStateError,
     BoundedRange,
     Cdp,
-    CdpPair,
     ConsumeMismatchError,
     PureDP,
     SetwiseAccountant,
@@ -114,8 +113,14 @@ class TestConversions:
         assert pair.tau == pytest.approx(0.45, abs=0.0)
         assert pair.mu == pytest.approx(br_mean_loss(0.9), abs=0.0)
 
+    def test_smallest_br_converts_on_the_safe_side(self) -> None:
+        # 5e-324 / 2 rounds to 0.0, which Cdp rejects as a tau
+        pair = convert_to_cdp(BoundedRange(alpha=5e-324))
+        assert (pair.mu, pair.tau) == (0.0, 5e-324)
+
     def test_cdp_passthrough(self) -> None:
-        assert convert_to_cdp(Cdp(mu=0.2, tau=0.6)) == CdpPair(mu=0.2, tau=0.6)
+        c = Cdp(mu=0.2, tau=0.6)
+        assert convert_to_cdp(c) is c
 
     def test_zcdp_rejected_on_cdp_route(self) -> None:
         with pytest.raises(ValueError):
@@ -319,8 +324,8 @@ class TestConsumeLifecycle:
 
     def test_unknown_class_is_type_error(self) -> None:
         acc = SetwiseAccountant(1e-6)
-        with pytest.raises(TypeError, match="unknown privacy class CdpPair"):
-            acc.register(CdpPair(mu=0.1, tau=0.2))
+        with pytest.raises(TypeError, match="unknown privacy class tuple"):
+            acc.register((0.1, 0.2))
         acc.register(PureDP(1.0))
         with pytest.raises(TypeError, match="unknown privacy class str"):
             acc.consume("pure_dp")
