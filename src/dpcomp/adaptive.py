@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .nonadaptive import grr_params
-from .numerics import golden_max
+from .numerics import check_nonnegative, check_positive, golden_max
 
 __all__ = [
     "MechanismSequence",
@@ -76,8 +76,7 @@ class MechanismSequence:
         bad = [s for s in self.slots if s not in _SLOTS]
         if bad:
             raise ValueError(f"unknown slot kinds {bad}; use 'dp' or 'br'")
-        if not (math.isfinite(self.eps) and self.eps > 0):
-            raise ValueError(f"eps must be positive and finite, got {self.eps}")
+        check_positive("eps", self.eps)
 
 
 @dataclass(frozen=True)
@@ -285,10 +284,8 @@ def xyz_closed_forms(eps: float, eps_g: float) -> ThreeSlotDeltas:
     coincide and reduce to the DP slot splitting into a two-BR tail, which
     delta_opt_recursive prices at its default grid.
     """
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be positive and finite, got {eps}")
-    if not (math.isfinite(eps_g) and eps_g >= 0):
-        raise ValueError(f"eps_g must be nonnegative and finite, got {eps_g}")
+    check_positive("eps", eps)
+    check_nonnegative("eps_g", eps_g)
     if eps_g > eps:
         qb = 1.0 / (1.0 + math.exp(-eps))
         tail = MechanismSequence(("br", "br"), eps)

@@ -37,6 +37,7 @@ import numpy as np
 
 from .mechanisms import RngState, TruncGaussConfig
 from .nonadaptive import delta_opt_dp, grr_params
+from .numerics import check_nonnegative
 from .setwise import Zcdp, zcdp_dp_guarantee
 
 __all__ = [
@@ -117,8 +118,7 @@ def hockey_stick_exact(
         raise ValueError(
             f"exact enumeration limited to {_MAX_EXACT_SLOTS} pairs, got {k}"
         )
-    if not (math.isfinite(eps_g) and eps_g >= 0.0):
-        raise ValueError(f"eps_g must be nonnegative and finite, got {eps_g}")
+    check_nonnegative("eps_g", eps_g)
     p_out = np.ones(1)
     q_out = np.ones(1)
     for q_i, p_i in dist_pairs:
@@ -215,8 +215,7 @@ def monte_carlo_delta(
     """
     if n_trials < 10**5:
         raise ValueError(f"need at least 1e5 trials for a stable tail, got {n_trials}")
-    if not (math.isfinite(eps_g) and eps_g >= 0.0):
-        raise ValueError(f"eps_g must be nonnegative and finite, got {eps_g}")
+    check_nonnegative("eps_g", eps_g)
     if n_bins < 2:
         raise ValueError(f"n_bins must be >= 2, got {n_bins}")
     xs = np.asarray(sample_p(rng.substream(0), n_trials), dtype=float)

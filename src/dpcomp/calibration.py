@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from scipy.special import log_ndtr
 
 from .nonadaptive import eps_inverse
-from .numerics import Bracket, expand, halve, std_normal_cdf
-from .setwise import _check_delta, _zcdp_eps
+from .numerics import check_delta, check_nonnegative, check_positive, solve, std_normal_cdf
+from .setwise import _zcdp_eps
 
 __all__ = [
     "HistogramSpec",
@@ -36,10 +36,10 @@ __all__ = [
     "kfold_comparison",
 ]
 
-_MAX_DOUBLINGS = 80
-_MAX_BISECTIONS = 200
 # relative bracket width at which the analytic-Gaussian solves stop
 _TOL_REL = 1e-12
+# both analytic-Gaussian solves double up from [0, 1], then halve
+_SEARCH = dict(tol_rel=_TOL_REL, max_iter=200, doublings=80)
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,7 @@ class HistogramSpec:
             raise ValueError(
                 f"delta0 must be an integer in [1, d], got {self.delta0}"
             )
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        check_positive("tau", self.tau)
         if not (isinstance(self.d_bar, int) and self.d_bar >= self.d):
             raise ValueError(f"d_bar must be an integer >= d, got {self.d_bar}")
 
@@ -79,8 +78,7 @@ def analytic_gaussian_delta(sigma: float, eps: float) -> float:
     erf(1 / (2 sqrt(2) sigma)) (Balle & Wang, ICML 2018), which keeps its
     relative precision where Phi(a) - Phi(-a) cancels to 0.
     """
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    check_positive("sigma", sigma)
     if not math.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps}")
     if eps == 0.0:
@@ -99,13 +97,11 @@ def analytic_gaussian_eps(sigma: float, delta: float) -> float:
     <= delta holds, and the bracket it closes is within
     1e-12 * max(1, eps) of the root.
     """
-    _check_delta(delta)
+    check_delta("delta", delta)
     if analytic_gaussian_delta(sigma, 0.0) <= delta:
         return 0.0
     ok = lambda e: analytic_gaussian_delta(sigma, e) <= delta
-    lo, hi = expand(ok, 0.0, 1.0, _MAX_DOUBLINGS)
-    bracket = Bracket(lo, hi, tol_abs=_TOL_REL, max_iter=_MAX_BISECTIONS, tol_rel=_TOL_REL)
-    return halve(ok, bracket)
+    return solve(ok, 0.0, 1.0, tol_abs=_TOL_REL, **_SEARCH)
 
 
 def solve_sigma_analytic(eps: float, delta: float) -> float:
@@ -115,13 +111,10 @@ def solve_sigma_analytic(eps: float, delta: float) -> float:
     <= delta holds, and the bracket it closes is within 1e-12 * sigma
     of the root.
     """
-    if not (math.isfinite(eps) and eps >= 0):
-        raise ValueError(f"eps must be nonnegative and finite, got {eps}")
-    _check_delta(delta)
+    check_nonnegative("eps", eps)
+    check_delta("delta", delta)
     ok = lambda s: analytic_gaussian_delta(s, eps) <= delta
-    lo, hi = expand(ok, 0.0, 1.0, _MAX_DOUBLINGS)
-    bracket = Bracket(lo, hi, tol_abs=0.0, max_iter=_MAX_BISECTIONS, tol_rel=_TOL_REL)
-    return halve(ok, bracket)
+    return solve(ok, 0.0, 1.0, tol_abs=0.0, **_SEARCH)
 
 
 def gaussian_zcdp_eps(sigma: float, delta0: int, delta: float) -> float:
@@ -131,11 +124,10 @@ def gaussian_zcdp_eps(sigma: float, delta0: int, delta: float) -> float:
     delta0 gives rho = delta0 / (2 sigma^2) and the usual conversion
     eps = rho + 2 sqrt(rho ln(1/delta)).
     """
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    check_positive("sigma", sigma)
     if delta0 < 1:
         raise ValueError(f"delta0 must be >= 1, got {delta0}")
-    _check_delta(delta)
+    check_delta("delta", delta)
     rho = delta0 / (2.0 * sigma * sigma)
     return _zcdp_eps(rho, rho, delta)
 
@@ -146,11 +138,10 @@ def solve_sigma_zcdp(eps: float, delta0: int, delta: float) -> float:
     Inverts eps = a / sigma^2 + b / sigma with a = delta0/2 and
     b = sqrt(2 delta0 ln(1/delta)); the positive root of the quadratic.
     """
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+    check_positive("eps", eps)
     if delta0 < 1:
         raise ValueError(f"delta0 must be >= 1, got {delta0}")
-    _check_delta(delta)
+    check_delta("delta", delta)
     a = delta0 / 2.0
     b = math.sqrt(2.0 * delta0 * math.log(1.0 / delta))
     return (b + math.sqrt(b * b + 4.0 * a * eps)) / (2.0 * eps)
@@ -163,15 +154,14 @@ def laplace_eps_coord(sigma: float) -> float:
     of standard deviation tau * sigma, i.e. scale tau * sigma / sqrt(2),
     which prices each touched count at eps = sqrt(2) / sigma.
     """
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    check_positive("sigma", sigma)
     return math.sqrt(2.0) / sigma
 
 
 def _noise_rows(k: int, spec: HistogramSpec, sigma: float, delta: float) -> list[dict]:
     # the laplace_pure and gaussian_zcdp rows of k releases, shared by
     # both comparisons
-    _check_delta(delta)
+    check_delta("delta", delta)
     eps1 = laplace_eps_coord(sigma)
     return [
         {

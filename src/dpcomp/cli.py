@@ -554,6 +554,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
+    if args.delta0 < 1:
+        raise ValueError(f"delta0 must be >= 1, got {args.delta0}")
     if args.route == "zcdp":
         sigma = solve_sigma_zcdp(args.eps, args.delta0, args.delta)
     else:

@@ -36,8 +36,8 @@ import numpy as np
 from scipy.special import ndtri
 
 from .calibration import HistogramSpec
-from .numerics import Bracket, expand, halve, pava_monotone_nonneg, std_normal_cdf
-from .setwise import Cdp, Zcdp, _check_delta
+from .numerics import check_delta, check_positive, pava_monotone_nonneg, solve, std_normal_cdf
+from .setwise import Cdp, Zcdp
 
 __all__ = [
     "Histogram",
@@ -239,10 +239,9 @@ class RngState:
     independent across i, so mechanisms can split randomness by role
     (selection round, count noise, bootstrap) without coordinating draw
     counts.  derive(j) forks a child state one level down the path, so
-    its substreams and those of every other child are distinct.  The
-    child's own generator() sits at the same path as the parent's
-    substream(j) and is the same stream: a caller uses either the
-    index j for a substream or for a child, not both.
+    its substreams and those of every other child are distinct.
+    substream(j) is that child's own generator(), so a caller uses the
+    index j either for a substream or for a child, not both.
     """
 
     seed: int
@@ -257,12 +256,7 @@ class RngState:
         return np.random.Generator(np.random.PCG64(seq))
 
     def substream(self, index: int) -> np.random.Generator:
-        if index < 0:
-            raise ValueError(f"substream index must be >= 0, got {index}")
-        seq = np.random.SeedSequence(
-            entropy=self.seed, spawn_key=self._path + (index,)
-        )
-        return np.random.Generator(np.random.PCG64(seq))
+        return self.derive(index).generator()
 
     def derive(self, index: int) -> "RngState":
         if index < 0:
@@ -277,8 +271,7 @@ def _uniforms(gen: np.random.Generator, size: int) -> np.ndarray:
 
 def sample_laplace(gen: np.random.Generator, scale: float, size: int) -> np.ndarray:
     """Laplace(0, scale) by inverting the CDF of one uniform per draw."""
-    if not (math.isfinite(scale) and scale > 0):
-        raise ValueError(f"scale must be positive and finite, got {scale}")
+    check_positive("scale", scale)
     u = _uniforms(gen, size) - 0.5
     mag = np.minimum(np.abs(u), np.nextafter(0.5, 0.0))
     return -scale * np.sign(u) * np.log1p(-2.0 * mag)
@@ -286,15 +279,13 @@ def sample_laplace(gen: np.random.Generator, scale: float, size: int) -> np.ndar
 
 def sample_gaussian(gen: np.random.Generator, scale: float, size: int) -> np.ndarray:
     """N(0, scale^2) via the normal quantile of one uniform per draw."""
-    if not (math.isfinite(scale) and scale > 0):
-        raise ValueError(f"scale must be positive and finite, got {scale}")
+    check_positive("scale", scale)
     return scale * ndtri(_uniforms(gen, size))
 
 
 def sample_gumbel(gen: np.random.Generator, scale: float, size: int) -> np.ndarray:
     """Gumbel(0, scale) via -scale * ln(-ln u)."""
-    if not (math.isfinite(scale) and scale > 0):
-        raise ValueError(f"scale must be positive and finite, got {scale}")
+    check_positive("scale", scale)
     return -scale * np.log(-np.log(_uniforms(gen, size)))
 
 
@@ -356,8 +347,7 @@ def ls_noise(
     elements exactly once each; the projection is applied whatever the
     noise did, even when heavy pooling results.
     """
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    check_positive("sigma", sigma)
     if len(ordering) != len(hist) or set(ordering) != set(hist.counts):
         raise ValueError("ordering must cover the histogram elements exactly")
     tau = hist.require_spec().tau
@@ -411,20 +401,17 @@ def solve_truncation_level(
     """
     if delta0 < 1:
         raise ValueError(f"delta0 must be >= 1, got {delta0}")
-    if not (tau > 0 and math.isfinite(tau)):
-        raise ValueError(f"tau must be positive and finite, got {tau}")
-    if not (sigma > 0 and math.isfinite(sigma)):
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    _check_delta(delta)
+    check_positive("tau", tau)
+    check_positive("sigma", sigma)
+    check_delta("delta", delta)
 
     def fits(t_level: float) -> bool:
         return _trunc_rhs(t_level, delta0, tau, sigma) <= delta
 
     if not fits(tau):
-        lo, hi = expand(fits, tau, 8.0 * tau * sigma + tau, 60)
+        lo, hi, doublings = tau, 8.0 * tau * sigma + tau, 60
     else:
-        hi = tau
-        lo = 0.75 * tau
+        lo, hi, doublings = 0.75 * tau, tau, 0
         for _ in range(60):
             if not fits(lo):
                 break
@@ -432,7 +419,7 @@ def solve_truncation_level(
         else:
             raise ValueError("truncation level did not bracket near tau/2")
     tol = 1e-12 * max(1.0, tau * sigma)
-    return halve(fits, Bracket(lo=lo, hi=hi, tol_abs=tol))
+    return solve(fits, lo, hi, tol_abs=tol, tol_rel=0.0, max_iter=200, doublings=doublings)
 
 
 @dataclass(frozen=True)
@@ -458,7 +445,7 @@ class TruncGaussConfig:
             raise ValueError("delta0 and d_bar must be positive")
         if not (self.tau > 0 and self.sigma > 0):
             raise ValueError("tau and sigma must be positive")
-        _check_delta(self.delta)
+        check_delta("delta", self.delta)
         if not self.t_level > self.tau / 2.0:
             raise ValueError(
                 f"t_level must exceed tau/2 = {self.tau / 2.0}, got {self.t_level}"
@@ -571,8 +558,7 @@ def known_gauss(
     Returns all noisy counts, sorted by noisy value.  The release is
     concentrated-DP with the parameters of gauss_cdp_guarantee.
     """
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    check_positive("sigma", sigma)
     tau = hist.require_spec().tau
     cols = hist._columns
     noise = sample_gaussian(rng.generator(), tau * sigma, size=len(cols.ids))
@@ -585,6 +571,5 @@ def gauss_cdp_guarantee(delta0: int, sigma: float) -> Cdp:
     """Concentrated-DP class of the known-domain Gaussian release."""
     if delta0 < 1:
         raise ValueError(f"delta0 must be >= 1, got {delta0}")
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    check_positive("sigma", sigma)
     return Cdp(mu=delta0 / (2.0 * sigma * sigma), tau=math.sqrt(delta0) / sigma)

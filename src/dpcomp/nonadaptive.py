@@ -25,7 +25,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .numerics import Bracket, halve, log1mexp, log1pexp, log_binomial, logsumexp
+from .numerics import (
+    check_delta, check_positive, log1mexp, log1pexp, log_binomial, logsumexp, solve
+)
 
 __all__ = [
     "GrrParams",
@@ -62,8 +64,7 @@ class GrrParams:
 
 
 def _validate_eps_t(eps: float, t: float) -> None:
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+    check_positive("eps", eps)
     if not (0.0 <= t <= eps):
         raise ValueError(f"t must lie in [0, eps]=[0, {eps}], got {t}")
 
@@ -117,8 +118,7 @@ class CompositionQuery:
             raise ValueError(f"k must be a positive integer, got {self.k}")
         if not isinstance(self.m, int) or not 0 <= self.m <= self.k:
             raise ValueError(f"m must lie in 0..k={self.k}, got {self.m}")
-        if not (math.isfinite(self.eps) and self.eps > 0):
-            raise ValueError(f"eps must be positive and finite, got {self.eps}")
+        check_positive("eps", self.eps)
         if math.isnan(self.eps_g):
             raise ValueError("eps_g must not be NaN")
 
@@ -251,15 +251,15 @@ def eps_inverse(
     width tol, or earlier once the bracket ends are adjacent floats, and
     returns the feasible end.
     """
-    if not (0.0 < delta_target < 1.0):
-        raise ValueError(f"delta_target must lie in (0,1), got {delta_target}")
+    check_delta("delta_target", delta_target)
     if not tol >= 0.0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
     f = _bound_curve(bound, k, eps, m)
     if f(0.0) <= delta_target:
         return 0.0
+    ok = lambda eg: f(eg) <= delta_target
     # tol=0 stops at adjacent floats: no positive width is below ulp(0)
-    bracket = Bracket(
-        0.0, k * eps, tol_abs=max(tol, math.ulp(0.0)), max_iter=_MAX_HALVINGS
+    tol_abs = max(tol, math.ulp(0.0))
+    return solve(
+        ok, 0.0, k * eps, tol_abs=tol_abs, tol_rel=0.0, max_iter=_MAX_HALVINGS, doublings=0
     )
-    return halve(lambda eg: f(eg) <= delta_target, bracket)

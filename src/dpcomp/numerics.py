@@ -2,10 +2,10 @@
 
 Log-space combinatorics, accurate log/exp differences, the standard normal
 CDF, the pool-adjacent-violators projection used by the order-constrained
-noise mechanism, and the package's only one-dimensional solvers: one
-halving loop (``halve``), one doubling loop (``expand``) and one
-golden-section search (``golden_max``).  Every root search returns the
-feasible end of its final bracket, never a midpoint.
+noise mechanism, the package's only one-dimensional solvers (one
+bracketing root search, ``solve``, and one golden-section search,
+``golden_max``) and the parameter checks every module shares.  Every root
+search returns the feasible end of its final bracket, never a midpoint.
 
 Probabilities that can underflow are carried as natural logs throughout the
 package; ``-inf`` encodes an exact zero.
@@ -14,14 +14,12 @@ package; ``-inf`` encodes an exact zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 
 __all__ = [
     "LogWeight",
-    "Bracket",
     "BracketError",
     "ConvergenceError",
     "log_binomial",
@@ -31,9 +29,10 @@ __all__ = [
     "std_normal_cdf",
     "pava_monotone_nonneg",
 ]
-# halve, expand and golden_max stay out of __all__: they run inside the
-# public solvers, whose evaluation counts bench/tracer.py reads from the
-# direct caller of each traced call.
+# solve, golden_max and the check_* helpers stay out of __all__: the
+# solvers run inside the public ones, whose evaluation counts
+# bench/tracer.py reads from the direct caller of each traced call, and a
+# traced check would cost more than the call it guards.
 
 # Natural-log scale value; -inf encodes an exact zero weight.
 LogWeight = float
@@ -101,49 +100,65 @@ def std_normal_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
-@dataclass(frozen=True)
-class Bracket:
-    """An interval handed to ``halve``.
+def check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
-    Halving stops at width max(tol_abs, tol_rel * |hi|), or once the ends
-    are adjacent floats; max_iter bounds the halvings.
+
+def check_nonnegative(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+
+
+def check_delta(name: str, value: float) -> None:
+    if not (0.0 < value < 1.0):
+        raise ValueError(f"{name} must lie in (0,1), got {value}")
+
+
+def solve(
+    ok: Callable[[float], bool],
+    lo: float,
+    hi: float,
+    *,
+    tol_abs: float,
+    tol_rel: float,
+    max_iter: int,
+    doublings: int,
+) -> float:
+    """The ``ok`` end of a bracket found by doubling and shrunk by halving.
+
+    ok must be monotone and false at lo, which is never evaluated.  With
+    doublings = 0, ok(hi) is taken to hold and not evaluated either;
+    otherwise ok(hi) is tested before each doubling of hi (lo moving up
+    to the old hi), at most doublings times, and BracketError is raised
+    if it never holds.  Halving then stops at width
+    max(tol_abs, tol_rel * |hi|), or once the ends are adjacent floats,
+    and returns the final hi, where ok holds.  ConvergenceError if
+    max_iter halvings leave the bracket wider than that.
     """
-
-    lo: float
-    hi: float
-    tol_abs: float = 1e-9
-    max_iter: int = 200
-    tol_rel: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError("bracket endpoints must be finite")
-        if not self.lo < self.hi:
-            raise ValueError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
-        if not (self.tol_abs >= 0 and self.tol_rel >= 0):
-            raise ValueError("tol_abs and tol_rel must be nonnegative")
-        if not self.tol_abs + self.tol_rel > 0:
-            raise ValueError("tol_abs or tol_rel must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-
-
-def halve(ok: Callable[[float], bool], bracket: Bracket) -> float:
-    """The ``ok`` end of a bracket shrunk by deterministic halving.
-
-    ok must be monotone, false at bracket.lo and true at bracket.hi;
-    neither end is evaluated.  Returns the final hi, where ok holds.
-    Raises ConvergenceError only if max_iter halvings leave the bracket
-    wider than its tolerance and its ends are not yet adjacent floats.
-    """
-    lo, hi = bracket.lo, bracket.hi
-    tol_abs, tol_rel = bracket.tol_abs, bracket.tol_rel
+    for _ in range(doublings):
+        if ok(hi):
+            break
+        lo, hi = hi, hi * 2.0
+    else:
+        if doublings:
+            raise BracketError(f"no point up to {hi} passes after {doublings} doublings")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("bracket endpoints must be finite")
+    if not lo < hi:
+        raise ValueError(f"bracket requires lo < hi, got [{lo}, {hi}]")
+    if not (tol_abs >= 0 and tol_rel >= 0):
+        raise ValueError("tol_abs and tol_rel must be nonnegative")
+    if not tol_abs + tol_rel > 0:
+        raise ValueError("tol_abs or tol_rel must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     halvings = 0
     while hi - lo > tol_abs and hi - lo > tol_rel * abs(hi):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if halvings == bracket.max_iter:
+        if halvings == max_iter:
             raise ConvergenceError(
                 f"bisection still at width {hi - lo} after {halvings} halvings"
             )
@@ -153,22 +168,6 @@ def halve(ok: Callable[[float], bool], bracket: Bracket) -> float:
         else:
             lo = mid
     return hi
-
-
-def expand(
-    ok: Callable[[float], bool], lo: float, hi: float, max_doublings: int
-) -> tuple[float, float]:
-    """Double hi (moving lo up to the old hi) until ok(hi) holds.
-
-    ok(hi) is tested before each doubling, at most max_doublings times;
-    BracketError if it never holds.  The returned (lo, hi) is the last
-    failed and the first passing point.
-    """
-    for _ in range(max_doublings):
-        if ok(hi):
-            return lo, hi
-        lo, hi = hi, hi * 2.0
-    raise BracketError(f"no point up to {hi} passes after {max_doublings} doublings")
 
 
 def golden_max(f: Callable[[float], float], lo: float, hi: float, rounds: int) -> float:

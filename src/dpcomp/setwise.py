@@ -29,7 +29,9 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
+
+from .numerics import check_delta, check_nonnegative, check_positive
 
 __all__ = [
     "PureDP",
@@ -64,8 +66,7 @@ class PureDP:
     eps: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.eps) and self.eps > 0):
-            raise ValueError(f"eps must be positive and finite, got {self.eps}")
+        check_positive("eps", self.eps)
 
 
 @dataclass(frozen=True)
@@ -75,8 +76,7 @@ class BoundedRange:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        check_positive("alpha", self.alpha)
 
 
 @dataclass(frozen=True)
@@ -87,10 +87,8 @@ class Cdp:
     tau: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.mu) and self.mu >= 0):
-            raise ValueError(f"mu must be nonnegative and finite, got {self.mu}")
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        check_nonnegative("mu", self.mu)
+        check_positive("tau", self.tau)
 
 
 @dataclass(frozen=True)
@@ -106,8 +104,7 @@ class Zcdp:
             raise ValueError(f"delta must lie in [0,1), got {self.delta}")
         if not math.isfinite(self.xi):
             raise ValueError(f"xi must be finite, got {self.xi}")
-        if not (math.isfinite(self.rho) and self.rho >= 0):
-            raise ValueError(f"rho must be nonnegative and finite, got {self.rho}")
+        check_nonnegative("rho", self.rho)
 
 
 PrivacyClass = Union[PureDP, BoundedRange, Cdp, Zcdp]
@@ -136,8 +133,7 @@ def br_mean_loss(alpha: float) -> float:
     computes ln r directly, since log1p(s) with s -> -1 loses digits.
     Both routes hold full precision at the crossover.
     """
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    check_positive("alpha", alpha)
     if alpha > 4.0:
         ln_r = math.log(alpha) - alpha - math.log1p(-math.exp(-alpha))
         return math.exp(ln_r) - 1.0 - ln_r
@@ -178,11 +174,6 @@ def convert_to_zcdp(c: PrivacyClass) -> Zcdp:
     raise TypeError(f"unknown privacy class {type(c).__name__}")
 
 
-def _check_delta(delta: float) -> None:
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0,1), got {delta}")
-
-
 def _cdp_eps(mu: float, tau_sq: float, delta: float) -> float:
     # eps_g of the subgaussian route: total mean mu, total variance tau_sq
     return mu + math.sqrt(2.0 * tau_sq * math.log(1.0 / delta))
@@ -195,7 +186,7 @@ def _zcdp_eps(xi_rho: float, rho: float, delta: float) -> float:
 
 def zcdp_dp_guarantee(z: Zcdp, delta: float) -> tuple[float, float]:
     """(eps_g, total delta) of a zCDP guarantee at conversion slack delta."""
-    _check_delta(delta)
+    check_delta("delta", delta)
     return _zcdp_eps(z.xi + z.rho, z.rho, delta), delta + z.delta
 
 
@@ -218,7 +209,7 @@ def global_bound_homogeneous(
     """
     if min(m_dp, m_br, m_cdp) < 0 or m_dp + m_br + m_cdp == 0:
         raise ValueError("need nonnegative counts with at least one mechanism")
-    _check_delta(delta)
+    check_delta("delta", delta)
     mean = 0.0
     var = 0.0
     for count, cls, params in (
@@ -277,8 +268,7 @@ class SetwiseAccountant:
     """
 
     def __init__(self, delta_slack: float = 1e-6) -> None:
-        if not (0.0 < delta_slack < 1.0):
-            raise ValueError(f"delta_slack must lie in (0,1), got {delta_slack}")
+        check_delta("delta_slack", delta_slack)
         self.delta_slack = delta_slack
         self._registered: list[PrivacyClass] = []
         self._consumed: list[PrivacyClass] = []
@@ -301,23 +291,30 @@ class SetwiseAccountant:
         return tuple(self._consumed)
 
     def register(self, c: PrivacyClass) -> "SetwiseAccountant":
-        """Add a guarantee to the set; only allowed before any consume."""
+        """Add a guarantee to the set; only allowed before any consume.
+
+        Its terms are computed before anything is stored: a guarantee
+        whose squared scale overflows raises ValueError and leaves the
+        accountant unchanged.
+        """
         if self._consumed:
             raise AccountantStateError(
                 "registration is frozen once consumption has started"
             )
         key = _canonical_key(c)
+        try:
+            z = convert_to_zcdp(c)
+            mu_sum = tau_sq_sum = None
+            if not isinstance(c, Zcdp) and self._mu_sum is not None:
+                pair = convert_to_cdp(c)
+                mu_sum = self._mu_sum + pair.mu
+                tau_sq_sum = self._tau_sq_sum + pair.tau**2
+        except OverflowError:
+            raise ValueError(f"cannot register {c}: its terms overflow a float") from None
         self._registered.append(c)
         same_key = self._unspent.setdefault(key, {})
         same_key.setdefault(c, deque()).append(c)
-        if isinstance(c, Zcdp):
-            self._mu_sum = None
-            self._tau_sq_sum = None
-        elif self._mu_sum is not None:
-            pair = convert_to_cdp(c)
-            self._mu_sum += pair.mu
-            self._tau_sq_sum += pair.tau**2
-        z = convert_to_zcdp(c)
+        self._mu_sum, self._tau_sq_sum = mu_sum, tau_sq_sum
         self._xi_rho_sum += z.xi + z.rho
         self._rho_sum += z.rho
         self._delta_sum += z.delta
@@ -363,7 +360,7 @@ class SetwiseAccountant:
         Valid only when no zCDP guarantee was registered.
         """
         d = self.delta_slack if delta is None else delta
-        _check_delta(d)
+        check_delta("delta", d)
         if not self._registered:
             raise ValueError("no registered mechanisms")
         if self._mu_sum is None:
@@ -377,7 +374,7 @@ class SetwiseAccountant:
         conversion slack.
         """
         d = self.delta_slack if delta is None else delta
-        _check_delta(d)
+        check_delta("delta", d)
         if not self._registered:
             raise ValueError("no registered mechanisms")
         return _zcdp_eps(self._xi_rho_sum, self._rho_sum, d), d + self._delta_sum

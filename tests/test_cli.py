@@ -82,6 +82,10 @@ class TestExitCodes:
              "--k", "-1", "--delta0", "1"],
             ["topk", "--mode", "trunc-gauss", "--input", str(four), "--sigma", "1.2",
              "--delta", "1e-3", "--delta0", "1", "--d-bar", "2"],
+            ["calibrate", "--route", "analytic", "--eps", "1", "--delta", "1e-6",
+             "--delta0", "0"],
+            ["calibrate", "--route", "analytic", "--eps", "1", "--delta", "1e-6",
+             "--delta0", "-4"],
         ):
             code, _, err = run(capsys, argv)
             assert code == 2, argv

@@ -12,17 +12,15 @@ from hypothesis import strategies as st
 from dpcomp.calibration import analytic_gaussian_eps, solve_sigma_analytic
 from dpcomp.nonadaptive import eps_inverse
 from dpcomp.numerics import (
-    Bracket,
     BracketError,
     ConvergenceError,
-    expand,
     golden_max,
-    halve,
     log1mexp,
     log1pexp,
     log_binomial,
     logsumexp,
     pava_monotone_nonneg,
+    solve,
     std_normal_cdf,
 )
 
@@ -128,34 +126,49 @@ class TestStdNormalCdf:
         )
 
 
+def _halve(ok, lo, hi, tol_abs, tol_rel=0.0, max_iter=200):
+    # solve with hi taken as passing, so only the halving runs
+    return solve(
+        ok, lo, hi, tol_abs=tol_abs, tol_rel=tol_rel, max_iter=max_iter, doublings=0
+    )
+
+
 class TestBisect:
-    """The one halving loop, ``halve``, on sign-change predicates."""
+    """The halving half of ``solve``, on brackets whose hi end is known."""
 
     def test_simple_root(self):
-        root = halve(lambda x: x * x - 2.0 >= 0.0, Bracket(0.0, 2.0, tol_abs=1e-12))
+        root = _halve(lambda x: x * x - 2.0 >= 0.0, 0.0, 2.0, tol_abs=1e-12)
         assert root == pytest.approx(math.sqrt(2.0), abs=1e-11)
 
     def test_budget_exhausted(self):
         with pytest.raises(ConvergenceError):
-            halve(
-                lambda x: x >= 1.0 / 3.0,
-                Bracket(0.0, 1.0, tol_abs=1e-12, max_iter=3),
-            )
+            _halve(lambda x: x >= 1.0 / 3.0, 0.0, 1.0, tol_abs=1e-12, max_iter=3)
 
     def test_endpoint_root(self):
         # the ends are never evaluated: a root at lo is closed in from above
-        root = halve(lambda x: x >= 0.0, Bracket(0.0, 1.0))
+        root = _halve(lambda x: x >= 0.0, 0.0, 1.0, tol_abs=1e-9)
         assert 0.0 < root <= 1e-9
 
     def test_decreasing_function(self):
-        root = halve(lambda x: 1.0 - x <= 0.0, Bracket(0.0, 3.0, tol_abs=1e-12))
+        root = _halve(lambda x: 1.0 - x <= 0.0, 0.0, 3.0, tol_abs=1e-12)
         assert root == pytest.approx(1.0, abs=1e-11)
 
     def test_bracket_validation(self):
-        with pytest.raises(ValueError):
-            Bracket(1.0, 0.0)
-        with pytest.raises(ValueError):
-            Bracket(0.0, 1.0, tol_abs=0.0)
+        seen = []
+
+        def ok(x):
+            seen.append(x)
+            return True
+
+        with pytest.raises(ValueError, match="lo < hi"):
+            _halve(ok, 1.0, 0.0, tol_abs=1e-9)
+        with pytest.raises(ValueError, match="must be positive"):
+            _halve(ok, 0.0, 1.0, tol_abs=0.0)
+        with pytest.raises(ValueError, match="finite"):
+            _halve(ok, 0.0, math.inf, tol_abs=1e-9)
+        with pytest.raises(ValueError, match="max_iter"):
+            _halve(ok, 0.0, 1.0, tol_abs=1e-9, max_iter=0)
+        assert seen == []
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_returns_hi_side_end(self, sign):
@@ -163,12 +176,12 @@ class TestBisect:
         f = lambda x: sign * (x - 1.0 / 3.0)
         # ok holds where f has the sign it has at hi
         ok = (lambda x: f(x) >= 0.0) if sign > 0 else (lambda x: f(x) <= 0.0)
-        root = halve(ok, Bracket(0.0, 1.0, tol_abs=2e-3))
+        root = _halve(ok, 0.0, 1.0, tol_abs=2e-3)
         assert sign * f(root) >= 0.0
         assert root - 1.0 / 3.0 <= 2e-3
 
     def test_stops_at_adjacent_floats(self):
-        root = halve(lambda x: x * x - 2.0 >= 0.0, Bracket(1.0, 2.0, tol_abs=5e-324))
+        root = _halve(lambda x: x * x - 2.0 >= 0.0, 1.0, 2.0, tol_abs=5e-324)
         assert root * root - 2.0 > 0.0
         below = math.nextafter(root, 0.0)
         assert below * below - 2.0 < 0.0
@@ -180,16 +193,14 @@ class TestBisect:
             calls.append(x)
             return x >= 1.5e6
 
-        root = halve(ok, Bracket(0.0, 4e6, tol_abs=0.0, tol_rel=1e-3))
+        root = _halve(ok, 0.0, 4e6, tol_abs=0.0, tol_rel=1e-3)
         assert 0.0 <= root - 1.5e6 <= 1e-3 * root
         # 12 halvings reach width 4e6 / 2^12 < 1e-3 * 1.5e6; no end is evaluated
         assert len(calls) == 12
 
     def test_budget_spent_exactly_on_tolerance(self):
         # three halvings take [0, 1] to width 1/8 = tol_abs
-        root = halve(
-            lambda x: x >= 1.0 / 3.0, Bracket(0.0, 1.0, tol_abs=0.125, max_iter=3)
-        )
+        root = _halve(lambda x: x >= 1.0 / 3.0, 0.0, 1.0, tol_abs=0.125, max_iter=3)
         assert root == 0.375
 
     def test_halve_evaluates_interior_only(self):
@@ -199,11 +210,19 @@ class TestBisect:
             seen.append(x)
             return x >= 0.3
 
-        assert halve(ok, Bracket(0.0, 1.0, tol_abs=0.25)) == 0.5
+        assert _halve(ok, 0.0, 1.0, tol_abs=0.25) == 0.5
         assert seen == [0.5, 0.25]
 
 
 class TestExpand:
+    """The doubling half of ``solve``: ok(hi) is tested before each doubling."""
+
+    @staticmethod
+    def _expand(ok, doublings, tol_abs):
+        return solve(
+            ok, 0.0, 1.0, tol_abs=tol_abs, tol_rel=0.0, max_iter=200, doublings=doublings
+        )
+
     def test_first_passing_point(self):
         seen = []
 
@@ -211,11 +230,24 @@ class TestExpand:
             seen.append(x)
             return x >= 5.0
 
-        assert expand(ok, 0.0, 1.0, 10) == (4.0, 8.0)
+        # a tolerance as wide as the found bracket returns its hi untouched
+        assert self._expand(ok, 10, tol_abs=4.0) == 8.0
         assert seen == [1.0, 2.0, 4.0, 8.0]
+        # one more halving shows lo moved up to the last failed point, 4
+        seen.clear()
+        assert self._expand(ok, 10, tol_abs=2.0) == 6.0
+        assert seen == [1.0, 2.0, 4.0, 8.0, 6.0]
 
     def test_already_passing(self):
-        assert expand(lambda x: True, 0.0, 1.0, 1) == (0.0, 1.0)
+        seen = []
+
+        def ok(x):
+            seen.append(x)
+            return True
+
+        # one test of hi, then one halving of the untouched [0, 1]
+        assert self._expand(ok, 1, tol_abs=0.5) == 0.5
+        assert seen == [1.0, 0.5]
 
     def test_raises_bracket_error(self):
         seen = []
@@ -225,7 +257,7 @@ class TestExpand:
             return False
 
         with pytest.raises(BracketError):
-            expand(ok, 0.0, 1.0, 5)
+            self._expand(ok, 5, tol_abs=1e-9)
         assert seen == [1.0, 2.0, 4.0, 8.0, 16.0]
 
 

@@ -331,6 +331,20 @@ class TestConsumeLifecycle:
             acc.consume("pure_dp")
         assert acc.registered == (PureDP(1.0),) and acc.consumed == ()
 
+    @pytest.mark.parametrize("c", [Cdp(0.1, 1e200), PureDP(1e200), BoundedRange(1e200)])
+    def test_overflowing_register_leaves_state_unchanged(self, c) -> None:
+        acc = SetwiseAccountant(1e-6)
+        acc.register(PureDP(0.5)).register(Cdp(0.1, 0.4))
+        cdp, zcdp = acc.global_bound_cdp(1e-6), acc.global_bound_zcdp(1e-6)
+        with pytest.raises(ValueError, match="overflow"):
+            acc.register(c)
+        assert acc.registered == (PureDP(0.5), Cdp(0.1, 0.4))
+        assert acc.global_bound_cdp(1e-6) == cdp
+        assert acc.global_bound_zcdp(1e-6) == zcdp
+        # the failed guarantee was never filed as spendable
+        with pytest.raises(ConsumeMismatchError):
+            acc.consume(c)
+
     def test_consume_matches_with_rounding(self) -> None:
         acc = SetwiseAccountant(1e-6)
         acc.register(PureDP(0.5))
