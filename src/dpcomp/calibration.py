@@ -39,7 +39,7 @@ __all__ = [
 # relative bracket width at which the analytic-Gaussian solves stop
 _TOL_REL = 1e-12
 # both analytic-Gaussian solves double up from [0, 1], then halve
-_SEARCH = dict(tol_rel=_TOL_REL, max_iter=200, doublings=80)
+_SEARCH = dict(tol_rel=_TOL_REL, doublings=80)
 
 
 @dataclass(frozen=True)
@@ -128,6 +128,8 @@ def gaussian_zcdp_eps(sigma: float, delta0: int, delta: float) -> float:
     if delta0 < 1:
         raise ValueError(f"delta0 must be >= 1, got {delta0}")
     check_delta("delta", delta)
+    if sigma * sigma == 0.0:
+        raise ValueError(f"sigma^2 underflows to 0 at sigma = {sigma}")
     rho = delta0 / (2.0 * sigma * sigma)
     return _zcdp_eps(rho, rho, delta)
 

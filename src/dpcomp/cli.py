@@ -6,6 +6,7 @@ tables carry a `# params:` provenance line and 17-significant-digit
 decimals, so regenerated files match byte for byte.  Each compose kind,
 compare mode and audit mechanism is a subcommand of its own that accepts
 only the options it reads; topk checks its per-mode options itself.
+Handlers return their result as text chunks, and main alone writes them.
 
 Exit codes: 0 success, 2 usage or precondition violation, 3 a solver
 failed to bracket or converge, 4 I/O failure.
@@ -14,13 +15,11 @@ failed to bracket or converge, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import json
 import math
 import re
 import sys
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -62,35 +61,26 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-@contextlib.contextmanager
-def _open_output(path: str) -> Iterator[io.TextIOBase]:
-    if path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            yield handle
-
-
-def _write_table(
-    stream: io.TextIOBase,
+def _table(
     params: Mapping[str, object],
     header: Sequence[str],
     rows: Sequence[Sequence[object]],
     fmt: str,
-) -> None:
+) -> Iterator[str]:
+    # row by row: joining the rows would double a d-row release's peak memory
     if fmt == "json":
         payload = {
             "params": {k: params[k] for k in sorted(params)},
             "rows": [dict(zip(header, row)) for row in rows],
         }
-        stream.write(json.dumps(payload, indent=2, sort_keys=True))
-        stream.write("\n")
+        yield json.dumps(payload, indent=2, sort_keys=True)
+        yield "\n"
         return
     provenance = " ".join(f"{k}={_fmt(params[k])}" for k in sorted(params))
-    stream.write(f"# params: {provenance}\n")
-    stream.write(",".join(header) + "\n")
+    yield f"# params: {provenance}\n"
+    yield ",".join(header) + "\n"
     for row in rows:
-        stream.write(",".join(_fmt(v) for v in row) + "\n")
+        yield ",".join(_fmt(v) for v in row) + "\n"
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -210,59 +200,55 @@ def load_histogram_counts(path: str) -> dict[str, float]:
 # ------------------------------------------------------------------- compose
 
 
-def _write_value(args: argparse.Namespace, compute: Callable[[], float]) -> int:
+def _value(args: argparse.Namespace, compute: Callable[[], float]) -> tuple[str]:
     """One number on one line: --format shapes --eps-g-grid tables only."""
     if args.format == "json":
         raise ValueError("--format json needs --eps-g-grid; a single value is one line")
-    value = compute()
-    with _open_output(args.output) as stream:
-        stream.write(_fmt(value) + "\n")
-    return 0
+    return (_fmt(compute()) + "\n",)
 
 
-def _write_curve(args: argparse.Namespace, fn: Callable[[float], float], params: dict) -> int:
+def _curve(
+    args: argparse.Namespace, fn: Callable[[float], float], params: dict
+) -> Iterable[str]:
     """fn at --eps-g, or a table of fn over --eps-g-grid."""
     if args.eps_g is not None:
-        return _write_value(args, lambda: fn(args.eps_g))
+        return _value(args, lambda: fn(args.eps_g))
     grid = _parse_grid(args.eps_g_grid)
     params.update(command=f"compose {args.kind}", eps=args.eps, grid=args.eps_g_grid)
     rows = [[eg, fn(eg)] for eg in grid]
-    with _open_output(args.output) as stream:
-        _write_table(stream, params, ["eps_g", "delta"], rows, args.format)
-    return 0
+    return _table(params, ["eps_g", "delta"], rows, args.format)
 
 
-def _cmd_compose_bound(args: argparse.Namespace) -> int:
+def _cmd_compose_bound(args: argparse.Namespace) -> Iterable[str]:
     if args.invert != (args.delta is not None):
         raise ValueError("--invert and --delta go together")
     if args.invert:
-        return _write_value(
+        return _value(
             args, lambda: eps_inverse(args.delta, args.kind, args.k, args.eps, m=args.m)
         )
     params = {"k": args.k} if args.m is None else {"k": args.k, "m": args.m}
-    return _write_curve(args, _bound_curve(args.kind, args.k, args.eps, args.m), params)
+    return _curve(args, _bound_curve(args.kind, args.k, args.eps, args.m), params)
 
 
-def _cmd_compose_adaptive(args: argparse.Namespace) -> int:
+def _cmd_compose_adaptive(args: argparse.Namespace) -> Iterable[str]:
     seq = MechanismSequence(tuple(s.strip() for s in args.slots.split(",")), args.eps)
-    return _write_curve(args, lambda eg: delta_opt_recursive(seq, eg), {"slots": args.slots})
+    return _curve(args, lambda eg: delta_opt_recursive(seq, eg), {"slots": args.slots})
 
 
-def _cmd_compose_setwise(args: argparse.Namespace) -> int:
+def _cmd_compose_setwise(args: argparse.Namespace) -> Iterable[str]:
     with open(args.config, "r", encoding="utf-8") as handle:
         accountant = SetwiseAccountant.from_json(handle.read())
     try:
-        print(_fmt(accountant.global_bound_cdp(args.delta)))
+        return (_fmt(accountant.global_bound_cdp(args.delta)) + "\n",)
     except ValueError:
         eps_g, total = accountant.global_bound_zcdp(args.delta)
-        print(f"{_fmt(eps_g)} {_fmt(total)}")
-    return 0
+        return (f"{_fmt(eps_g)} {_fmt(total)}\n",)
 
 
 # ------------------------------------------------------------------- compare
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: argparse.Namespace) -> Iterable[str]:
     spec = HistogramSpec(d=args.delta0, delta0=args.delta0, tau=args.tau, d_bar=args.delta0)
     if args.mode == "single":
         rows_raw = single_release_comparison(spec, args.sigma, args.delta)
@@ -279,9 +265,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         params["k"] = args.k
     header = ["method", "k", "count", "eps_each", "eps_g"]
     rows = [[r[key] for key in header] for r in rows_raw]
-    with _open_output(args.output) as stream:
-        _write_table(stream, params, header, rows, args.format)
-    return 0
+    return _table(params, header, rows, args.format)
 
 
 # ------------------------------------------------------------------- figures
@@ -464,19 +448,31 @@ def figure_data(figure: int, seed: int = 0):
     return _FIGURES[figure](seed)
 
 
-def _cmd_figures(args: argparse.Namespace) -> int:
-    params, header, rows = figure_data(args.figure, args.seed)
-    with _open_output(args.output) as stream:
-        _write_table(stream, params, header, rows, args.format)
-    if args.output != "-":
-        print(args.output)
-    return 0
+def _cmd_figures(args: argparse.Namespace) -> Iterable[str]:
+    return _table(*figure_data(args.figure, args.seed), args.format)
 
 
 # ---------------------------------------------------------------------- topk
 
 
-def _cmd_topk(args: argparse.Namespace) -> int:
+# per mode, the options it needs and those it may take; every mode reads
+# --tau, --delta0 and --d-bar, which build the HistogramSpec it checks
+_TOPK_OPTIONS = {
+    "known-lap": (("k", "eps"), ()),
+    "known-gauss": (("sigma",), ("k",)),
+    "lsnoise": (("k", "eps", "sigma"), ()),
+    "trunc-gauss": (("sigma", "delta"), ("k",)),  # k sets the default delta0
+}
+
+
+def _cmd_topk(args: argparse.Namespace) -> Iterable[str]:
+    mode = args.mode
+    needs, takes = _TOPK_OPTIONS[mode]
+    for name in ("k", "eps", "sigma", "delta"):
+        if getattr(args, name) is None and name in needs:
+            raise ValueError(f"{mode} requires --{name}")
+        if getattr(args, name) is not None and name not in needs + takes:
+            raise ValueError(f"topk --mode {mode} does not read --{name}")
     counts = load_histogram_counts(args.input)
     d = len(counts)
     k = d if args.k is None else args.k
@@ -485,25 +481,15 @@ def _cmd_topk(args: argparse.Namespace) -> int:
     spec = HistogramSpec(d=d, delta0=delta0, tau=args.tau, d_bar=d_bar)
     hist = histogram_from_counts(counts, spec=spec)
     rng = RngState(args.seed)
-
-    mode = args.mode
     if mode == "known-lap":
-        if args.k is None or args.eps is None:
-            raise ValueError("known-lap requires --k and --eps")
         ranked = enumerate(known_lap_topk(hist, args.k, args.eps, rng), start=1)
     elif mode == "known-gauss":
-        if args.sigma is None:
-            raise ValueError("known-gauss requires --sigma")
         if args.k is not None:
             _check_k(args.k, d)
         ranked = enumerate(known_gauss(hist, args.sigma, rng)[: args.k], start=1)
     elif mode == "lsnoise":
-        if args.k is None or args.eps is None or args.sigma is None:
-            raise ValueError("lsnoise requires --k, --eps, and --sigma")
         ranked = enumerate(topk_release(hist, args.k, args.eps, args.sigma, rng), start=1)
     else:
-        if args.sigma is None or args.delta is None:
-            raise ValueError("trunc-gauss requires --sigma and --delta")
         config = TruncGaussConfig.from_target(spec, args.sigma, args.delta)
         entries = trunc_gauss_release(hist, config, rng)
         # e.rank counts the unpublished elements too, so ranks can skip
@@ -518,19 +504,16 @@ def _cmd_topk(args: argparse.Namespace) -> int:
         "delta0": delta0,
         "d": d,
     }
-    for name in ("k", "eps", "sigma", "delta"):
-        value = getattr(args, name)
-        if value is not None:
-            params[name] = value
-    with _open_output(args.output) as stream:
-        _write_table(stream, params, ["rank", "element", "noisy_count"], rows, args.format)
-    return 0
+    for name in needs + takes:
+        if getattr(args, name) is not None:
+            params[name] = getattr(args, name)
+    return _table(params, ["rank", "element", "noisy_count"], rows, args.format)
 
 
 # --------------------------------------------------------------------- audit
 
 
-def _cmd_audit(args: argparse.Namespace) -> int:
+def _cmd_audit(args: argparse.Namespace) -> Iterable[str]:
     rng = RngState(args.seed)
     if args.mechanism == "two-point":
         report = audit_two_point(args.eps, args.t, args.eps_g, args.trials, rng)
@@ -544,16 +527,13 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         report = audit_trunc_gauss(
             config, args.trials, rng, conversion_delta=args.conversion_delta
         )
-    with _open_output(args.output) as stream:
-        stream.write(report.to_json())
-        stream.write("\n")
-    return 0
+    return (report.to_json() + "\n",)
 
 
 # ----------------------------------------------------------------- calibrate
 
 
-def _cmd_calibrate(args: argparse.Namespace) -> int:
+def _cmd_calibrate(args: argparse.Namespace) -> Iterable[str]:
     if args.delta0 < 1:
         raise ValueError(f"delta0 must be >= 1, got {args.delta0}")
     if args.route == "zcdp":
@@ -561,8 +541,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     else:
         unit = solve_sigma_analytic(args.eps, args.delta)
         sigma = unit * math.sqrt(args.delta0)
-    print(_fmt(sigma))
-    return 0
+    return (_fmt(sigma) + "\n",)
 
 
 # -------------------------------------------------------------------- parser
@@ -630,11 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     figures.set_defaults(run=_cmd_figures)
 
     topk = sub.add_parser("topk", help="run one top-k release pipeline")
-    topk.add_argument(
-        "--mode",
-        required=True,
-        choices=("known-lap", "known-gauss", "lsnoise", "trunc-gauss"),
-    )
+    topk.add_argument("--mode", required=True, choices=tuple(_TOPK_OPTIONS))
     topk.add_argument("--input", required=True, help="corpus text, .json, or .csv counts")
     topk.add_argument("--k", type=int, default=None)
     topk.add_argument("--eps", type=float, default=None)
@@ -684,7 +659,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.run(args)
+        chunks = args.run(args)
+        if getattr(args, "output", "-") == "-":  # compose setwise and calibrate have no -o
+            sys.stdout.writelines(chunks)
+        else:
+            with open(args.output, "w", encoding="utf-8", newline="") as handle:
+                handle.writelines(chunks)
+            if args.command == "figures":
+                print(args.output)
+        return 0
     except (BracketError, ConvergenceError) as exc:
         print(f"dpcomp: solver failed to converge: {exc}", file=sys.stderr)
         return 3

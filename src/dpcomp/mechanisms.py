@@ -375,6 +375,8 @@ def _trunc_rhs(t_level: float, delta0: int, tau: float, sigma: float) -> float:
     # mass the tau-shifted window loses, as a fraction of the window mass;
     # written tail-minus-tail so nothing cancels near 1 when T >> s
     s = tau * sigma
+    if s == 0.0:
+        raise ValueError(f"tau*sigma underflows to 0 at tau = {tau}, sigma = {sigma}")
     num = std_normal_cdf((tau - t_level) / s) - std_normal_cdf(-t_level / s)
     den = std_normal_cdf(t_level / s) - std_normal_cdf(-t_level / s)
     if den == 0.0:
@@ -419,7 +421,7 @@ def solve_truncation_level(
         else:
             raise ValueError("truncation level did not bracket near tau/2")
     tol = 1e-12 * max(1.0, tau * sigma)
-    return solve(fits, lo, hi, tol_abs=tol, tol_rel=0.0, max_iter=200, doublings=doublings)
+    return solve(fits, lo, hi, tol_abs=tol, tol_rel=0.0, doublings=doublings)
 
 
 @dataclass(frozen=True)

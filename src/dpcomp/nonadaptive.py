@@ -41,8 +41,6 @@ __all__ = [
     "eps_inverse",
 ]
 
-# above the ~2,100 halvings from 2^1024 down to adjacent floats near 0
-_MAX_HALVINGS = 2200
 # ln C(n, .) rows and pure-DP weight rows kept for reuse across one
 # inversion or curve; few, so memory stays flat
 _ROW_CACHE = 8
@@ -260,6 +258,4 @@ def eps_inverse(
     ok = lambda eg: f(eg) <= delta_target
     # tol=0 stops at adjacent floats: no positive width is below ulp(0)
     tol_abs = max(tol, math.ulp(0.0))
-    return solve(
-        ok, 0.0, k * eps, tol_abs=tol_abs, tol_rel=0.0, max_iter=_MAX_HALVINGS, doublings=0
-    )
+    return solve(ok, 0.0, k * eps, tol_abs=tol_abs, tol_rel=0.0, doublings=0)

@@ -38,6 +38,8 @@ __all__ = [
 LogWeight = float
 
 _LOG_HALF = -math.log(2.0)
+# above the ~2,100 halvings from 2^1024 down to adjacent floats near 0
+_MAX_HALVINGS = 2200
 
 
 class BracketError(ValueError):
@@ -122,7 +124,7 @@ def solve(
     *,
     tol_abs: float,
     tol_rel: float,
-    max_iter: int,
+    max_iter: int = _MAX_HALVINGS,
     doublings: int,
 ) -> float:
     """The ``ok`` end of a bracket found by doubling and shrunk by halving.
@@ -142,7 +144,7 @@ def solve(
         lo, hi = hi, hi * 2.0
     else:
         if doublings:
-            raise BracketError(f"no point up to {hi} passes after {doublings} doublings")
+            raise BracketError(f"no point up to {lo} passes after {doublings} doublings")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("bracket endpoints must be finite")
     if not lo < hi:

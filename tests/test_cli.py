@@ -254,6 +254,30 @@ class TestExitCodes:
         assert code == 3
         assert "converge" in err
 
+    def test_bracket_error_names_the_last_point_tested(self, capsys):
+        # 80 doublings from sigma = 1 test 2^0 .. 2^79, never 2^80
+        code, _, err = run(
+            capsys,
+            ["calibrate", "--route", "analytic", "--eps", "0", "--delta", "1e-30"],
+        )
+        assert code == 3
+        assert f"no point up to {2.0**79} passes after 80 doublings" in err
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["compare", "single", "--delta0", "10000", "--sigma", "1e-300",
+              "--delta", "1e-6", "--tau", "1e6"], "sigma^2"),
+            (["audit", "trunc-gauss", "--sigma", "1e-300", "--tau", "1e-300",
+              "--delta", "0.999999", "--delta0", "25", "--conversion-delta", "1"], "tau*sigma"),
+        ],
+        ids=["compare-sigma-squared", "audit-tau-times-sigma"],
+    )
+    def test_underflowing_noise_scale_is_usage_error(self, capsys, argv, name):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == "" and f"invalid parameters: {name} underflows to 0" in err
+
     def test_vanishing_window_mass_is_usage_error(self, capsys, corpus_file):
         # tau * sigma = 1e17 leaves the truncation window no float mass
         for argv in (
@@ -317,8 +341,9 @@ class TestComposeCommand:
             want = delta_opt_mixed(CompositionQuery(k=4, m=2, eps=0.5, eps_g=eg))
             assert delta == want  # 17g survives the round trip exactly
 
-    def test_one_value_goes_to_output(self, capsys, tmp_path):
-        # -o gets the line that stdout carries without it, and stdout stays empty
+    def test_one_value_goes_to_output(self, capsys, tmp_path, corpus_file):
+        # every leaf with -o: the file gets the bytes that stdout carries
+        # without it, and stdout stays empty but for the path figures echoes
         for argv, value in (
             (["compose", "dp", "--k", "25", "--eps", "0.1", "--invert", "--delta", "1e-6"],
              eps_inverse(1e-6, "dp", 25, 0.1)),
@@ -326,13 +351,36 @@ class TestComposeCommand:
              delta_opt_mixed(CompositionQuery(k=20, m=10, eps=0.1, eps_g=1.0))),
             (["compose", "adaptive", "--slots", "br,br", "--eps", "1", "--eps-g", "0.3"],
              delta_opt_recursive(MechanismSequence(("br", "br"), 1.0), 0.3)),
+            (["compose", "dp", "--k", "3", "--eps", "0.5", "--eps-g", "0.7"], None),
+            (["compose", "br", "--k", "3", "--eps", "0.5", "--eps-g-grid", "0:1:0.25"], None),
+            (["compose", "mixed", "--k", "4", "--m", "2", "--eps", "0.5",
+              "--eps-g-grid", "0:1:0.5", "--format", "json"], None),
+            (["compose", "adaptive", "--slots", "dp,br", "--eps", "1",
+              "--eps-g-grid", "0:1:0.5"], None),
+            (["compare", "single", "--delta0", "10", "--sigma", "10", "--delta", "1e-6"], None),
+            (["compare", "kfold", "--delta0", "10", "--sigma", "10", "--delta", "1e-6",
+              "--k", "3"], None),
+            (["figures", "7"], None),
+            (["topk", "--mode", "known-lap", "--input", corpus_file, "--k", "3",
+              "--eps", "1.0"], None),
+            (["topk", "--mode", "known-gauss", "--input", corpus_file, "--sigma", "2",
+              "--format", "json"], None),
+            (["topk", "--mode", "lsnoise", "--input", corpus_file, "--k", "3",
+              "--eps", "1.0", "--sigma", "2"], None),
+            (["topk", "--mode", "trunc-gauss", "--input", corpus_file, "--sigma", "1.2",
+              "--delta", "1e-3", "--delta0", "1"], None),
+            (["audit", "two-point", "--eps", "1", "--t", "0.5", "--eps-g", "1"], None),
+            (["audit", "composed-dp", "--k", "3", "--eps", "0.2", "--eps-g", "0.3"], None),
+            (["audit", "trunc-gauss", "--sigma", "2", "--delta", "1e-6"], None),
         ):
             code, stdout, _ = run(capsys, argv)
-            assert code == 0 and stdout == f"{value:.17g}\n"
+            assert code == 0 and stdout, argv
+            if value is not None:
+                assert stdout == f"{value:.17g}\n"
             path = tmp_path / "value.txt"
             code, out, _ = run(capsys, argv + ["-o", str(path)])
-            assert code == 0 and out == ""
-            assert path.read_bytes() == stdout.encode()
+            assert code == 0 and out == (f"{path}\n" if argv[0] == "figures" else ""), argv
+            assert path.read_bytes() == stdout.encode(), argv
 
     def test_adaptive_single_point(self, capsys):
         code, out, _ = run(
@@ -449,10 +497,13 @@ class TestTopkCommand:
             ["--mode", "known-gauss", "--sigma", "2.0", "--k", "2"],
             ["--mode", "lsnoise", "--k", "2", "--eps", "1.0", "--sigma", "2.0"],
             ["--mode", "trunc-gauss", "--sigma", "1.2", "--delta", "1e-3", "--delta0", "1"],
+            ["--mode", "trunc-gauss", "--sigma", "1.2", "--delta", "1e-3", "--k", "1"],
         ):
             code, out, _ = run(capsys, ["topk", "--input", corpus_file, "--seed", "3"] + extra)
             assert code == 0
             assert out.splitlines()[1] == "rank,element,noisy_count"
+        # trunc-gauss reads --k: it sets the default delta0 = min(k, d)
+        assert " delta0=1 " in out.splitlines()[0] and " k=1 " in out.splitlines()[0]
 
     def test_known_gauss_writes_every_row_or_the_top_k(self, capsys, corpus_file):
         tokens = tokenize(CORPUS)
@@ -469,6 +520,26 @@ class TestTopkCommand:
             code, out, _ = run(capsys, argv + extra + ["--format", "json"])
             rows = json.loads(out)["rows"]
             assert [(r["element"], r["noisy_count"]) for r in rows] == want[:n]
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--mode", "known-lap", "--k", "2", "--eps", "0.5", "--sigma", "-3"],
+            ["--mode", "known-lap", "--k", "2", "--eps", "0.5", "--delta", "1e-6"],
+            ["--mode", "known-gauss", "--sigma", "2", "--eps", "0.5"],
+            ["--mode", "known-gauss", "--sigma", "2", "--delta", "nan"],
+            ["--mode", "lsnoise", "--k", "2", "--eps", "0.5", "--sigma", "2", "--delta", "1e-6"],
+            ["--mode", "trunc-gauss", "--sigma", "2", "--delta", "1e-6", "--eps", "0.5"],
+        ],
+        ids=["known-lap-sigma", "known-lap-delta", "known-gauss-eps", "known-gauss-delta",
+             "lsnoise-delta", "trunc-gauss-eps"],
+    )
+    def test_option_the_mode_does_not_read_is_usage_error(self, capsys, corpus_file, extra):
+        # the option under test is the last but one word
+        code, out, err = run(capsys, ["topk", "--input", corpus_file] + extra)
+        assert code == 2
+        assert out == ""
+        assert f"topk --mode {extra[1]} does not read {extra[-2]}" in err
 
     def test_missing_mode_flags_are_usage_errors(self, capsys, corpus_file):
         code, _, _ = run(capsys, ["topk", "--mode", "lsnoise", "--input", corpus_file, "--k", "2"])
@@ -553,6 +624,14 @@ class TestCalibrateCommand:
         assert code == 0
         assert float(out) == solve_sigma_zcdp(2.0790564717026427, 25, 1e-6)
         assert float(out) == pytest.approx(13.1, abs=0.05)
+
+    def test_analytic_route_at_huge_eps(self, capsys):
+        # from [0, 2^80] the halving needs about 1,150 steps to reach adjacent floats
+        code, out, _ = run(
+            capsys, ["calibrate", "--route", "analytic", "--eps", "1e300", "--delta", "0.5"]
+        )
+        assert code == 0
+        assert float(out) == 7.071067811870596e-151
 
     def test_analytic_route_scales_by_sqrt_delta0(self, capsys):
         _, unit, _ = run(
