@@ -35,6 +35,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .calibration import _gaussian_rho
 from .mechanisms import RngState, TruncGaussConfig
 from .nonadaptive import delta_opt_dp, grr_params
 from .numerics import check_nonnegative
@@ -63,6 +64,8 @@ _N_BOOTSTRAP = 200
 # as a + (b - a) t, and b - a overflows once |a| or |b| exceeds half the
 # float range
 _MAX_OUTCOME = float(np.finfo(float).max) / 2.0
+# largest eps_g at which math.exp(eps_g) does not overflow
+_LOG_MAX = math.log(float(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -102,6 +105,19 @@ class AuditReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _exp_times(eps_g: float, x: np.ndarray) -> np.ndarray:
+    """e^eps_g * x elementwise, also where e^eps_g alone overflows.
+
+    Up to ln(max float) it is that product; above, exp(eps_g + ln x),
+    which is 0 where x is 0.  An entry past the float range is inf either
+    way, and the positive part that subtracts it is 0, so neither warns.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        if eps_g <= _LOG_MAX:
+            return math.exp(eps_g) * x
+        return np.exp(eps_g + np.log(x))
+
+
 def hockey_stick_exact(
     dist_pairs: Sequence[tuple[float, float]], eps_g: float
 ) -> float:
@@ -126,7 +142,7 @@ def hockey_stick_exact(
             raise ValueError(f"pair ({q_i}, {p_i}) is not a probability pair")
         p_out = np.concatenate([p_out * q_i, p_out * (1.0 - q_i)])
         q_out = np.concatenate([q_out * p_i, q_out * (1.0 - p_i)])
-    diff = p_out - math.exp(eps_g) * q_out
+    diff = p_out - _exp_times(eps_g, q_out)
     return float(np.sum(np.maximum(diff, 0.0)))
 
 
@@ -190,7 +206,7 @@ def _category_counts(
 def _positive_part(counts_p: np.ndarray, counts_q: np.ndarray, eps_g: float) -> float:
     n_p = counts_p.sum(axis=-1, keepdims=True)
     n_q = counts_q.sum(axis=-1, keepdims=True)
-    diff = counts_p / n_p - math.exp(eps_g) * counts_q / n_q
+    diff = counts_p / n_p - _exp_times(eps_g, counts_q) / n_q
     return np.maximum(diff, 0.0).sum(axis=-1)
 
 
@@ -332,9 +348,7 @@ def audit_trunc_gauss(
 
         return sample
 
-    instance = Zcdp(
-        delta=config.delta, xi=0.0, rho=1.0 / (2.0 * config.sigma * config.sigma)
-    )
+    instance = Zcdp(delta=config.delta, xi=0.0, rho=_gaussian_rho(config.sigma, 1))
     eps_g, bound = zcdp_dp_guarantee(instance, conversion_delta)
     estimate, se = monte_carlo_delta(
         windowed(config.tau + t_level),

@@ -128,10 +128,15 @@ def gaussian_zcdp_eps(sigma: float, delta0: int, delta: float) -> float:
     if delta0 < 1:
         raise ValueError(f"delta0 must be >= 1, got {delta0}")
     check_delta("delta", delta)
+    rho = _gaussian_rho(sigma, delta0)
+    return _zcdp_eps(rho, rho, delta)
+
+
+def _gaussian_rho(sigma: float, delta0: int) -> float:
+    """zCDP rho = delta0 / (2 sigma^2) of Gaussian noise at L0 sensitivity delta0."""
     if sigma * sigma == 0.0:
         raise ValueError(f"sigma^2 underflows to 0 at sigma = {sigma}")
-    rho = delta0 / (2.0 * sigma * sigma)
-    return _zcdp_eps(rho, rho, delta)
+    return delta0 / (2.0 * sigma * sigma)
 
 
 def solve_sigma_zcdp(eps: float, delta0: int, delta: float) -> float:

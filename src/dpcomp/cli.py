@@ -475,6 +475,8 @@ def _cmd_topk(args: argparse.Namespace) -> Iterable[str]:
             raise ValueError(f"topk --mode {mode} does not read --{name}")
     counts = load_histogram_counts(args.input)
     d = len(counts)
+    if args.k is not None:
+        _check_k(args.k, d)
     k = d if args.k is None else args.k
     delta0 = min(k, d) if args.delta0 is None else args.delta0
     d_bar = d if args.d_bar is None else args.d_bar
@@ -484,8 +486,6 @@ def _cmd_topk(args: argparse.Namespace) -> Iterable[str]:
     if mode == "known-lap":
         ranked = enumerate(known_lap_topk(hist, args.k, args.eps, rng), start=1)
     elif mode == "known-gauss":
-        if args.k is not None:
-            _check_k(args.k, d)
         ranked = enumerate(known_gauss(hist, args.sigma, rng)[: args.k], start=1)
     elif mode == "lsnoise":
         ranked = enumerate(topk_release(hist, args.k, args.eps, args.sigma, rng), start=1)

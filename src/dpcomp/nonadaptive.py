@@ -14,6 +14,10 @@ is m = 0, and ``delta_opt_mixed`` is any m; the last two maximize over
 positive part of each term is decided on the sign of its exponent, never
 by subtracting nearly equal exps.
 
+``eps_inverse`` needs only whether a bound meets its target, not the
+bound itself: each bisection step tries the candidate tilts one at a
+time and stops at the first whose sum is not at most the target.
+
 The global budget eps_g may be any real, including negative: delta then
 approaches the total-variation limit 1 - e^eps_g.
 """
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .numerics import (
-    check_delta, check_positive, log1mexp, log1pexp, log_binomial, logsumexp, solve
+    _LOG_HALF, check_delta, check_positive, log1mexp, log1pexp, log_binomial, solve
 )
 
 __all__ = [
@@ -176,14 +180,26 @@ def _delta_at_t(k: int, m: int, eps: float, eps_g: float, t: float) -> float:
                 lb += i * log_1mp
             if lb != -math.inf:
                 rows.append((lb + s, s))
+    # log1mexp's two branches inline: an exponent below -ln 2 takes
+    # log1p(-exp), one in [-ln 2, 0) log(-expm1), a nonnegative one ends
+    # the walk, and a NaN one (an overflowed eps) raises in log1mexp
     terms = []
     for log_row, s in rows:
         for ell in range(m, -1, -1):
             expo = eps_g + (m - 2 * ell) * eps - s
-            if expo >= 0.0:
+            if expo < _LOG_HALF:
+                terms.append(log_row + dp_w[ell] + math.log1p(-math.exp(expo)))
+            elif expo < 0.0:
+                terms.append(log_row + dp_w[ell] + math.log(-math.expm1(expo)))
+            elif expo >= 0.0:
                 break
-            terms.append(log_row + dp_w[ell] + log1mexp(expo))
-    return math.exp(logsumexp(terms))
+            else:
+                log1mexp(expo)
+    if not terms:
+        return 0.0
+    # exp(logsumexp(terms)) written out; fsum rounds once, whatever the order
+    top = max(terms)
+    return math.exp(top + math.log(math.fsum([math.exp(v - top) for v in terms])))
 
 
 def delta_opt_dp(k: int, eps: float, eps_g: float) -> float:
@@ -247,15 +263,25 @@ def eps_inverse(
     eps_g = k eps is exactly zero, so [0, k eps] always brackets; if even
     eps_g = 0 already meets the target, 0 is returned.  Bisection stops at
     width tol, or earlier once the bracket ends are adjacent floats, and
-    returns the feasible end.
+    returns the feasible end.  A midpoint is judged without the full
+    maximum over the candidate tilts: it is infeasible at the first
+    candidate whose sum is not at most the target.  For "dp" (one
+    candidate) and wherever no sum is NaN that is the decision of the
+    plain test ``bound <= delta_target``, so the midpoints and the result
+    are too.
     """
     check_delta("delta_target", delta_target)
     if not tol >= 0.0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
-    f = _bound_curve(bound, k, eps, m)
-    if f(0.0) <= delta_target:
+    _bound_curve(bound, k, eps, m)  # rejects an unknown bound, and "mixed" without m
+    m = {"dp": k, "br": 0}.get(bound, m)
+    CompositionQuery(k=k, m=m, eps=eps, eps_g=0.0)
+    ok = lambda eg: all(
+        _delta_at_t(k, m, eps, eg, t) <= delta_target
+        for t in mixed_candidate_ts(k, m, eps, eg)
+    )
+    if ok(0.0):
         return 0.0
-    ok = lambda eg: f(eg) <= delta_target
     # tol=0 stops at adjacent floats: no positive width is below ulp(0)
     tol_abs = max(tol, math.ulp(0.0))
     return solve(ok, 0.0, k * eps, tol_abs=tol_abs, tol_rel=0.0, doublings=0)

@@ -12,7 +12,9 @@ supremum over mixed two-point products and the position-invariance
 check for one BR slot among DP slots.  The one- and two-BR adaptive
 deltas (a closed form, and a tilt search around it), the pure-DP slot's
 log-probabilities and the Laplace histogram delta are second routes the
-package no longer calls.  The list-based release
+package no longer calls, and so are the per-tilt sum before its kernel
+was inlined and the inversion that judged every bisection midpoint by
+the full bound.  The list-based release
 mechanisms are the package's former per-request sorts and full-width
 selection rounds, kept as the reference its columnar releases must
 reproduce byte for byte, and the audit categorizer that bins every trial
@@ -46,13 +48,16 @@ from dpcomp.mechanisms import (
 )
 from dpcomp.nonadaptive import (
     CompositionQuery,
+    _dp_weights,
+    _log_binomial_row,
+    delta_opt_br_nonadaptive,
     delta_opt_dp,
     delta_opt_mixed,
     grr_log_probs,
     grr_params,
     mixed_candidate_ts,
 )
-from dpcomp.numerics import golden_max, log1mexp, log1pexp, log_binomial, logsumexp
+from dpcomp.numerics import golden_max, log1mexp, log1pexp, log_binomial, logsumexp, solve
 from dpcomp.setwise import (
     AccountantStateError,
     BoundedRange,
@@ -250,6 +255,63 @@ def float_delta_mixed(k: int, m: int, eps: float, eps_g: float) -> float:
     return max(
         _float_delta_mixed_at_t(k, m, eps, eps_g, t)
         for t in mixed_candidate_ts(k, m, eps, eps_g)
+    )
+
+
+def logsumexp_delta_at_t(k: int, m: int, eps: float, eps_g: float, t: float) -> float:
+    """The package's per-tilt sum as written before its kernel was inlined.
+
+    Calls ``log1mexp`` per term and ends in ``logsumexp``; the inlined
+    ``nonadaptive._delta_at_t`` must return the same float.
+    """
+    kb = k - m
+    dp_w = _dp_weights(m, eps)
+    rows = [(0.0, 0.0)]
+    if kb > 0:
+        _, _, log_p, log_1mp = grr_log_probs(eps, t)
+        rows = []
+        for i, lb in enumerate(_log_binomial_row(kb)):
+            s = kb * t - i * eps
+            if eps_g - m * eps - s >= 0.0:
+                break
+            if kb - i > 0:
+                lb += (kb - i) * log_p
+            if i > 0:
+                lb += i * log_1mp
+            if lb != -math.inf:
+                rows.append((lb + s, s))
+    terms = []
+    for log_row, s in rows:
+        for ell in range(m, -1, -1):
+            expo = eps_g + (m - 2 * ell) * eps - s
+            if expo >= 0.0:
+                break
+            terms.append(log_row + dp_w[ell] + log1mexp(expo))
+    return math.exp(logsumexp(terms))
+
+
+def plain_eps_inverse(
+    delta_target: float,
+    bound: str,
+    k: int,
+    eps: float,
+    m: Optional[int] = None,
+    tol: float = 1e-9,
+) -> float:
+    """``eps_inverse`` as one ``solve`` over the public bound, every
+    midpoint judged by the full maximum over the candidate tilts."""
+    if bound == "dp":
+        f = lambda eg: delta_opt_dp(k, eps, eg)
+    elif bound == "br":
+        f = lambda eg: delta_opt_br_nonadaptive(k, eps, eg)
+    else:
+        f = lambda eg: delta_opt_mixed(CompositionQuery(k=k, m=m, eps=eps, eps_g=eg))
+    if f(0.0) <= delta_target:
+        return 0.0
+    tol_abs = max(tol, math.ulp(0.0))
+    return solve(
+        lambda eg: f(eg) <= delta_target, 0.0, k * eps, tol_abs=tol_abs, tol_rel=0.0,
+        doublings=0,
     )
 
 

@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpcomp.audit import (
+    _LOG_MAX,
     _SAMPLE_ROWS,
     AuditReport,
     _category_counts,
+    _exp_times,
     _second_outcome_sampler,
     audit_composed_dp,
     audit_trunc_gauss,
@@ -134,6 +136,25 @@ class TestHockeyStickExact:
                     assert hockey_stick_exact(
                         [(pair.q, pair.p)] * k, float(eps_g)
                     ) == pytest.approx(delta_opt_dp(k, eps, float(eps_g)), abs=1e-10)
+
+    def test_unchanged_up_to_the_overflow_point(self) -> None:
+        # e^eps_g times the mass, as a product, wherever e^eps_g is a float
+        x = np.array([0.0, 5e-324, 1e-310, 0.25, 1.0, 7.0])
+        assert math.exp(_LOG_MAX) < math.inf
+        with pytest.raises(OverflowError):
+            math.exp(math.nextafter(_LOG_MAX, math.inf))
+        with np.errstate(over="ignore"):
+            for eps_g in (0.0, 0.3, 700.0, 709.0, _LOG_MAX):
+                assert _exp_times(eps_g, x).tolist() == (math.exp(eps_g) * x).tolist()
+
+    def test_past_the_overflow_point(self) -> None:
+        # e^eps_g overflows above ln(max float) = 709.78..., but its
+        # product with a subnormal mass is a float, and a zero mass stays 0
+        pairs = [(0.5, 1e-310), (0.3, 0.0)]
+        for eps_g in (709.0, 710.0, 720.0, 1e4):
+            assert hockey_stick_exact(pairs, eps_g) == pytest.approx(
+                product_delta(pairs, eps_g), rel=1e-12
+            )
 
     def test_permutation_invariant(self) -> None:
         pairs = [(0.9, 0.4), (0.3, 0.25), (0.6, 0.1)]
@@ -270,6 +291,13 @@ class TestMonteCarloDelta:
             0.46211715726000974, abs=0.01
         )
         assert report.verdict == "consistent"
+
+    def test_eps_g_past_the_overflow_point(self) -> None:
+        # e^720 overflows; every sampled category of the second law then
+        # outweighs the first, and only the ones it never hit count
+        report = audit_two_point(2.0, 1.0, 720.0, 10**5, RngState(3))
+        assert report.bound_delta == 0.0
+        assert report.empirical_delta == 0.0 and report.std_error == 0.0
 
     def test_deterministic_in_seed(self) -> None:
         a = audit_two_point(2.0, 1.0, 0.5, 10**5, RngState(11))

@@ -270,8 +270,10 @@ class TestExitCodes:
               "--delta", "1e-6", "--tau", "1e6"], "sigma^2"),
             (["audit", "trunc-gauss", "--sigma", "1e-300", "--tau", "1e-300",
               "--delta", "0.999999", "--delta0", "25", "--conversion-delta", "1"], "tau*sigma"),
+            (["audit", "trunc-gauss", "--sigma", "5e-324", "--delta", "0.5", "--tau", "1"],
+             "sigma^2"),
         ],
-        ids=["compare-sigma-squared", "audit-tau-times-sigma"],
+        ids=["compare-sigma-squared", "audit-tau-times-sigma", "audit-sigma-squared"],
     )
     def test_underflowing_noise_scale_is_usage_error(self, capsys, argv, name):
         code, out, err = run(capsys, argv)
@@ -541,6 +543,16 @@ class TestTopkCommand:
         assert out == ""
         assert f"topk --mode {extra[1]} does not read {extra[-2]}" in err
 
+    @pytest.mark.parametrize("k", ["9", "0", "-5"])
+    def test_trunc_gauss_k_is_range_checked(self, capsys, corpus_file, k):
+        # --k only sets the default delta0 here, but is checked as in known-gauss
+        argv = ["topk", "--mode", "trunc-gauss", "--input", corpus_file, "--sigma", "1.2",
+                "--delta", "1e-3", "--k", k]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert f"k must be an integer in [1, 8], got {k}" in err
+
     def test_missing_mode_flags_are_usage_errors(self, capsys, corpus_file):
         code, _, _ = run(capsys, ["topk", "--mode", "lsnoise", "--input", corpus_file, "--k", "2"])
         assert code == 2
@@ -591,6 +603,22 @@ class TestAuditCommand:
         report = json.loads(out)
         assert report["verdict"] in ("consistent", "violation")
         assert report["empirical_delta"] <= report["bound_delta"] + 3 * report["std_error"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["two-point", "--eps", "800", "--t", "400", "--eps-g", "710"],
+            ["composed-dp", "--k", "800", "--eps", "1", "--eps-g", "720"],
+        ],
+        ids=["two-point", "composed-dp"],
+    )
+    def test_eps_g_past_the_exp_overflow(self, capsys, argv):
+        # e^eps_g overflows a float above eps_g = 709.78
+        code, out, _ = run(capsys, ["audit"] + argv)
+        assert code == 0
+        report = json.loads(out)
+        assert 0.0 <= report["bound_delta"] < 1e-50
+        assert 0.0 <= report["empirical_delta"] <= 1.0
 
     def test_trunc_gauss_audit_runs(self, capsys):
         code, out, _ = run(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -269,6 +270,33 @@ class TestOneEvaluator:
         want = oracles.float_delta_mixed(k, m, eps, eps_g)
         assert got == pytest.approx(want, abs=1e-13)
 
+    def test_inlined_kernel_matches_logsumexp_route(self):
+        # 3,000 seeded draws: t at both ends and inside, m at both ends,
+        # eps_g below zero and past k eps, k up to 200
+        rng = random.Random(17)
+        draws = []
+        for _ in range(3000):
+            k = rng.randint(1, 200) if rng.random() < 0.15 else rng.randint(1, 40)
+            m = rng.choice((0, k, rng.randint(0, k)))
+            eps = rng.choice((10 ** rng.uniform(-3.0, 0.7), 10 ** rng.uniform(1.0, 8.0)))
+            eps_g = rng.choice((0.0, rng.uniform(-1.5, 1.5) * k * eps, -rng.expovariate(0.1)))
+            t = rng.choice((0.0, eps, rng.random() * eps))
+            draws.append((k, m, eps, eps_g, t))
+        differ = [
+            d for d in draws
+            if nonadaptive._delta_at_t(*d) != oracles.logsumexp_delta_at_t(*d)
+        ]
+        assert differ == []
+
+    @pytest.mark.parametrize("k, m, eps, eps_g", [(3, 0, 1e308, 1.0), (3, 1, 1e308, 1.0)])
+    def test_nan_exponent_raises(self, k, m, eps, eps_g):
+        # k eps overflows, so a term's exponent is NaN: both routes refuse it
+        t = mixed_candidate_ts(k, m, eps, eps_g)[-1]
+        with pytest.raises(ValueError, match="got nan"):
+            oracles.logsumexp_delta_at_t(k, m, eps, eps_g, t)
+        with pytest.raises(ValueError, match="got nan"):
+            nonadaptive._delta_at_t(k, m, eps, eps_g, t)
+
     def test_inversion_reuses_rows(self, monkeypatch):
         # one ln C(200, .) row serves every bisection step
         calls = []
@@ -321,6 +349,25 @@ class TestEpsInverse:
         assert delta_opt_dp(10, eps, eg) <= 1e-6
         assert delta_opt_dp(10, eps, math.nextafter(eg, 0.0)) > 1e-6
 
+    def test_matches_plain_bisection(self):
+        # the early-exit test decides every midpoint as the full bound does
+        rng = random.Random(29)
+        calls = []
+        for _ in range(1000):
+            bound = rng.choice(("dp", "br", "mixed"))
+            k = rng.randint(1, 60) if bound == "dp" else rng.randint(1, 20)
+            m = rng.randint(0, k) if bound == "mixed" else None
+            eps = rng.choice((10 ** rng.uniform(-2.0, 0.5), 10 ** rng.uniform(1.0, 8.0)))
+            delta = rng.choice((10 ** rng.uniform(-12.0, -0.05), 0.999))
+            tol = rng.choice((1e-9, 1e-6, 0.0))
+            calls.append((delta, bound, k, eps, m, tol))
+        differ = [
+            c for c in calls
+            if eps_inverse(*c[:4], m=c[4], tol=c[5])
+            != oracles.plain_eps_inverse(*c[:4], m=c[4], tol=c[5])
+        ]
+        assert differ == []
+
     def test_validation(self):
         with pytest.raises(ValueError):
             eps_inverse(0.0, "dp", 2, 0.1)
@@ -331,3 +378,13 @@ class TestEpsInverse:
         for tol in (-1e-9, math.nan):
             with pytest.raises(ValueError):
                 eps_inverse(1e-6, "dp", 2, 0.1, tol=tol)
+
+    @pytest.mark.parametrize(
+        "bound, k, eps, m, name",
+        [("dp", 0, 0.1, None, "k"), ("br", 0, 0.1, None, "k"), ("dp", 2, 0.0, None, "eps"),
+         ("br", 2, -0.1, None, "eps"), ("mixed", 2, 0.1, 3, "m"), ("mixed", 2, 0.1, -1, "m")],
+    )
+    def test_query_is_checked_before_the_probe(self, bound, k, eps, m, name):
+        # the eps_g = 0 probe would answer for these rather than refuse them
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            eps_inverse(1e-6, bound, k, eps, m=m)
