@@ -17,11 +17,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from scipy.special import log_ndtr
 
 from .nonadaptive import eps_inverse
-from .numerics import check_delta, check_nonnegative, check_positive, solve, std_normal_cdf
+from .numerics import (
+    _ERR_UNIT,
+    _predicted_bracket,
+    check_delta,
+    check_nonnegative,
+    check_positive,
+    solve,
+    std_normal_cdf,
+)
 from .setwise import _zcdp_eps
 
 __all__ = [
@@ -90,6 +99,37 @@ def analytic_gaussian_delta(sigma: float, eps: float) -> float:
     return min(1.0, max(0.0, delta))
 
 
+def _curve_error(sigma: float, eps: float) -> float:
+    """Bound, in units of _ERR_UNIT, on the rounding of a computed
+    analytic_gaussian_delta(sigma, eps) = Phi(a) - e^tail with eps >= 0.
+
+    Phi(a) comes from erfc, good to a few ulps of itself.  a and b carry
+    rounding of size |b| = 1/(2 sigma) + eps sigma, which moves Phi(a) by
+    up to phi(a) |b| and ln Phi(b) by up to |b|^2.  tail = eps + ln Phi(b)
+    is a sum of terms of size eps and -ln Phi(b) <= b^2 + |b| + 1, so
+    e^tail <= Phi(a) (the difference is a delta >= 0) is good to
+    (eps + 2 b^2 + |b| + 1) of itself.
+    """
+    a = 0.5 / sigma - eps * sigma
+    b = 0.5 / sigma + eps * sigma
+    return (
+        std_normal_cdf(a) * (3.0 + eps + 2.0 * b * b + b)
+        + math.exp(-0.5 * a * a) * b
+    )
+
+
+def _predict_curve_root(
+    delta: float, f: Callable[[float], float], curve_error: Callable[[float], float]
+) -> Callable[[float, float], tuple[float, float]]:
+    # a solve's predicted bracket on the Gaussian curve f(x) <= delta;
+    # the solved-for x (eps or sigma) enters a and b with its own rounding
+    return lambda lo, hi: _predicted_bracket(
+        f, delta, lo, hi,
+        err=lambda x, d: _ERR_UNIT * curve_error(x),
+        x_err=lambda x: _ERR_UNIT * abs(x),
+    )
+
+
 def analytic_gaussian_eps(sigma: float, delta: float) -> float:
     """Smallest eps at which N(0, sigma^2) vs N(1, sigma^2) admits delta.
 
@@ -100,8 +140,11 @@ def analytic_gaussian_eps(sigma: float, delta: float) -> float:
     check_delta("delta", delta)
     if analytic_gaussian_delta(sigma, 0.0) <= delta:
         return 0.0
-    ok = lambda e: analytic_gaussian_delta(sigma, e) <= delta
-    return solve(ok, 0.0, 1.0, tol_abs=_TOL_REL, **_SEARCH)
+    f = lambda e: analytic_gaussian_delta(sigma, e)
+    predict = _predict_curve_root(delta, f, lambda e: _curve_error(sigma, e))
+    return solve(
+        lambda e: f(e) <= delta, 0.0, 1.0, tol_abs=_TOL_REL, predict=predict, **_SEARCH
+    )
 
 
 def solve_sigma_analytic(eps: float, delta: float) -> float:
@@ -110,11 +153,24 @@ def solve_sigma_analytic(eps: float, delta: float) -> float:
     Returned from the feasible end: analytic_gaussian_delta(sigma, eps)
     <= delta holds, and the bracket it closes is within 1e-12 * sigma
     of the root.
+
+    Below the curve's rounding floor the returned sigma is set by
+    rounding noise.  Where eps is small (below about 3e-5) and delta far
+    below 1e-16, analytic_gaussian_delta near the root is a difference of
+    two numbers near 1/2 whose rounding, some 1e-16, dwarfs delta: the
+    computed curve is not monotone there, and which sigma the bisection
+    settles on depends on the rounding at each midpoint it happens to
+    visit, not on the exact curve.  The result still passes the computed
+    test, but it can lie some 1e-8 * sigma from the exact root, on
+    either side of it.
     """
     check_nonnegative("eps", eps)
     check_delta("delta", delta)
-    ok = lambda s: analytic_gaussian_delta(s, eps) <= delta
-    return solve(ok, 0.0, 1.0, tol_abs=0.0, **_SEARCH)
+    f = lambda s: analytic_gaussian_delta(s, eps)
+    predict = _predict_curve_root(delta, f, lambda s: _curve_error(s, eps))
+    return solve(
+        lambda s: f(s) <= delta, 0.0, 1.0, tol_abs=0.0, predict=predict, **_SEARCH
+    )
 
 
 def gaussian_zcdp_eps(sigma: float, delta0: int, delta: float) -> float:

@@ -16,7 +16,9 @@ by subtracting nearly equal exps.
 
 ``eps_inverse`` needs only whether a bound meets its target, not the
 bound itself: each bisection step tries the candidate tilts one at a
-time and stops at the first whose sum is not at most the target.
+time and stops at the first whose sum is not at most the target.  A
+predicted bracket, from a few evaluations of the full bound and its
+rounding-error bound, decides most midpoints without evaluating them.
 
 The global budget eps_g may be any real, including negative: delta then
 approaches the total-variation limit 1 - e^eps_g.
@@ -30,7 +32,15 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .numerics import (
-    _LOG_HALF, check_delta, check_positive, log1mexp, log1pexp, log_binomial, solve
+    _ERR_UNIT,
+    _LOG_HALF,
+    _predicted_bracket,
+    check_delta,
+    check_positive,
+    log1mexp,
+    log1pexp,
+    log_binomial,
+    solve,
 )
 
 __all__ = [
@@ -121,6 +131,8 @@ class CompositionQuery:
         if not isinstance(self.m, int) or not 0 <= self.m <= self.k:
             raise ValueError(f"m must lie in 0..k={self.k}, got {self.m}")
         check_positive("eps", self.eps)
+        if not math.isfinite(self.k * self.eps):
+            raise ValueError(f"k*eps must be finite, got {self.k} * {self.eps}")
         if math.isnan(self.eps_g):
             raise ValueError("eps_g must not be NaN")
 
@@ -268,7 +280,9 @@ def eps_inverse(
     candidate whose sum is not at most the target.  For "dp" (one
     candidate) and wherever no sum is NaN that is the decision of the
     plain test ``bound <= delta_target``, so the midpoints and the result
-    are too.
+    are too.  The bisection takes a midpoint outside the bracket that
+    ``numerics._predicted_bracket`` measures on the full bound without
+    evaluating it; the midpoints and the result stay the same.
     """
     check_delta("delta_target", delta_target)
     if not tol >= 0.0:
@@ -282,6 +296,25 @@ def eps_inverse(
     )
     if ok(0.0):
         return 0.0
+    f = lambda eg: max(
+        _delta_at_t(k, m, eps, eg, t) for t in mixed_candidate_ts(k, m, eps, eg)
+    )
+    # Rounding that moves with eg, in units of _ERR_UNIT (the binomial
+    # and pure-DP rows are fixed, so their rounding is part of the exact
+    # curve).  Each exponent eg + (m - 2 ell) eps - s sums terms of size
+    # up to |eg| + 2 k eps: an error in eg itself.  The tilt t, so s and
+    # ln p, moves with eg too; in a term within some 40 of ln delta_target
+    # those negative log-factors are at most ln C(n, i) + s - ln term
+    # < k (1 + eps) + |ln delta_target| + 40 in size, and so is the
+    # term's relative error, and with it the sum's.
+    rel = k * (eps + 1.0) + abs(math.log(delta_target)) + 40.0
+    predict = lambda lo, hi: _predicted_bracket(
+        f, delta_target, lo, hi,
+        err=lambda eg, d: _ERR_UNIT * (rel + abs(eg)) * d,
+        x_err=lambda eg: _ERR_UNIT * (abs(eg) + 2.0 * k * eps),
+    )
     # tol=0 stops at adjacent floats: no positive width is below ulp(0)
     tol_abs = max(tol, math.ulp(0.0))
-    return solve(ok, 0.0, k * eps, tol_abs=tol_abs, tol_rel=0.0, doublings=0)
+    return solve(
+        ok, 0.0, k * eps, tol_abs=tol_abs, tol_rel=0.0, doublings=0, predict=predict
+    )

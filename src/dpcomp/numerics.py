@@ -7,6 +7,16 @@ bracketing root search, ``solve``, and one golden-section search,
 ``golden_max``) and the parameter checks every module shares.  Every root
 search returns the feasible end of its final bracket, never a midpoint.
 
+A root search may also be given a predicted bracket: Illinois-type false
+position on ln f - ln target finds the root in a few evaluations of the
+caller's value f, and two probes a few noise bands either side of it
+give measured points a < b where f is above the target at a and below it
+at b by more than twice the caller's bound on f's rounding error.  As
+the exact bound is monotone, every point beyond a (or b), moved outward
+by the caller's bound on the error in x itself, has a known answer, and
+the halving takes those midpoints without evaluating them.  It walks the
+same midpoints either way and returns the same float.
+
 Probabilities that can underflow are carried as natural logs throughout the
 package; ``-inf`` encodes an exact zero.
 """
@@ -14,6 +24,7 @@ package; ``-inf`` encodes an exact zero.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, Iterable
 
 import numpy as np
@@ -40,6 +51,14 @@ LogWeight = float
 _LOG_HALF = -math.log(2.0)
 # above the ~2,100 halvings from 2^1024 down to adjacent floats near 0
 _MAX_HALVINGS = 2200
+# 64 units of roundoff: the unit in which callers of _predicted_bracket
+# state their error bounds, the 64 a margin over the few roundings each
+# bound counts
+_ERR_UNIT = 64.0 * sys.float_info.epsilon
+# false-position steps before _predicted_bracket gives up, and how many
+# noise bands from the converged root its probes sit
+_PREDICT_STEPS = 60
+_PROBE_BANDS = 4.0
 
 
 class BracketError(ValueError):
@@ -126,6 +145,7 @@ def solve(
     tol_rel: float,
     max_iter: int = _MAX_HALVINGS,
     doublings: int,
+    predict: Callable[[float, float], tuple[float, float]] | None = None,
 ) -> float:
     """The ``ok`` end of a bracket found by doubling and shrunk by halving.
 
@@ -137,6 +157,15 @@ def solve(
     max(tol_abs, tol_rel * |hi|), or once the ends are adjacent floats,
     and returns the final hi, where ok holds.  ConvergenceError if
     max_iter halvings leave the bracket wider than that.
+
+    predict, given the bracket left after doubling, returns a < b such
+    that ok is known false at every point <= a and true at every point
+    >= b (``_predicted_bracket``: measured points where the value behind
+    ok clears the target by twice the caller's rounding bound, moved
+    outward by twice its bound on the error in x).  The halving then
+    takes a midpoint outside (a, b) without calling ok, so it walks the
+    midpoints it would walk without predict and returns the same float,
+    in as many halvings.
     """
     for _ in range(doublings):
         if ok(hi):
@@ -155,6 +184,7 @@ def solve(
         raise ValueError("tol_abs or tol_rel must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    a, b = (-math.inf, math.inf) if predict is None else predict(lo, hi)
     halvings = 0
     while hi - lo > tol_abs and hi - lo > tol_rel * abs(hi):
         mid = 0.5 * (lo + hi)
@@ -165,11 +195,102 @@ def solve(
                 f"bisection still at width {hi - lo} after {halvings} halvings"
             )
         halvings += 1
-        if ok(mid):
+        if mid >= b or (mid > a and ok(mid)):
             hi = mid
         else:
             lo = mid
     return hi
+
+
+def _predicted_bracket(
+    f: Callable[[float], float],
+    target: float,
+    lo: float,
+    hi: float,
+    err: Callable[[float, float], float],
+    x_err: Callable[[float], float],
+) -> tuple[float, float]:
+    """Measured points a < b around the root of f(x) = target in (lo, hi).
+
+    f is the computed value behind a test ``f(x) <= target``, with
+    target > 0, and the caller's two bounds describe its rounding: for
+    one nonincreasing exact F, the computed f(x) lies within err(x, f(x))
+    of F at some point within x_err(x) of x, and both bounds change
+    little across a few x_err.  A point p with f(p) - target >
+    2 err(p, f(p)) then has F(p - x_err) above the target by more than
+    one err, so to first order every x <= a = p - 2 x_err(p) computes
+    f(x) > target; symmetrically, f(q) below the target by more than
+    2 err gives f(x) <= target at every x >= b = q + 2 x_err(q).  Where
+    no evaluated point clears its band on a side, that side stays
+    infinite and ``solve`` evaluates its midpoints as usual; so do both
+    sides if the points contradict each other (a >= b).
+
+    Illinois-type false position (Dowell & Jarratt, BIT 1971) on
+    g = ln f - ln target runs inside (lo, hi), never at either end.  It
+    bisects while an end's value is unknown or f there is 0, and after
+    three steps in a row on one side, which a flat stretch of ln f
+    causes; a step that replaces the same end as the last one scales
+    the other end's g by Anderson & Bjorck's 1 - g/g_replaced (by 1/2
+    when that is not positive).  It stops at the first point within the
+    noise band, or after _PREDICT_STEPS evaluations.  The secant slope
+    through the last two points then sets up to two probes _PROBE_BANDS
+    bands either side of that point, each made only where it would
+    narrow (a, b).
+    """
+    ln_target = math.log(target)
+    a, b = -math.inf, math.inf
+    # ends of the false-position bracket, g NaN until evaluated; run
+    # counts the steps in a row that landed on the side of `side`
+    xa, ga, xb, gb = lo, math.nan, hi, math.nan
+    side, run = 0, 0
+    last = None
+
+    def measure(x: float) -> tuple[float, float, bool]:
+        nonlocal a, b
+        fx = f(x)
+        band = 2.0 * err(x, fx)
+        if fx - target > band:
+            a = max(a, x - 2.0 * x_err(x))
+        elif target - fx > band:
+            b = min(b, x + 2.0 * x_err(x))
+        g = math.log(fx) - ln_target if fx > 0.0 else -math.inf
+        return fx, g, abs(fx - target) <= band
+
+    def scale(g: float, g_old: float) -> float:
+        m = 1.0 - g / g_old if g_old else 0.5
+        return m if m > 0.0 else 0.5
+
+    for _ in range(_PREDICT_STEPS):
+        if run < 3 and 0.0 < ga < math.inf and -math.inf < gb < 0.0:
+            x = xb - gb * (xb - xa) / (gb - ga)
+        else:
+            x = 0.5 * (xa + xb)
+        if not xa < x < xb:
+            break
+        fx, g, noisy = measure(x)
+        prev, last = last, (x, g)
+        new_side = 1 if fx > target else -1
+        run = run + 1 if new_side == side else 1
+        side = new_side
+        if side > 0:
+            if run > 1:
+                gb *= scale(g, ga)
+            xa, ga = x, g
+        else:
+            if run > 1:
+                ga *= scale(g, gb)
+            xb, gb = x, g
+        if noisy:
+            # the band in ln f is about 2 err / target; the secant slope
+            # through the last two points turns it into a distance in x
+            slope = math.nan if prev is None else (g - prev[1]) / (x - prev[0])
+            if -math.inf < slope < 0.0:
+                step = _PROBE_BANDS * 2.0 * err(x, fx) / (target * -slope)
+                for probe in (x - step, x + step):
+                    if lo < probe < hi and a < probe < b:
+                        measure(probe)
+            break
+    return (a, b) if a < b else (-math.inf, math.inf)
 
 
 def golden_max(f: Callable[[float], float], lo: float, hi: float, rounds: int) -> float:

@@ -13,8 +13,9 @@ check for one BR slot among DP slots.  The one- and two-BR adaptive
 deltas (a closed form, and a tilt search around it), the pure-DP slot's
 log-probabilities and the Laplace histogram delta are second routes the
 package no longer calls, and so are the per-tilt sum before its kernel
-was inlined and the inversion that judged every bisection midpoint by
-the full bound.  The list-based release
+was inlined, the inversion that judged every bisection midpoint by
+the full bound, and the analytic-Gaussian solves that evaluated every
+midpoint before their solves were given a predicted bracket.  The list-based release
 mechanisms are the package's former per-request sorts and full-width
 selection rounds, kept as the reference its columnar releases must
 reproduce byte for byte, and the audit categorizer that bins every trial
@@ -36,7 +37,7 @@ import numpy as np
 
 from dpcomp.adaptive import GridSpec, MechanismSequence, _tilt_q, delta_opt_recursive
 from dpcomp.audit import _MAX_EXACT_SLOTS
-from dpcomp.calibration import HistogramSpec
+from dpcomp.calibration import _SEARCH, _TOL_REL, HistogramSpec, analytic_gaussian_delta
 from dpcomp.mechanisms import (
     Histogram,
     ReleaseEntry,
@@ -57,7 +58,16 @@ from dpcomp.nonadaptive import (
     grr_params,
     mixed_candidate_ts,
 )
-from dpcomp.numerics import golden_max, log1mexp, log1pexp, log_binomial, logsumexp, solve
+from dpcomp.numerics import (
+    check_delta,
+    check_nonnegative,
+    golden_max,
+    log1mexp,
+    log1pexp,
+    log_binomial,
+    logsumexp,
+    solve,
+)
 from dpcomp.setwise import (
     AccountantStateError,
     BoundedRange,
@@ -693,6 +703,25 @@ def mp_analytic_gaussian_delta(sigma, eps) -> float:
             mp.ncdf(1 / (2 * sigma) - eps * sigma)
             - mp.e**eps * mp.ncdf(-1 / (2 * sigma) - eps * sigma)
         )
+
+
+def plain_analytic_gaussian_eps(sigma: float, delta: float) -> float:
+    """``analytic_gaussian_eps`` as written before its solve was given a
+    predicted bracket: every midpoint evaluated."""
+    check_delta("delta", delta)
+    if analytic_gaussian_delta(sigma, 0.0) <= delta:
+        return 0.0
+    ok = lambda e: analytic_gaussian_delta(sigma, e) <= delta
+    return solve(ok, 0.0, 1.0, tol_abs=_TOL_REL, **_SEARCH)
+
+
+def plain_solve_sigma_analytic(eps: float, delta: float) -> float:
+    """``solve_sigma_analytic`` as written before its solve was given a
+    predicted bracket: every midpoint evaluated."""
+    check_nonnegative("eps", eps)
+    check_delta("delta", delta)
+    ok = lambda s: analytic_gaussian_delta(s, eps) <= delta
+    return solve(ok, 0.0, 1.0, tol_abs=0.0, **_SEARCH)
 
 
 def mp_gaussian_zcdp_eps(sigma, delta0, delta) -> float:

@@ -1,6 +1,7 @@
 """Tests for noise calibration routes."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,8 @@ from .oracles import (
     laplace_histogram_delta,
     mp_analytic_gaussian_delta,
     mp_gaussian_zcdp_eps,
+    plain_analytic_gaussian_eps,
+    plain_solve_sigma_analytic,
 )
 
 SPEC = HistogramSpec(d=1000, delta0=25, tau=1.0, d_bar=1200)
@@ -140,6 +143,41 @@ class TestSolvers:
             sigma = solve_sigma_analytic(0.0, delta)
             assert mp_analytic_gaussian_delta(sigma, 0.0) <= delta
             assert mp_analytic_gaussian_delta(sigma * (1.0 - 1e-9), 0.0) > delta
+
+    @staticmethod
+    def _outcome(solver, *args):
+        # the result, or the error a solve ends in (a BracketError beyond
+        # 80 doublings), compared alike
+        try:
+            return solver(*args)
+        except ValueError as exc:
+            return type(exc).__name__, str(exc)
+
+    def test_eps_analytic_matches_plain_walk(self) -> None:
+        # the predicted bracket decides midpoints exactly as evaluating them does
+        rng = random.Random(53)
+        differ = []
+        for _ in range(1000):
+            sigma = 10 ** rng.uniform(-3.0, 4.0)
+            delta = 10 ** rng.uniform(-30.0, math.log10(0.9))
+            got = self._outcome(analytic_gaussian_eps, sigma, delta)
+            if got != self._outcome(plain_analytic_gaussian_eps, sigma, delta):
+                differ.append((sigma, delta))
+        assert differ == []
+
+    def test_sigma_analytic_matches_plain_walk(self) -> None:
+        # a fifth of the draws sit below eps = 3e-5, where the curve's
+        # rounding floor swamps a small delta near the root
+        rng = random.Random(59)
+        differ = []
+        for i in range(1000):
+            top = math.log10(3e-5) if i % 5 == 0 else 3.0
+            eps = 10 ** rng.uniform(-6.0, top)
+            delta = 10 ** rng.uniform(-30.0, math.log10(0.9))
+            got = self._outcome(solve_sigma_analytic, eps, delta)
+            if got != self._outcome(plain_solve_sigma_analytic, eps, delta):
+                differ.append((eps, delta))
+        assert differ == []
 
     def test_zcdp_eps_frozen(self) -> None:
         assert gaussian_zcdp_eps(13.0937, 25, 1e-6) == pytest.approx(

@@ -292,6 +292,21 @@ class TestExitCodes:
             assert out == ""
             assert "invalid parameters" in err and "rounds to 0" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compose", "dp", "--k", "3", "--eps", "1e308", "--eps-g", "1"],
+            ["compose", "br", "--k", "3", "--eps", "1e308", "--eps-g", "1"],
+            ["compose", "mixed", "--k", "10", "--m", "3", "--eps", "1e308", "--eps-g", "inf"],
+        ],
+        ids=["dp", "br", "mixed"],
+    )
+    def test_overflowing_k_eps_is_usage_error(self, capsys, argv):
+        # dp used to print nan and exit 0; br and mixed failed inside a sum
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == "" and "invalid parameters: k*eps must be finite" in err
+
     def test_missing_input_is_exit_four(self, capsys):
         code, _, _ = run(capsys, ["compose", "setwise", "--config", "/does/not/exist.json"])
         assert code == 4

@@ -189,6 +189,19 @@ class TestDeltaOptMixed:
         with pytest.raises(ValueError):
             CompositionQuery(k=3, m=1, eps=1.0, eps_g=math.nan)
 
+    def test_overflowing_k_eps_is_refused(self):
+        # k*eps = inf leaves inf - inf in the sums; every bound refuses it
+        # by name, before any tilt or weight row is formed
+        calls = [
+            lambda: delta_opt_dp(3, 1e308, 1.0),
+            lambda: delta_opt_br_nonadaptive(3, 1e308, 1.0),
+            lambda: delta_opt_mixed(CompositionQuery(k=10, m=3, eps=1e308, eps_g=math.inf)),
+            lambda: eps_inverse(1e-6, "br", 3, 1e308),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"^k\*eps must be finite"):
+                call()
+
     def test_candidate_ts_clipped_and_deduped(self):
         ts = mixed_candidate_ts(5, 2, 1.0, 0.4)
         assert all(0.0 <= t <= 1.0 for t in ts)
@@ -365,6 +378,25 @@ class TestEpsInverse:
             c for c in calls
             if eps_inverse(*c[:4], m=c[4], tol=c[5])
             != oracles.plain_eps_inverse(*c[:4], m=c[4], tol=c[5])
+        ]
+        assert differ == []
+
+    def test_predicted_walk_matches_plain_at_tol_zero(self):
+        # down to adjacent floats, k*eps up to 1e9: every midpoint the
+        # predicted bracket decides is decided as the full bound decides it
+        rng = random.Random(31)
+        calls = []
+        for _ in range(3000):
+            bound = rng.choice(("dp", "br", "mixed"))
+            k = rng.randint(1, 200) if bound == "dp" else rng.randint(1, 12)
+            m = rng.randint(0, k) if bound == "mixed" else None
+            eps = 10 ** rng.uniform(-2.0, math.log10(1e9 / k))
+            delta = rng.choice((10 ** rng.uniform(-30.0, -0.05), 0.999))
+            calls.append((delta, bound, k, eps, m))
+        differ = [
+            c for c in calls
+            if eps_inverse(*c[:4], m=c[4], tol=0.0)
+            != oracles.plain_eps_inverse(*c[:4], m=c[4], tol=0.0)
         ]
         assert differ == []
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from dpcomp.nonadaptive import eps_inverse
 from dpcomp.numerics import (
     BracketError,
     ConvergenceError,
+    _predicted_bracket,
     golden_max,
     log1mexp,
     log1pexp,
@@ -259,6 +261,104 @@ class TestExpand:
         with pytest.raises(BracketError):
             self._expand(ok, 5, tol_abs=1e-9)
         assert seen == [1.0, 2.0, 4.0, 8.0, 16.0]
+
+
+class TestPredictedWalk:
+    """``solve`` with a predicted bracket walks the midpoints it walks without."""
+
+    REL = 1e-9  # the noise the test curve declares, relative to its value
+
+    @classmethod
+    def _noisy(cls, x):
+        # e^-x times noise inside the declared band, fixed for each x but
+        # unrelated between neighbouring floats, so ok is not monotone
+        # near the root
+        return math.exp(-x) * (1.0 + 0.99 * cls.REL * random.Random(x).uniform(-1.0, 1.0))
+
+    @classmethod
+    def _predict(cls, f, target):
+        return lambda lo, hi: _predicted_bracket(
+            f, target, lo, hi, err=lambda x, fx: cls.REL * fx, x_err=lambda x: 0.0
+        )
+
+    @staticmethod
+    def _counted(ok):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return ok(x)
+
+        return counted, calls
+
+    def test_noisy_curve_walks_as_plain(self):
+        # every threshold and tolerance: same float, fewer ok calls
+        saved = 0
+        for i in range(200):
+            target = math.exp(-0.05 - 9.9 * i / 199.0)
+            ok = lambda x: self._noisy(x) <= target
+            for tol_abs in (1e-9, 5e-324):
+                plain, plain_calls = self._counted(ok)
+                want = solve(plain, 0.0, 10.0, tol_abs=tol_abs, tol_rel=0.0, doublings=0)
+                walked, walked_calls = self._counted(ok)
+                got = solve(
+                    walked, 0.0, 10.0, tol_abs=tol_abs, tol_rel=0.0, doublings=0,
+                    predict=self._predict(self._noisy, target),
+                )
+                assert got == want, (target, tol_abs)
+                assert set(walked_calls) <= set(plain_calls)
+                saved += len(plain_calls) - len(walked_calls)
+        assert saved > 0
+
+    def test_curve_stuck_at_target_evaluates_every_midpoint(self):
+        # no point clears its band, so no midpoint is decided unseen
+        values = []
+
+        def f(x):
+            values.append(x)
+            return 0.5
+
+        ok = lambda x: f(x) <= 0.5
+        plain, plain_calls = self._counted(ok)
+        want = solve(plain, 0.0, 1.0, tol_abs=1e-12, tol_rel=0.0, doublings=0)
+        walked, walked_calls = self._counted(ok)
+        got = solve(
+            walked, 0.0, 1.0, tol_abs=1e-12, tol_rel=0.0, doublings=0,
+            predict=self._predict(f, 0.5),
+        )
+        assert got == want
+        assert walked_calls == plain_calls
+
+    def test_budget_bracket_and_ends_unchanged(self):
+        # max_iter counts decided midpoints too; a failed doubling raises
+        # before any prediction; neither ok nor f ever sees lo
+        f_seen = []
+
+        def f(x):
+            f_seen.append(x)
+            return math.exp(-x)
+
+        target = math.exp(-1.0 / 3.0)
+        ok_seen = []
+
+        def ok(x):
+            ok_seen.append(x)
+            return f(x) <= target
+
+        with pytest.raises(ConvergenceError):
+            solve(ok, 0.0, 1.0, tol_abs=1e-12, tol_rel=0.0, max_iter=3, doublings=0,
+                  predict=self._predict(f, target))
+        seen = len(f_seen)
+        with pytest.raises(BracketError):
+            solve(lambda x: False, 0.0, 1.0, tol_abs=1e-9, tol_rel=0.0, doublings=5,
+                  predict=self._predict(f, target))
+        assert len(f_seen) == seen
+        got = solve(ok, 0.0, 1.0, tol_abs=1e-12, tol_rel=0.0, max_iter=40, doublings=0,
+                    predict=self._predict(f, target))
+        assert got == solve(lambda x: math.exp(-x) <= target, 0.0, 1.0, tol_abs=1e-12,
+                            tol_rel=0.0, max_iter=40, doublings=0)
+        assert 0.0 not in f_seen and 0.0 not in ok_seen
+        assert all(0.0 < x < 1.0 for x in f_seen + ok_seen)
 
 
 class TestGoldenMax:
