@@ -6,17 +6,23 @@ mechanism or an eps-bounded-range mechanism.  The worst case over both
 classes is a two-point randomized response pair, so every bound is a
 finite sum over binomial mixtures of those pairs.
 
-One evaluator, ``_delta_at_t``, computes that sum for m pure-DP slots and
-k-m BR slots sharing one tilt t, and the three public bounds are views of
-it: ``delta_opt_dp`` is m = k (tilt-free), ``delta_opt_br_nonadaptive``
-is m = 0, and ``delta_opt_mixed`` is any m; the last two maximize over
-``mixed_candidate_ts``.  The sum is accumulated in log space and the
-positive part of each term is decided on the sign of its exponent, never
-by subtracting nearly equal exps.
+One evaluator, ``_tilt_sums``, computes that sum for m pure-DP slots and
+k-m BR slots sharing one tilt t, lazily at each tilt of a list, and the
+three public bounds are views of it: ``delta_opt_dp`` is m = k
+(tilt-free), ``delta_opt_br_nonadaptive`` is m = 0, and
+``delta_opt_mixed`` is any m; the last two maximize over
+``mixed_candidate_ts``.  Each call forms one plan that all its tilts
+share: the exponent bases eps_g + (m - 2 ell) eps paired with their
+pure-DP weights, cut where the largest tilt's first row stops reading
+them, the row cut and ln(1 - e^-eps).  A tilt adds only its ln p,
+ln(1-p) and rows.  With no BR slot there is one walk and no plan.
+``_delta_at_t`` is the one-tilt view.  The sum is accumulated in log
+space and the positive part of each term is decided on the sign of its
+exponent, never by subtracting nearly equal exps.
 
 ``eps_inverse`` needs only whether a bound meets its target, not the
-bound itself: each bisection step tries the candidate tilts one at a
-time and stops at the first whose sum is not at most the target.  A
+bound itself: each bisection step takes the candidate tilts' sums one at
+a time and stops at the first that is not at most the target.  A
 predicted bracket, from a few evaluations of the full bound and its
 rounding-error bound, decides most midpoints without evaluating them.
 
@@ -29,7 +35,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 from .numerics import (
     _ERR_UNIT,
@@ -169,47 +175,103 @@ def _dp_weights(m: int, eps: float) -> tuple[float, ...]:
 def _delta_at_t(k: int, m: int, eps: float, eps_g: float, t: float) -> float:
     """Hockey-stick sum of m pure-DP slots and k-m BR slots, all at tilt t.
 
-    BR row i (i slots answer 1-p) weighs C(k-m,i) p^(k-m-i) (1-p)^i e^s,
-    s = (k-m) t - i eps; DP row ell (ell slots answer q) weighs
-    C(m,ell) e^(ell eps) / (1+e^eps)^m.  A pair's exponent
-    eps_g + (m - 2 ell) eps - s rises as ell falls and as i grows, so the
-    walk over ell stops at the first nonnegative exponent, and the rows
-    stop at the first one whose ell = m exponent is nonnegative.
+    The one-tilt view of ``_tilt_sums``.
+    """
+    return next(_tilt_sums(k, m, eps, eps_g, (t,)))
+
+
+def _tilt_sums(
+    k: int, m: int, eps: float, eps_g: float, ts: Sequence[float]
+) -> Iterator[float]:
+    """The hockey-stick sum at each tilt of ts in turn, lazily, from one plan.
+
+    At tilt t, BR row i (i slots answer 1-p) weighs
+    C(k-m,i) p^(k-m-i) (1-p)^i e^s, s = (k-m) t - i eps; DP row ell (ell
+    slots answer q) weighs C(m,ell) e^(ell eps) / (1+e^eps)^m.  A pair's
+    exponent eps_g + (m - 2 ell) eps - s rises as ell falls and as i
+    grows, so the walk over ell stops at the first nonnegative exponent,
+    and the rows stop at the first one whose ell = m exponent is
+    nonnegative.
+
+    The plan is formed once per call: the pairs (eps_g + (m - 2 ell) eps,
+    ln DP weight of row ell) in walk order, the row cut eps_g - m eps and
+    ln(1 - e^-eps).  The pairs stop at the first base a >= s_hi =
+    (k-m) max(ts), the largest s of any row at any tilt: from there every
+    exponent a - s is nonnegative, so no walk reads further.  A NaN base
+    fails that test, is kept, and raises in log1mexp.  Each tilt then
+    forms ln p and ln(1-p) of its pair (t must lie in [0, eps], and is
+    not checked) and walks its rows.  a - s is the float eps_g +
+    (m - 2 ell) eps - s, and fsum rounds once whatever the order, so each
+    sum is the one a separate walk gives.  With no BR slot there is one
+    walk, over the one row s = 0, and it reads the pairs as it forms them;
+    its sum does not depend on t.
     """
     kb = k - m
     dp_w = _dp_weights(m, eps)
-    rows = [(0.0, 0.0)]
-    if kb > 0:
-        _, _, log_p, log_1mp = grr_log_probs(eps, t)
-        rows = []
-        for i, lb in enumerate(_log_binomial_row(kb)):
+    exp, log, log1p, expm1 = math.exp, math.log, math.log1p, math.expm1
+    log_half, inf = _LOG_HALF, math.inf
+    # log1mexp's two branches inline: an exponent below -ln 2 takes
+    # log1p(-exp), one in [-ln 2, 0) log(-expm1), a nonnegative one ends
+    # the walk, and a NaN one (an overflowed eps) raises in log1mexp
+    if kb == 0:
+        terms = []
+        for ell in range(m, -1, -1):
+            expo = eps_g + (m - 2 * ell) * eps
+            if expo < log_half:
+                terms.append(dp_w[ell] + log1p(-exp(expo)))
+            elif expo < 0.0:
+                terms.append(dp_w[ell] + log(-expm1(expo)))
+            elif expo >= 0.0:
+                break
+            else:
+                log1mexp(expo)
+        total = _exp_sum(terms)
+        for _ in ts:
+            yield total
+        return
+    s_hi = kb * max(ts)
+    pairs = []
+    for ell in range(m, -1, -1):
+        a = eps_g + (m - 2 * ell) * eps
+        if a >= s_hi:
+            break
+        pairs.append((a, dp_w[ell]))
+    cut = eps_g - m * eps
+    log_denom = log1mexp(-eps)
+    lb_row = _log_binomial_row(kb)
+    for t in ts:
+        # grr_log_probs(eps, t)'s ln p and ln(1-p)
+        log_p = -t + (log1mexp(t - eps) - log_denom if t < eps else -inf)
+        log_1mp = log1mexp(-t) - log_denom if t > 0 else -inf
+        terms = []
+        for i, lb in enumerate(lb_row):
             s = kb * t - i * eps
-            if eps_g - m * eps - s >= 0.0:
+            if cut - s >= 0.0:
                 break
             if kb - i > 0:
                 lb += (kb - i) * log_p
             if i > 0:
                 lb += i * log_1mp
-            if lb != -math.inf:
-                rows.append((lb + s, s))
-    # log1mexp's two branches inline: an exponent below -ln 2 takes
-    # log1p(-exp), one in [-ln 2, 0) log(-expm1), a nonnegative one ends
-    # the walk, and a NaN one (an overflowed eps) raises in log1mexp
-    terms = []
-    for log_row, s in rows:
-        for ell in range(m, -1, -1):
-            expo = eps_g + (m - 2 * ell) * eps - s
-            if expo < _LOG_HALF:
-                terms.append(log_row + dp_w[ell] + math.log1p(-math.exp(expo)))
-            elif expo < 0.0:
-                terms.append(log_row + dp_w[ell] + math.log(-math.expm1(expo)))
-            elif expo >= 0.0:
-                break
-            else:
-                log1mexp(expo)
+            if lb == -inf:
+                continue
+            log_row = lb + s
+            for a, w in pairs:
+                expo = a - s
+                if expo < log_half:
+                    terms.append(log_row + w + log1p(-exp(expo)))
+                elif expo < 0.0:
+                    terms.append(log_row + w + log(-expm1(expo)))
+                elif expo >= 0.0:
+                    break
+                else:
+                    log1mexp(expo)
+        yield _exp_sum(terms)
+
+
+def _exp_sum(terms: list[float]) -> float:
+    """exp(logsumexp(terms)), 0 for no terms; fsum rounds once, whatever the order."""
     if not terms:
         return 0.0
-    # exp(logsumexp(terms)) written out; fsum rounds once, whatever the order
     top = max(terms)
     return math.exp(top + math.log(math.fsum([math.exp(v - top) for v in terms])))
 
@@ -230,8 +292,7 @@ def delta_opt_br_nonadaptive(k: int, eps: float, eps_g: float) -> float:
     over t is attained at one of the k+1 stationary candidates.
     """
     CompositionQuery(k=k, m=0, eps=eps, eps_g=eps_g)
-    ts = mixed_candidate_ts(k, 0, eps, eps_g)
-    return max(_delta_at_t(k, 0, eps, eps_g, t) for t in ts)
+    return max(_tilt_sums(k, 0, eps, eps_g, mixed_candidate_ts(k, 0, eps, eps_g)))
 
 
 def delta_opt_mixed(query: CompositionQuery) -> float:
@@ -242,23 +303,27 @@ def delta_opt_mixed(query: CompositionQuery) -> float:
     delta_opt_br_nonadaptive's, bit for bit.
     """
     k, m, eps, eps_g = query.k, query.m, query.eps, query.eps_g
-    ts = mixed_candidate_ts(k, m, eps, eps_g)
-    return max(_delta_at_t(k, m, eps, eps_g, t) for t in ts)
+    return max(_tilt_sums(k, m, eps, eps_g, mixed_candidate_ts(k, m, eps, eps_g)))
 
 
 def _bound_curve(
     bound: str, k: int, eps: float, m: int | None
 ) -> Callable[[float], float]:
-    """eps_g -> delta of the named bound, "dp", "br" or "mixed" (with m)."""
+    """eps_g -> delta of the named bound, "dp", "br" or "mixed" (with m).
+
+    m is refused for "dp" and "br", which fix it at k and 0.
+    """
+    if bound not in ("dp", "br", "mixed"):
+        raise ValueError(f"unknown bound {bound!r}")
+    if bound == "mixed" and m is None:
+        raise ValueError("bound='mixed' requires m")
+    if bound != "mixed" and m is not None:
+        raise ValueError(f"m is for bound='mixed' only, got m={m} with bound={bound!r}")
     if bound == "dp":
         return lambda eg: delta_opt_dp(k, eps, eg)
     if bound == "br":
         return lambda eg: delta_opt_br_nonadaptive(k, eps, eg)
-    if bound == "mixed":
-        if m is None:
-            raise ValueError("bound='mixed' requires m")
-        return lambda eg: delta_opt_mixed(CompositionQuery(k=k, m=m, eps=eps, eps_g=eg))
-    raise ValueError(f"unknown bound {bound!r}")
+    return lambda eg: delta_opt_mixed(CompositionQuery(k=k, m=m, eps=eps, eps_g=eg))
 
 
 def eps_inverse(
@@ -271,7 +336,8 @@ def eps_inverse(
 ) -> float:
     """Smallest eps_g at which the chosen bound is below delta_target.
 
-    bound is one of "dp", "br", "mixed"; "mixed" requires m.  delta at
+    bound is one of "dp", "br", "mixed"; "mixed" requires m, and the
+    other two refuse it.  delta at
     eps_g = k eps is exactly zero, so [0, k eps] always brackets; if even
     eps_g = 0 already meets the target, 0 is returned.  Bisection stops at
     width tol, or earlier once the bracket ends are adjacent floats, and
@@ -287,18 +353,16 @@ def eps_inverse(
     check_delta("delta_target", delta_target)
     if not tol >= 0.0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
-    _bound_curve(bound, k, eps, m)  # rejects an unknown bound, and "mixed" without m
+    _bound_curve(bound, k, eps, m)  # rejects an unknown bound, and m with any but "mixed"
     m = {"dp": k, "br": 0}.get(bound, m)
     CompositionQuery(k=k, m=m, eps=eps, eps_g=0.0)
     ok = lambda eg: all(
-        _delta_at_t(k, m, eps, eg, t) <= delta_target
-        for t in mixed_candidate_ts(k, m, eps, eg)
+        d <= delta_target
+        for d in _tilt_sums(k, m, eps, eg, mixed_candidate_ts(k, m, eps, eg))
     )
     if ok(0.0):
         return 0.0
-    f = lambda eg: max(
-        _delta_at_t(k, m, eps, eg, t) for t in mixed_candidate_ts(k, m, eps, eg)
-    )
+    f = lambda eg: max(_tilt_sums(k, m, eps, eg, mixed_candidate_ts(k, m, eps, eg)))
     # Rounding that moves with eg, in units of _ERR_UNIT (the binomial
     # and pure-DP rows are fixed, so their rounding is part of the exact
     # curve).  Each exponent eg + (m - 2 ell) eps - s sums terms of size

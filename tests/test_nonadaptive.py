@@ -301,9 +301,30 @@ class TestOneEvaluator:
         ]
         assert differ == []
 
-    @pytest.mark.parametrize("k, m, eps, eps_g", [(3, 0, 1e308, 1.0), (3, 1, 1e308, 1.0)])
+    def test_tilt_sums_match_logsumexp_route_at_every_candidate(self):
+        # one call walks every candidate tilt from shared bases, cut at the
+        # largest tilt's row 0; each sum is the separate walk's float
+        rng = random.Random(19)
+        differ = []
+        for _ in range(3000):
+            k = rng.randint(1, 200) if rng.random() < 0.15 else rng.randint(1, 40)
+            m = rng.choice((0, k, rng.randint(0, k)))
+            eps = rng.choice((10 ** rng.uniform(-3.0, 0.7), 10 ** rng.uniform(1.0, 8.0)))
+            eps_g = rng.choice((0.0, rng.uniform(-1.5, 1.5) * k * eps, -rng.expovariate(0.1),
+                                math.inf, -math.inf))
+            ts = mixed_candidate_ts(k, m, eps, eps_g)
+            got = list(nonadaptive._tilt_sums(k, m, eps, eps_g, ts))
+            want = [oracles.logsumexp_delta_at_t(k, m, eps, eps_g, t) for t in ts]
+            if got != want:
+                differ.append((k, m, eps, eps_g))
+        assert differ == []
+
+    @pytest.mark.parametrize(
+        "k, m, eps, eps_g", [(3, 0, 1e308, 1.0), (3, 1, 1e308, 1.0), (3, 2, 1e308, -math.inf)]
+    )
     def test_nan_exponent_raises(self, k, m, eps, eps_g):
-        # k eps overflows, so a term's exponent is NaN: both routes refuse it
+        # k eps overflows, so a term's exponent (at -inf, its base) is NaN:
+        # both routes refuse it
         t = mixed_candidate_ts(k, m, eps, eps_g)[-1]
         with pytest.raises(ValueError, match="got nan"):
             oracles.logsumexp_delta_at_t(k, m, eps, eps_g, t)
@@ -399,6 +420,40 @@ class TestEpsInverse:
             != oracles.plain_eps_inverse(*c[:4], m=c[4], tol=0.0)
         ]
         assert differ == []
+
+    @pytest.mark.parametrize(
+        "delta, bound, k, eps, m, sums",
+        [(1e-6, "mixed", 20, 0.1, 7, 93), (1e-9, "mixed", 30, 0.05, 20, 91),
+         (1e-6, "br", 20, 0.1, None, 112), (1e-6, "br", 12, 0.3, None, 61),
+         (1e-6, "dp", 25, 0.1, None, 15)],
+    )
+    def test_feasibility_test_stops_at_first_tilt_above_target(
+        self, monkeypatch, delta, bound, k, eps, m, sums
+    ):
+        # per-tilt sums of one inversion: as many as separate one-tilt sums
+        # with the early exit make; a full maximum at each midpoint makes
+        # more
+        consumed = []
+        tilt_sums = nonadaptive._tilt_sums
+
+        def counted(*args):
+            for d in tilt_sums(*args):
+                consumed.append(d)
+                yield d
+
+        monkeypatch.setattr(nonadaptive, "_tilt_sums", counted)
+        eps_inverse(delta, bound, k, eps, m=m)
+        assert len(consumed) == sums
+
+    @pytest.mark.parametrize("bound", ["dp", "br"])
+    def test_m_is_refused_unless_mixed(self, bound):
+        # "br" with m = 3 must not answer with the m = 0 root, 0.6286: the
+        # mixed root at m = 3 is 0.7653
+        with pytest.raises(ValueError, match="^m is for bound='mixed' only"):
+            eps_inverse(1e-6, bound, 10, 0.1, m=3)
+        with pytest.raises(ValueError, match="^m is for bound='mixed' only"):
+            nonadaptive._bound_curve(bound, 10, 0.1, 3)
+        assert eps_inverse(1e-6, "mixed", 10, 0.1, m=3) == pytest.approx(0.7653, abs=1e-4)
 
     def test_validation(self):
         with pytest.raises(ValueError):
