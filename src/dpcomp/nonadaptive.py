@@ -12,13 +12,22 @@ three public bounds are views of it: ``delta_opt_dp`` is m = k
 (tilt-free), ``delta_opt_br_nonadaptive`` is m = 0, and
 ``delta_opt_mixed`` is any m; the last two maximize over
 ``mixed_candidate_ts``.  Each call forms one plan that all its tilts
-share: the exponent bases eps_g + (m - 2 ell) eps paired with their
-pure-DP weights, cut where the largest tilt's first row stops reading
-them, the row cut and ln(1 - e^-eps).  A tilt adds only its ln p,
-ln(1-p) and rows.  With no BR slot there is one walk and no plan.
-``_delta_at_t`` is the one-tilt view.  The sum is accumulated in log
-space and the positive part of each term is decided on the sign of its
-exponent, never by subtracting nearly equal exps.
+share (``_plan``): the exponent bases eps_g + (m - 2 ell) eps paired
+with their pure-DP weights, cut where the largest tilt's first row stops
+reading them, the row cut and ln(1 - e^-eps).  A tilt adds only its ln p,
+ln(1-p) and rows, and ``_walk`` sums its terms.  With no BR slot there is
+one walk and no plan.  ``_delta_at_t`` is the one-tilt view.  The sum is
+accumulated in log space and the positive part of each term is decided
+on the sign of its exponent, never by subtracting nearly equal exps.
+
+Bound, then walk: the maximum over the candidate tilts does not walk
+every tilt.  Prefix sums over the plan's pairs give each tilt an upper
+bound U on its sum for the cost of its rows (``_bounded``), with a
+proven rounding term.  ``_max_sum`` walks the tilts in descending U and
+stops once the next U, raised by the walk's own relative error bound
+eta, is below the best sum walked: a tilt left unwalked cannot exceed
+it, so the float returned is the full maximum's.  Where a U is not
+finite every tilt is walked.
 
 ``eps_inverse`` needs only whether a bound meets its target, not the
 bound itself: each bisection step takes the candidate tilts' sums one at
@@ -34,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -64,6 +74,10 @@ __all__ = [
 # ln C(n, .) rows and pure-DP weight rows kept for reuse across one
 # inversion or curve; few, so memory stays flat
 _ROW_CACHE = 8
+# smallest sum or target against which a tilt is skipped on its bound:
+# below it exp's underflow, up to 2^-1075 absolute per operation, is no
+# longer small against a relative error bound
+_PRUNE_FLOOR = 2.0**-970
 
 
 @dataclass(frozen=True)
@@ -185,35 +199,14 @@ def _tilt_sums(
 ) -> Iterator[float]:
     """The hockey-stick sum at each tilt of ts in turn, lazily, from one plan.
 
-    At tilt t, BR row i (i slots answer 1-p) weighs
-    C(k-m,i) p^(k-m-i) (1-p)^i e^s, s = (k-m) t - i eps; DP row ell (ell
-    slots answer q) weighs C(m,ell) e^(ell eps) / (1+e^eps)^m.  A pair's
-    exponent eps_g + (m - 2 ell) eps - s rises as ell falls and as i
-    grows, so the walk over ell stops at the first nonnegative exponent,
-    and the rows stop at the first one whose ell = m exponent is
-    nonnegative.
-
-    The plan is formed once per call: the pairs (eps_g + (m - 2 ell) eps,
-    ln DP weight of row ell) in walk order, the row cut eps_g - m eps and
-    ln(1 - e^-eps).  The pairs stop at the first base a >= s_hi =
-    (k-m) max(ts), the largest s of any row at any tilt: from there every
-    exponent a - s is nonnegative, so no walk reads further.  A NaN base
-    fails that test, is kept, and raises in log1mexp.  Each tilt then
-    forms ln p and ln(1-p) of its pair (t must lie in [0, eps], and is
-    not checked) and walks its rows.  a - s is the float eps_g +
-    (m - 2 ell) eps - s, and fsum rounds once whatever the order, so each
-    sum is the one a separate walk gives.  With no BR slot there is one
-    walk, over the one row s = 0, and it reads the pairs as it forms them;
-    its sum does not depend on t.
+    With no BR slot there is one walk, over the one row s = 0, and it
+    reads the pairs as it forms them; its sum does not depend on t.
     """
-    kb = k - m
-    dp_w = _dp_weights(m, eps)
-    exp, log, log1p, expm1 = math.exp, math.log, math.log1p, math.expm1
-    log_half, inf = _LOG_HALF, math.inf
-    # log1mexp's two branches inline: an exponent below -ln 2 takes
-    # log1p(-exp), one in [-ln 2, 0) log(-expm1), a nonnegative one ends
-    # the walk, and a NaN one (an overflowed eps) raises in log1mexp
-    if kb == 0:
+    if k == m:
+        dp_w = _dp_weights(m, eps)
+        exp, log, log1p, expm1 = math.exp, math.log, math.log1p, math.expm1
+        log_half = _LOG_HALF
+        # _walk's terms at L = s = 0 (0 + w is w)
         terms = []
         for ell in range(m, -1, -1):
             expo = eps_g + (m - 2 * ell) * eps
@@ -229,6 +222,35 @@ def _tilt_sums(
         for _ in ts:
             yield total
         return
+    pairs, rows = _plan(k, m, eps, eps_g, ts)
+    for t in ts:
+        yield _walk(rows(t), pairs)
+
+
+def _plan(
+    k: int, m: int, eps: float, eps_g: float, ts: Sequence[float]
+) -> tuple[list[tuple[float, float]], Callable[[float], list[tuple[float, float]]]]:
+    """(pairs, rows): what every tilt of ts shares, and each tilt's own rows.
+
+    At tilt t, BR row i (i slots answer 1-p) weighs
+    C(k-m,i) p^(k-m-i) (1-p)^i e^s, s = (k-m) t - i eps; DP row ell (ell
+    slots answer q) weighs C(m,ell) e^(ell eps) / (1+e^eps)^m.  A pair's
+    exponent eps_g + (m - 2 ell) eps - s rises as ell falls and as i
+    grows, so the walk over ell stops at the first nonnegative exponent,
+    and the rows stop at the first one whose ell = m exponent is
+    nonnegative.
+
+    pairs are (a, w) = (eps_g + (m - 2 ell) eps, ln DP weight of row ell)
+    in walk order, so a ascends.  They stop at the first base a >= s_hi
+    = (k-m) max(ts), the largest s of any row at any tilt: from there
+    every exponent a - s is nonnegative, so no walk reads further.  A NaN
+    base fails that test, is kept, and raises in log1mexp.  rows(t)
+    forms ln p and ln(1-p) of the tilt's pair (t must lie in [0, eps],
+    and is not checked) and returns its rows (L, s), L = ln(row weight)
+    + s, up to the row cut eps_g - m eps.  It needs a BR slot, k > m.
+    """
+    kb = k - m
+    dp_w = _dp_weights(m, eps)
     s_hi = kb * max(ts)
     pairs = []
     for ell in range(m, -1, -1):
@@ -239,11 +261,13 @@ def _tilt_sums(
     cut = eps_g - m * eps
     log_denom = log1mexp(-eps)
     lb_row = _log_binomial_row(kb)
-    for t in ts:
+    inf = math.inf
+
+    def rows(t: float) -> list[tuple[float, float]]:
         # grr_log_probs(eps, t)'s ln p and ln(1-p)
         log_p = -t + (log1mexp(t - eps) - log_denom if t < eps else -inf)
         log_1mp = log1mexp(-t) - log_denom if t > 0 else -inf
-        terms = []
+        out = []
         for i, lb in enumerate(lb_row):
             s = kb * t - i * eps
             if cut - s >= 0.0:
@@ -252,20 +276,115 @@ def _tilt_sums(
                 lb += (kb - i) * log_p
             if i > 0:
                 lb += i * log_1mp
-            if lb == -inf:
-                continue
-            log_row = lb + s
-            for a, w in pairs:
-                expo = a - s
-                if expo < log_half:
-                    terms.append(log_row + w + log1p(-exp(expo)))
-                elif expo < 0.0:
-                    terms.append(log_row + w + log(-expm1(expo)))
-                elif expo >= 0.0:
-                    break
-                else:
-                    log1mexp(expo)
-        yield _exp_sum(terms)
+            if lb != -inf:
+                out.append((lb + s, s))
+        return out
+
+    return pairs, rows
+
+
+def _walk(rows: list[tuple[float, float]], pairs: list[tuple[float, float]]) -> float:
+    """The sum over rows of e^(L + w) (1 - e^(a - s)) for each pair with a < s.
+
+    Accumulated in log space.  a - s is the float eps_g + (m - 2 ell) eps
+    - s, and fsum rounds once whatever the order, so a sum does not
+    depend on which plan formed its pairs.  log1mexp's two branches are
+    inline: an exponent below -ln 2 takes log1p(-exp), one in [-ln 2, 0)
+    log(-expm1), a nonnegative one ends the row, and a NaN one (an
+    overflowed eps) raises in log1mexp.
+    """
+    exp, log, log1p, expm1 = math.exp, math.log, math.log1p, math.expm1
+    log_half = _LOG_HALF
+    terms = []
+    for log_row, s in rows:
+        for a, w in pairs:
+            expo = a - s
+            if expo < log_half:
+                terms.append(log_row + w + log1p(-exp(expo)))
+            elif expo < 0.0:
+                terms.append(log_row + w + log(-expm1(expo)))
+            elif expo >= 0.0:
+                break
+            else:
+                log1mexp(expo)
+    return _exp_sum(terms)
+
+
+def _bounded(
+    kb: int,
+    pairs: list[tuple[float, float]],
+    rows: Callable[[float], list[tuple[float, float]]],
+    ts: Sequence[float],
+) -> tuple[list[tuple[float, list[tuple[float, float]]]], float] | None:
+    """Each tilt's upper bound U with its rows, by descending U, and eta's slope.
+
+    With j the number of pairs whose base is below a row's s, the row
+    adds e^L (A_j - D_j): A_j sums e^w and D_j sums e^(w + a - s) over
+    the first j pairs.  D_j is formed as E_j e^(a_(j-1) - s) from the
+    prefix sum E_j of e^(w + a - a_(j-1)), so no exponent is positive and
+    nothing overflows.  The identity is exact on the floats L, s, a and
+    w that the walk reads; the computed value loses only rounding.  Each
+    e^w in A_j carries a few units of roundoff and j of them are added.
+    Term p of D_j carries a few units per step of E_j's recurrence, plus
+    u (s - a_p) from its exponents, against a size e^w e^(a_p - s); as
+    x e^-x <= 1/e, D_j errs by a few units times (j + 1) A_j, whatever
+    eps and eps_g are.  So A_j (1 + _ERR_UNIT (j + 2)) in place of A_j
+    makes each row's part an upper bound; the roundings of e^L and of
+    the sum over rows are a few units per row, inside eta below.
+
+    eta bounds the walk's relative error.  A term's log is L + w +
+    ln(1 - e^(a-s)), three parts of one sign (L, a ln-probability, lies
+    above 0 only by rounding, at most lam), and each operation errs by a
+    few units times the magnitudes it adds: the term errs by a few units
+    times |ln term| + lam.  The shift by the top term, the exps, fsum
+    and the final exp add a few units more.  Weighted by x = term/top,
+    with x ln(1/x) <= 1/e, the sum over n terms errs by a few units
+    times |ln sum| + n + lam.  A walk that exceeds d >= _PRUNE_FLOOR has
+    |ln sum| <= |ln d| + lam + ln n.  So with n = (k-m+1) len(pairs),
+    eta(d) = _ERR_UNIT (|ln d| + n + lam) bounds its error, and
+    U (1 + eta(d)) < d proves the walk below d.  The slope returned is
+    n + lam.
+
+    A tilt with no row that reads a pair walks to exactly 0 and is left
+    out.  None where any U is not finite or its e^L overflows: then
+    every tilt is walked.
+    """
+    if not pairs:
+        return [], 0.0
+    exp = math.exp
+    bases = [a for a, _ in pairs]
+    a_hi, e_sum = [0.0], [0.0]
+    acc = e = 0.0
+    prev = bases[0]
+    for j, (a, w) in enumerate(pairs, 1):
+        ew = exp(w)
+        acc += ew
+        e = e * exp(prev - a) + ew
+        prev = a
+        a_hi.append(acc * (1.0 + _ERR_UNIT * (j + 2)))
+        e_sum.append(e)
+    lam = 0.0
+    order = []
+    for t in ts:
+        r = rows(t)
+        u = 0.0
+        read = False
+        for log_row, s in r:
+            j = bisect_left(bases, s)
+            if j:
+                try:
+                    u += exp(log_row) * (a_hi[j] - e_sum[j] * exp(bases[j - 1] - s))
+                except OverflowError:
+                    return None
+                read = True
+                if log_row > lam:
+                    lam = log_row
+        if not u < math.inf:
+            return None
+        if read:
+            order.append((u, r))
+    order.sort(key=lambda ur: ur[0], reverse=True)
+    return order, (kb + 1) * len(pairs) + lam
 
 
 def _exp_sum(terms: list[float]) -> float:
@@ -274,6 +393,32 @@ def _exp_sum(terms: list[float]) -> float:
         return 0.0
     top = max(terms)
     return math.exp(top + math.log(math.fsum([math.exp(v - top) for v in terms])))
+
+
+def _max_sum(k: int, m: int, eps: float, eps_g: float) -> float:
+    """The largest sum over the candidate tilts, walking only tilts that can be it.
+
+    Tilts are walked in descending bound U, until U (1 + eta(best)) is
+    below the best sum so far: no tilt left can exceed it, so the float
+    returned is the full maximum's.  Every tilt is walked where there is
+    one candidate, where k eps overflows (a row's s is then NaN, and no
+    bound places it) and where ``_bounded`` finds no finite bound.
+    """
+    ts = mixed_candidate_ts(k, m, eps, eps_g)
+    found = None
+    if len(ts) > 1 and k * eps < math.inf:
+        pairs, rows = _plan(k, m, eps, eps_g, ts)
+        found = _bounded(k - m, pairs, rows, ts)
+    if found is None:
+        return max(_tilt_sums(k, m, eps, eps_g, ts))
+    order, slope = found
+    best = 0.0
+    for u, r in order:
+        if best >= _PRUNE_FLOOR:
+            if u * (1.0 + _ERR_UNIT * (slope + abs(math.log(best)))) < best:
+                break
+        best = max(best, _walk(r, pairs))
+    return best
 
 
 def delta_opt_dp(k: int, eps: float, eps_g: float) -> float:
@@ -292,7 +437,7 @@ def delta_opt_br_nonadaptive(k: int, eps: float, eps_g: float) -> float:
     over t is attained at one of the k+1 stationary candidates.
     """
     CompositionQuery(k=k, m=0, eps=eps, eps_g=eps_g)
-    return max(_tilt_sums(k, 0, eps, eps_g, mixed_candidate_ts(k, 0, eps, eps_g)))
+    return _max_sum(k, 0, eps, eps_g)
 
 
 def delta_opt_mixed(query: CompositionQuery) -> float:
@@ -302,8 +447,7 @@ def delta_opt_mixed(query: CompositionQuery) -> float:
     m = k it returns delta_opt_dp's value and at m = 0
     delta_opt_br_nonadaptive's, bit for bit.
     """
-    k, m, eps, eps_g = query.k, query.m, query.eps, query.eps_g
-    return max(_tilt_sums(k, m, eps, eps_g, mixed_candidate_ts(k, m, eps, eps_g)))
+    return _max_sum(query.k, query.m, query.eps, query.eps_g)
 
 
 def _bound_curve(
@@ -348,7 +492,9 @@ def eps_inverse(
     plain test ``bound <= delta_target``, so the midpoints and the result
     are too.  The bisection takes a midpoint outside the bracket that
     ``numerics._predicted_bracket`` measures on the full bound without
-    evaluating it; the midpoints and the result stay the same.
+    evaluating it; the midpoints and the result stay the same.  That full
+    bound is ``_max_sum``'s bound-then-walk maximum.  A midpoint's own
+    test keeps the candidate order: ordering it by bound measured slower.
     """
     check_delta("delta_target", delta_target)
     if not tol >= 0.0:
@@ -362,7 +508,7 @@ def eps_inverse(
     )
     if ok(0.0):
         return 0.0
-    f = lambda eg: max(_tilt_sums(k, m, eps, eg, mixed_candidate_ts(k, m, eps, eg)))
+    f = lambda eg: _max_sum(k, m, eps, eg)
     # Rounding that moves with eg, in units of _ERR_UNIT (the binomial
     # and pure-DP rows are fixed, so their rounding is part of the exact
     # curve).  Each exponent eg + (m - 2 ell) eps - s sums terms of size

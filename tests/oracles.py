@@ -51,7 +51,6 @@ from dpcomp.nonadaptive import (
     CompositionQuery,
     _dp_weights,
     _log_binomial_row,
-    delta_opt_br_nonadaptive,
     delta_opt_dp,
     delta_opt_mixed,
     grr_log_probs,
@@ -300,6 +299,14 @@ def logsumexp_delta_at_t(k: int, m: int, eps: float, eps_g: float, t: float) -> 
     return math.exp(logsumexp(terms))
 
 
+def plain_delta_max(k: int, m: int, eps: float, eps_g: float) -> float:
+    """The mixed bound as the largest ``logsumexp_delta_at_t`` over every
+    candidate tilt, each walked in full; ``delta_opt_mixed`` (and at
+    m = 0 ``delta_opt_br_nonadaptive``) must return the same float."""
+    return max(logsumexp_delta_at_t(k, m, eps, eps_g, t)
+               for t in mixed_candidate_ts(k, m, eps, eps_g))
+
+
 def plain_eps_inverse(
     delta_target: float,
     bound: str,
@@ -308,14 +315,11 @@ def plain_eps_inverse(
     m: Optional[int] = None,
     tol: float = 1e-9,
 ) -> float:
-    """``eps_inverse`` as one ``solve`` over the public bound, every
-    midpoint judged by the full maximum over the candidate tilts."""
-    if bound == "dp":
-        f = lambda eg: delta_opt_dp(k, eps, eg)
-    elif bound == "br":
-        f = lambda eg: delta_opt_br_nonadaptive(k, eps, eg)
-    else:
-        f = lambda eg: delta_opt_mixed(CompositionQuery(k=k, m=m, eps=eps, eps_g=eg))
+    """``eps_inverse`` as one ``solve``, every midpoint judged by
+    ``plain_delta_max``: the full maximum over the candidate tilts,
+    walked outside the package's bounds."""
+    m = {"dp": k, "br": 0}.get(bound, m)
+    f = lambda eg: plain_delta_max(k, m, eps, eg)
     if f(0.0) <= delta_target:
         return 0.0
     tol_abs = max(tol, math.ulp(0.0))

@@ -319,6 +319,25 @@ class TestOneEvaluator:
                 differ.append((k, m, eps, eps_g))
         assert differ == []
 
+    def test_max_matches_logsumexp_route_at_every_candidate(self):
+        # 3,000 seeded draws: the bound-then-walk maximum is the largest of
+        # every candidate's separate logsumexp walk, bit for bit; m at 0
+        # and k - 1, eps up to 1e8, eps_g below 0, past 709 and infinite
+        rng = random.Random(23)
+        differ = []
+        for _ in range(3000):
+            k = rng.randint(1, 200) if rng.random() < 0.05 else rng.randint(1, 40)
+            m = rng.choice((0, k - 1, rng.randint(0, k)))
+            eps = rng.choice((10 ** rng.uniform(-3.0, 0.7), 10 ** rng.uniform(1.0, 8.0)))
+            eps_g = rng.choice((0.0, rng.uniform(-1.5, 1.5) * k * eps, -rng.expovariate(0.1),
+                                709.0 + rng.expovariate(0.01), math.inf, -math.inf))
+            mixed = delta_opt_mixed(CompositionQuery(k=k, m=m, eps=eps, eps_g=eps_g))
+            if mixed != oracles.plain_delta_max(k, m, eps, eps_g):
+                differ.append(("mixed", k, m, eps, eps_g))
+            if delta_opt_br_nonadaptive(k, eps, eps_g) != oracles.plain_delta_max(k, 0, eps, eps_g):
+                differ.append(("br", k, eps, eps_g))
+        assert differ == []
+
     @pytest.mark.parametrize(
         "k, m, eps, eps_g", [(3, 0, 1e308, 1.0), (3, 1, 1e308, 1.0), (3, 2, 1e308, -math.inf)]
     )
@@ -345,6 +364,83 @@ class TestOneEvaluator:
         nonadaptive._dp_weights.cache_clear()
         eps_inverse(1e-6, "dp", 200, 0.05)
         assert 0 < len(calls) <= 201
+
+
+def _plan_bounds(k, m, eps, eps_g):
+    ts = mixed_candidate_ts(k, m, eps, eps_g)
+    pairs, rows = nonadaptive._plan(k, m, eps, eps_g, ts)
+    return ts, pairs, rows, nonadaptive._bounded(k - m, pairs, rows, ts)
+
+
+class TestBoundThenWalk:
+    """The prefix-sum bound on each candidate tilt, and the walks it saves."""
+
+    def test_bound_is_at_least_walked_sum(self):
+        # seeded sweep: every bound is at least its tilt's walked sum, the
+        # tilts left out walk to exactly 0, and the order is by bound
+        rng = random.Random(37)
+        below, bounded = [], 0
+        for _ in range(2000):
+            k = rng.randint(2, 60)
+            m = rng.choice((0, k - 1, rng.randint(0, k - 1)))
+            eps = rng.choice((10 ** rng.uniform(-3.0, 0.7), 10 ** rng.uniform(1.0, 8.0)))
+            eps_g = rng.choice((rng.uniform(-1.0, 1.0) * k * eps, -rng.expovariate(0.1)))
+            ts, pairs, rows, found = _plan_bounds(k, m, eps, eps_g)
+            if len(ts) < 2:
+                continue
+            assert found is not None
+            order, slope = found
+            assert [u for u, _ in order] == sorted((u for u, _ in order), reverse=True)
+            walked = [nonadaptive._walk(r, pairs) for _, r in order]
+            below += [(k, m, eps, eps_g) for (u, _), w in zip(order, walked) if not u >= w]
+            every = sorted(nonadaptive._walk(rows(t), pairs) for t in ts)
+            assert sorted(walked + [0.0] * (len(ts) - len(order))) == every
+            bounded += len(order)
+        assert below == []
+        assert bounded > 10_000
+
+    def test_large_eps_bound_stays_finite(self):
+        # k = 12, m = 4, eps = 1000: a bound normalised by the last base
+        # kept would need e^(c - s) up to e^10000 here; the prefix sums
+        # normalised per j never raise an exponent above 0
+        for i in range(101):
+            eps_g = 120.0 * i
+            ts, pairs, rows, found = _plan_bounds(12, 4, 1000.0, eps_g)
+            if len(ts) > 1:
+                assert found is not None
+                assert all(math.isfinite(u) for u, _ in found[0])
+            q = CompositionQuery(k=12, m=4, eps=1000.0, eps_g=eps_g)
+            assert delta_opt_mixed(q) == oracles.plain_delta_max(12, 4, 1000.0, eps_g)
+
+    def test_non_finite_bound_walks_every_tilt(self, monkeypatch):
+        # an e^L that overflows, or a sum of bounds that does, leaves no
+        # finite bound, and then no tilt is skipped
+        pair = [(-1.0, 0.0)]
+        assert nonadaptive._bounded(1, pair, lambda t: [(800.0, 0.0)], (0.0, 1.0)) is None
+        assert nonadaptive._bounded(1, pair, lambda t: [(709.0, 0.0)] * 4, (0.0, 1.0)) is None
+        bounded = nonadaptive._bounded
+
+        def overflowing(kb, pairs, rows, ts):
+            return bounded(kb, pairs, lambda t: rows(t) + [(800.0, pairs[-1][0] + 1.0)], ts)
+
+        monkeypatch.setattr(nonadaptive, "_bounded", overflowing)
+        sums_made = []
+        exp_sum = nonadaptive._exp_sum
+        monkeypatch.setattr(nonadaptive, "_exp_sum", lambda v: sums_made.append(v) or exp_sum(v))
+        k, m, eps, eps_g = 10, 3, 0.2, 0.5
+        got = delta_opt_mixed(CompositionQuery(k=k, m=m, eps=eps, eps_g=eps_g))
+        assert len(sums_made) == len(mixed_candidate_ts(k, m, eps, eps_g)) > 1
+        assert got == oracles.plain_delta_max(k, m, eps, eps_g)
+
+    def test_curve_walks_one_tilt_per_point(self, monkeypatch):
+        # the 101-point curve k = 30, m = 20, eps = 0.09 over eps_g 0:3:0.03
+        # walked 972 sums when every candidate was walked; now one per point
+        sums_made = []
+        exp_sum = nonadaptive._exp_sum
+        monkeypatch.setattr(nonadaptive, "_exp_sum", lambda v: sums_made.append(v) or exp_sum(v))
+        for i in range(101):
+            delta_opt_mixed(CompositionQuery(k=30, m=20, eps=0.09, eps_g=0.03 * i))
+        assert len(sums_made) == 101
 
 
 class TestEpsInverse:
@@ -423,27 +519,27 @@ class TestEpsInverse:
 
     @pytest.mark.parametrize(
         "delta, bound, k, eps, m, sums",
-        [(1e-6, "mixed", 20, 0.1, 7, 93), (1e-9, "mixed", 30, 0.05, 20, 91),
-         (1e-6, "br", 20, 0.1, None, 112), (1e-6, "br", 12, 0.3, None, 61),
+        [(1e-6, "mixed", 20, 0.1, 7, 11), (1e-9, "mixed", 30, 0.05, 20, 12),
+         (1e-6, "br", 20, 0.1, None, 10), (1e-6, "br", 12, 0.3, None, 11),
          (1e-6, "dp", 25, 0.1, None, 15)],
     )
     def test_feasibility_test_stops_at_first_tilt_above_target(
         self, monkeypatch, delta, bound, k, eps, m, sums
     ):
-        # per-tilt sums of one inversion: as many as separate one-tilt sums
-        # with the early exit make; a full maximum at each midpoint makes
-        # more
-        consumed = []
-        tilt_sums = nonadaptive._tilt_sums
+        # per-tilt sums of one inversion, each ending in one _exp_sum: the
+        # midpoint tests stop at the first tilt above the target, and the
+        # full bound behind the predicted bracket walks only the tilts its
+        # bounds leave open; walking every tilt at each midpoint makes more
+        sums_made = []
+        exp_sum = nonadaptive._exp_sum
 
-        def counted(*args):
-            for d in tilt_sums(*args):
-                consumed.append(d)
-                yield d
+        def counted(terms):
+            sums_made.append(len(terms))
+            return exp_sum(terms)
 
-        monkeypatch.setattr(nonadaptive, "_tilt_sums", counted)
+        monkeypatch.setattr(nonadaptive, "_exp_sum", counted)
         eps_inverse(delta, bound, k, eps, m=m)
-        assert len(consumed) == sums
+        assert len(sums_made) == sums
 
     @pytest.mark.parametrize("bound", ["dp", "br"])
     def test_m_is_refused_unless_mixed(self, bound):
