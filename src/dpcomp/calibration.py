@@ -28,6 +28,7 @@ from .numerics import (
     check_delta,
     check_nonnegative,
     check_positive,
+    log_recip,
     solve,
     std_normal_cdf,
 )
@@ -206,7 +207,7 @@ def solve_sigma_zcdp(eps: float, delta0: int, delta: float) -> float:
         raise ValueError(f"delta0 must be >= 1, got {delta0}")
     check_delta("delta", delta)
     a = delta0 / 2.0
-    b = math.sqrt(2.0 * delta0 * math.log(1.0 / delta))
+    b = math.sqrt(2.0 * delta0 * log_recip(delta))
     return (b + math.sqrt(b * b + 4.0 * a * eps)) / (2.0 * eps)
 
 

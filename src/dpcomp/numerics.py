@@ -40,10 +40,10 @@ __all__ = [
     "std_normal_cdf",
     "pava_monotone_nonneg",
 ]
-# solve, golden_max and the check_* helpers stay out of __all__: the
-# solvers run inside the public ones, whose evaluation counts
+# solve, golden_max, log_recip and the check_* helpers stay out of
+# __all__: the solvers run inside the public ones, whose evaluation counts
 # bench/tracer.py reads from the direct caller of each traced call, and a
-# traced check would cost more than the call it guards.
+# traced helper would cost more than the call it serves.
 
 # Natural-log scale value; -inf encodes an exact zero weight.
 LogWeight = float
@@ -119,6 +119,16 @@ def logsumexp(values: Iterable[float]) -> float:
 def std_normal_cdf(z: float) -> float:
     """Standard normal CDF via erfc; accurate in both tails."""
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+def log_recip(x: float) -> float:
+    """ln(1/x) for x > 0, finite for every positive float.
+
+    Takes math.log(1.0 / x), and -math.log(x) only where 1/x overflows
+    (x below about 5.6e-309), so every finite value keeps its float.
+    """
+    inv = 1.0 / x
+    return -math.log(x) if inv == math.inf else math.log(inv)
 
 
 def check_positive(name: str, value: float) -> None:

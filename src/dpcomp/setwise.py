@@ -15,7 +15,12 @@ earliest one exactly equal to the query; failing that, the earliest one
 if they all hold a single value; otherwise it is ambiguous and rejected.
 So register, consume and each replayed event of from_json cost O(1) key
 computations and dictionary operations.  One table gives each class its
-JSON tag and fields; the keys and the JSON writer and reader read it.
+JSON tag and fields.  The reader reads it, and the writer renders one
+template per class derived from it at import, in the layout of
+json.dumps(indent=2, sort_keys=True) without running its pure-Python
+encoder.  register takes its running-sum terms straight from each class's
+fields, by the float expressions of the public conversions, without
+building their intermediate guarantees.
 
 Two accounting routes are provided and kept separate: the subgaussian
 (CDP) route, which pure DP and BR convert into, and the zCDP route with
@@ -31,7 +36,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Union
 
-from .numerics import check_delta, check_nonnegative, check_positive
+from .numerics import check_delta, check_nonnegative, check_positive, log_recip
 
 __all__ = [
     "PureDP",
@@ -176,12 +181,12 @@ def convert_to_zcdp(c: PrivacyClass) -> Zcdp:
 
 def _cdp_eps(mu: float, tau_sq: float, delta: float) -> float:
     # eps_g of the subgaussian route: total mean mu, total variance tau_sq
-    return mu + math.sqrt(2.0 * tau_sq * math.log(1.0 / delta))
+    return mu + math.sqrt(2.0 * tau_sq * log_recip(delta))
 
 
 def _zcdp_eps(xi_rho: float, rho: float, delta: float) -> float:
     # eps_g of the zCDP route: xi_rho = total xi + rho, rho = total rho
-    return xi_rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta))
+    return xi_rho + 2.0 * math.sqrt(rho * log_recip(delta))
 
 
 def zcdp_dp_guarantee(z: Zcdp, delta: float) -> tuple[float, float]:
@@ -225,19 +230,81 @@ def global_bound_homogeneous(
 
 
 def _canonical_key(c: PrivacyClass) -> tuple:
-    try:
-        tag, names = _FORMAT[type(c)]
-    except KeyError:
-        raise TypeError(f"unknown privacy class {type(c).__name__}") from None
-    return (tag, *[round(getattr(c, name), 12) for name in names])
+    # the exact class and its fields rounded to 1e-12
+    t = type(c)
+    if t is PureDP:
+        return t, round(c.eps, 12)
+    if t is BoundedRange:
+        return t, round(c.alpha, 12)
+    if t is Cdp:
+        return t, round(c.mu, 12), round(c.tau, 12)
+    if t is Zcdp:
+        return t, round(c.delta, 12), round(c.xi, 12), round(c.rho, 12)
+    raise TypeError(f"unknown privacy class {t.__name__}")
 
 
-def _to_dict(c: PrivacyClass) -> dict:
-    tag, names = _FORMAT[type(c)]
-    d = {"tag": tag}
-    for name in names:
-        d[name] = getattr(c, name)
-    return d
+def _terms(c: PrivacyClass, cdp: bool) -> tuple:
+    """register's running-sum terms of c: mu, tau^2, xi + rho, rho, delta.
+
+    mu and tau^2 are None for a zCDP guarantee, and may be None when cdp
+    is false.  They are the float expressions of convert_to_cdp and
+    convert_to_zcdp, taken from exact-float fields without building a Cdp
+    or Zcdp, whose checks such fields cannot fail; a field of any other
+    type (int, bool, a float subclass) goes through the conversions.
+    """
+    t = type(c)
+    if t is Zcdp:
+        return None, None, c.xi + c.rho, c.rho, c.delta
+    if t is PureDP and type(c.eps) is float:
+        eps = c.eps
+        rho = eps**2 / 2.0
+        return dp_mean_loss(eps), eps**2, rho, rho, 0.0
+    if t is BoundedRange and type(c.alpha) is float:
+        alpha = c.alpha
+        rho = alpha**2 / 8.0
+        mean = br_mean_loss(alpha)
+        tau = max(alpha / 2.0, math.ulp(0.0))
+        return mean, tau**2, (mean - rho) + rho, rho, 0.0
+    if t is Cdp and type(c.mu) is float and type(c.tau) is float:
+        mu, tau = c.mu, c.tau
+        rho = tau**2 / 2.0
+        return mu, tau**2, (mu - rho) + rho, rho, 0.0
+    z = convert_to_zcdp(c)
+    if not cdp:
+        return None, None, z.xi + z.rho, z.rho, z.delta
+    pair = convert_to_cdp(c)
+    return pair.mu, pair.tau**2, z.xi + z.rho, z.rho, z.delta
+
+
+def _template(tag: str, names: tuple[str, ...]) -> str:
+    # the layout json.dumps(indent=2, sort_keys=True) gives one entry of a
+    # list in the state object, with %s for each field in sorted order
+    members = sorted([(name, "%s") for name in names] + [("tag", json.dumps(tag))])
+    lines = ",\n".join(f"      {json.dumps(k)}: {v}" for k, v in members)
+    return "    {\n" + lines + "\n    }"
+
+
+# each class's entry template and its fields in the template's order
+_TEMPLATES = {
+    cls: (_template(tag, names), tuple(sorted(names)))
+    for cls, (tag, names) in _FORMAT.items()
+}
+_STATE = '{\n  "consumed": %s,\n  "delta_slack": %s,\n  "registered": %s\n}'
+
+
+def _entries(items: list[PrivacyClass]) -> str:
+    # json.dumps writes an exact float with float.__repr__; any other type
+    # keeps json.dumps's own rendering (1 for an int, true for a bool)
+    if not items:
+        return "[]"
+    rendered = []
+    for c in items:
+        template, names = _TEMPLATES[type(c)]
+        values = [getattr(c, name) for name in names]
+        rendered.append(template % tuple([
+            float.__repr__(v) if type(v) is float else json.dumps(v) for v in values
+        ]))
+    return "[\n" + ",\n".join(rendered) + "\n  ]"
 
 
 def _field(d: dict, name: str):
@@ -245,6 +312,15 @@ def _field(d: dict, name: str):
         return d[name]
     except KeyError:
         raise ValueError(f"accountant JSON is missing field {name!r}") from None
+
+
+def _list_field(state: dict, name: str) -> list:
+    value = _field(state, name)
+    if not isinstance(value, list):
+        raise ValueError(
+            f"accountant JSON field {name!r} must be a list, got {type(value).__name__}"
+        )
+    return value
 
 
 def _from_dict(d: dict) -> PrivacyClass:
@@ -303,21 +379,20 @@ class SetwiseAccountant:
             )
         key = _canonical_key(c)
         try:
-            z = convert_to_zcdp(c)
-            mu_sum = tau_sq_sum = None
-            if not isinstance(c, Zcdp) and self._mu_sum is not None:
-                pair = convert_to_cdp(c)
-                mu_sum = self._mu_sum + pair.mu
-                tau_sq_sum = self._tau_sq_sum + pair.tau**2
+            mu, tau_sq, xi_rho, rho, delta = _terms(c, self._mu_sum is not None)
         except OverflowError:
             raise ValueError(f"cannot register {c}: its terms overflow a float") from None
         self._registered.append(c)
         same_key = self._unspent.setdefault(key, {})
         same_key.setdefault(c, deque()).append(c)
-        self._mu_sum, self._tau_sq_sum = mu_sum, tau_sq_sum
-        self._xi_rho_sum += z.xi + z.rho
-        self._rho_sum += z.rho
-        self._delta_sum += z.delta
+        if mu is None or self._mu_sum is None:
+            self._mu_sum = self._tau_sq_sum = None
+        else:
+            self._mu_sum += mu
+            self._tau_sq_sum += tau_sq
+        self._xi_rho_sum += xi_rho
+        self._rho_sum += rho
+        self._delta_sum += delta
         return self
 
     def consume(self, c: PrivacyClass) -> "SetwiseAccountant":
@@ -380,23 +455,26 @@ class SetwiseAccountant:
         return _zcdp_eps(self._xi_rho_sum, self._rho_sum, d), d + self._delta_sum
 
     def to_json(self) -> str:
-        state = {
-            "registered": [_to_dict(c) for c in self._registered],
-            "consumed": [_to_dict(c) for c in self._consumed],
-            "delta_slack": self.delta_slack,
-        }
-        return json.dumps(state, indent=2, sort_keys=True)
+        """The state as json.dumps(state, indent=2, sort_keys=True) writes it."""
+        return _STATE % (
+            _entries(self._consumed),
+            json.dumps(self.delta_slack),
+            _entries(self._registered),
+        )
 
     @classmethod
     def from_json(cls, payload: str) -> "SetwiseAccountant":
         """Rebuild an accountant by replaying its registrations and consumes.
 
-        A missing field raises ValueError naming it.
+        A missing field, or a state or list field of the wrong JSON type,
+        raises ValueError naming it.
         """
         state = json.loads(payload)
+        if not isinstance(state, dict):
+            raise ValueError(f"accountant JSON must be an object, got {type(state).__name__}")
         acc = cls(delta_slack=_field(state, "delta_slack"))
-        for d in _field(state, "registered"):
+        for d in _list_field(state, "registered"):
             acc.register(_from_dict(d))
-        for d in _field(state, "consumed"):
+        for d in _list_field(state, "consumed"):
             acc.consume(_from_dict(d))
         return acc

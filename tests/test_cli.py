@@ -19,7 +19,7 @@ from dpcomp.calibration import HistogramSpec, solve_sigma_zcdp
 from dpcomp.cli import _parse_grid, figure_data, load_histogram_counts, main, tokenize
 from dpcomp.mechanisms import RngState, histogram_from_text, known_gauss, known_lap_topk
 from dpcomp.nonadaptive import CompositionQuery, delta_opt_mixed, eps_inverse
-from dpcomp.setwise import Cdp, PureDP, SetwiseAccountant, Zcdp
+from dpcomp.setwise import BoundedRange, Cdp, PureDP, SetwiseAccountant, Zcdp, convert_to_zcdp
 
 CORPUS = "the quick brown fox jumps over the lazy dog the fox the dog\n"
 
@@ -199,8 +199,11 @@ class TestExitCodes:
             ({"registered": [{"tag": "pure_dp"}], "consumed": [], "delta_slack": 1e-6}, "'eps'"),
             ({"registered": [{"tag": "pure_dp", "eps": 0.5}], "consumed": []}, "'delta_slack'"),
             ({"registered": [["pure_dp", 0.5]], "consumed": [], "delta_slack": 1e-6}, "object"),
+            ([], "must be an object"),
+            ({"registered": [], "consumed": 0, "delta_slack": 1e-6}, "'consumed' must be a list"),
         ],
-        ids=["entry-field", "delta-slack", "entry-not-object"],
+        ids=["entry-field", "delta-slack", "entry-not-object", "top-level-array",
+             "consumed-not-list"],
     )
     def test_malformed_accountant_is_usage_error(self, capsys, tmp_path, state, field):
         path = tmp_path / "acc.json"
@@ -425,6 +428,26 @@ class TestComposeCommand:
         eps_g, total = (float(x) for x in out.split())
         want_eps, want_total = acc2.global_bound_zcdp(1e-6)
         assert (eps_g, total) == (want_eps, want_total)
+
+    def test_setwise_delta_below_reciprocal_overflow_is_finite(self, capsys, tmp_path):
+        # 1/5e-324 overflows a float, where -ln(5e-324) = 1074 ln 2; the
+        # bound used to print inf
+        acc = SetwiseAccountant()
+        acc.register(PureDP(0.5)).register(BoundedRange(0.3)).register(Cdp(0.1, 0.4))
+        acc.register(Zcdp(1e-9, -0.01, 0.2)).consume(BoundedRange(0.3))
+        path = tmp_path / "accountant4.json"
+        path.write_text(acc.to_json())
+        code, out, _ = run(
+            capsys, ["compose", "setwise", "--config", str(path), "--delta", "5e-324"]
+        )
+        assert code == 0
+        eps_g, total = (float(x) for x in out.split())
+        zs = [convert_to_zcdp(c) for c in acc.registered]
+        xi_rho = sum(z.xi + z.rho for z in zs)
+        rho = sum(z.rho for z in zs)
+        want = xi_rho + 2.0 * math.sqrt(rho * 1074 * math.log(2.0))
+        assert math.isfinite(eps_g) and eps_g == pytest.approx(want, rel=1e-14)
+        assert total == 5e-324 + 1e-9
 
 
 class TestCsvFormat:
@@ -667,6 +690,17 @@ class TestCalibrateCommand:
         assert code == 0
         assert float(out) == solve_sigma_zcdp(2.0790564717026427, 25, 1e-6)
         assert float(out) == pytest.approx(13.1, abs=0.05)
+
+    def test_zcdp_route_delta_below_reciprocal_overflow_is_finite(self, capsys):
+        # b = sqrt(2 delta0 ln(1/delta)) used to overflow to inf at 5e-324
+        code, out, _ = run(
+            capsys,
+            ["calibrate", "--route", "zcdp", "--eps", "1", "--delta", "5e-324", "--delta0", "5"],
+        )
+        assert code == 0
+        a, b = 2.5, math.sqrt(2.0 * 5 * 1074 * math.log(2.0))
+        want = (b + math.sqrt(b * b + 4.0 * a)) / 2.0
+        assert math.isfinite(float(out)) and float(out) == pytest.approx(want, rel=1e-14)
 
     def test_analytic_route_at_huge_eps(self, capsys):
         # from [0, 2^80] the halving needs about 1,150 steps to reach adjacent floats

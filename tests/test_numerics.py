@@ -20,6 +20,7 @@ from dpcomp.numerics import (
     log1mexp,
     log1pexp,
     log_binomial,
+    log_recip,
     logsumexp,
     pava_monotone_nonneg,
     solve,
@@ -106,6 +107,22 @@ class TestLogsumexp:
     def test_matches_direct(self, vals):
         direct = math.log(sum(math.exp(v - max(vals)) for v in vals)) + max(vals)
         assert logsumexp(vals) == pytest.approx(direct, rel=1e-10)
+
+
+class TestLogRecip:
+    def test_is_log_of_reciprocal_where_that_is_finite(self) -> None:
+        rng = random.Random(7)
+        xs = [10.0 ** -rng.uniform(0.0, 308.0) for _ in range(2000)]
+        xs += [0.5, 1e-6, 1e-300, 2.2250738585072014e-308, 5.6e-309]
+        for x in xs:
+            assert log_recip(x) == math.log(1.0 / x), x
+
+    def test_finite_where_reciprocal_overflows(self) -> None:
+        for x in (5.5e-309, 1e-310, 1e-320, 5e-324):
+            assert 1.0 / x == math.inf
+            assert log_recip(x) == -math.log(x)
+        # 5e-324 is 2^-1074
+        assert log_recip(5e-324) == pytest.approx(1074 * math.log(2.0), rel=1e-15)
 
 
 class TestStdNormalCdf:

@@ -1,8 +1,11 @@
 """Tests for heterogeneous set-wise accounting."""
 
+import dataclasses
 import json
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -509,3 +512,165 @@ class TestJsonRoundTrip:
         )
         with pytest.raises(ValueError, match="unknown tag"):
             SetwiseAccountant.from_json(payload)
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ("[]", "object"),
+            ('{"registered": 3, "consumed": [], "delta_slack": 1e-6}', "'registered'"),
+            ('{"registered": [], "consumed": null, "delta_slack": 1e-6}', "'consumed'"),
+            ('{"registered": {"tag": "br"}, "consumed": [], "delta_slack": 1e-6}', "'registered'"),
+        ],
+        ids=["top-level-array", "registered-int", "consumed-null", "registered-object"],
+    )
+    def test_wrong_json_type_is_value_error_naming_it(self, payload, field) -> None:
+        with pytest.raises(ValueError, match=field):
+            SetwiseAccountant.from_json(payload)
+
+
+# Field values the writer must render as json.dumps does: ints, bools, a
+# float subclass, -0.0, and floats at the ends of the range.
+_WRITER_VALUES = (
+    0.5, 0.125, 1e-300, 1e200, 5e-324, -0.0, 0, 1, 2, True, False, np.float64(0.75)
+)
+
+
+def _seeded_class(rng: random.Random):
+    """A guarantee of a random class, or None if its constructor refuses it."""
+
+    def pick():
+        if rng.random() < 0.4:
+            return rng.choice(_WRITER_VALUES)
+        return 10.0 ** rng.uniform(-3.0, 0.5)
+
+    cls, n = rng.choice([(PureDP, 1), (BoundedRange, 1), (Cdp, 2), (Zcdp, 3)])
+    try:
+        return cls(*[pick() for _ in range(n)])
+    except ValueError:
+        return None
+
+
+def _seeded_session(seed: int, acc, ref=None):
+    """Registers, then consumes, the same seeded events on acc (and ref).
+
+    Returns the guarantees acc registered.  A guarantee acc refuses is
+    left out of ref as well; refused consumes must be refused by both.
+    """
+    rng = random.Random(seed)
+    registered = []
+    for _ in range(rng.randrange(0, 12)):
+        c = _seeded_class(rng)
+        if c is None:
+            continue
+        if registered and rng.random() < 0.3:
+            # a repeat, as the same object or an equal copy
+            c = rng.choice(registered)
+            c = c if rng.random() < 0.5 else dataclasses.replace(c)
+        try:
+            acc.register(c)
+        except ValueError:
+            continue
+        if ref is not None:
+            ref.register(c)
+        registered.append(c)
+    for _ in range(rng.randrange(0, len(registered) + 2)):
+        c = rng.choice(registered) if registered and rng.random() < 0.8 else _seeded_class(rng)
+        if c is None:
+            continue
+        outcomes = []
+        for target in (acc, ref) if ref is not None else (acc,):
+            try:
+                target.consume(c)
+                outcomes.append(None)
+            except ConsumeMismatchError:
+                outcomes.append(ConsumeMismatchError)
+        assert len(set(outcomes)) == 1
+    return registered
+
+
+class TestWriterAgainstPlainJson:
+    """to_json's templates against the plain json.dumps(indent=2) route."""
+
+    @pytest.mark.parametrize("block", range(4))
+    def test_seeded_sessions_match_linear_scan_writer(self, block) -> None:
+        for seed in range(100 * block, 100 * block + 100):
+            slack = random.Random(-seed).choice([1e-6, 1e-300, 0.5, 5e-324])
+            acc, ref = SetwiseAccountant(slack), LinearScanAccountant(slack)
+            _seeded_session(seed, acc, ref)
+            assert acc.to_json() == ref.to_json(), seed
+            clone = SetwiseAccountant.from_json(acc.to_json())
+            assert clone.to_json() == acc.to_json(), seed
+
+    def test_every_class_and_field_type_is_covered(self) -> None:
+        seen = set()
+        for seed in range(400):
+            acc = SetwiseAccountant(1e-6)
+            for c in _seeded_session(seed, acc):
+                for v in dataclasses.astuple(c):
+                    seen.add((type(c).__name__, type(v).__name__, repr(v)))
+        for cls in ("PureDP", "BoundedRange", "Cdp", "Zcdp"):
+            assert {t for c, t, _ in seen if c == cls} == {"float", "int", "bool", "float64"}, cls
+        for v in ("-0.0", "1e-300", "1e+200", "5e-324"):
+            assert any(r == v for _, _, r in seen), v
+
+    def test_empty_lists_and_field_types(self) -> None:
+        acc, ref = SetwiseAccountant(1e-6), LinearScanAccountant(1e-6)
+        assert acc.to_json() == ref.to_json()
+        assert '"consumed": [],' in acc.to_json() and '"registered": []' in acc.to_json()
+        for c in (PureDP(1), PureDP(True), Zcdp(False, -0.0, 2), Cdp(-0.0, 5e-324)):
+            acc.register(c)
+            ref.register(c)
+        assert acc.to_json() == ref.to_json()
+        assert '"eps": 1,' in acc.to_json() and '"eps": true,' in acc.to_json()
+        assert '"delta": false,' in acc.to_json() and '"xi": -0.0' in acc.to_json()
+
+
+class TestSumsAgainstConversions:
+    """The running sums against a fold over the public conversions."""
+
+    @staticmethod
+    def _folds(registered, delta):
+        mu = tau_sq = xi_rho = rho = delta_sum = 0.0
+        for c in registered:
+            z = convert_to_zcdp(c)
+            xi_rho += z.xi + z.rho
+            rho += z.rho
+            delta_sum += z.delta
+            if not isinstance(c, Zcdp):
+                pair = convert_to_cdp(c)
+                mu += pair.mu
+                tau_sq += pair.tau**2
+        log_inv = math.log(1.0 / delta)
+        cdp = mu + math.sqrt(2.0 * tau_sq * log_inv)
+        zcdp = (xi_rho + 2.0 * math.sqrt(rho * log_inv), delta + delta_sum)
+        return cdp, zcdp
+
+    def test_seeded_sets_equal_the_folds(self) -> None:
+        checked = 0
+        for seed in range(600):
+            acc = SetwiseAccountant(1e-6)
+            registered = _seeded_session(seed, acc)
+            if not registered:
+                continue
+            delta = random.Random(-seed).choice([1e-6, 1e-12, 0.25, 1e-300])
+            cdp, zcdp = self._folds(registered, delta)
+            assert acc.global_bound_zcdp(delta) == zcdp, seed
+            if any(isinstance(c, Zcdp) for c in registered):
+                with pytest.raises(ValueError, match="zCDP registrations present"):
+                    acc.global_bound_cdp(delta)
+            else:
+                assert acc.global_bound_cdp(delta) == cdp, seed
+                checked += 1
+        assert checked > 50
+
+    @pytest.mark.parametrize(
+        "c", [PureDP(1e200), Cdp(1e308, 1e200)], ids=["pure-dp-1e200", "cdp-1e308-1e200"]
+    )
+    def test_overflowing_terms_keep_their_message(self, c) -> None:
+        acc = SetwiseAccountant(1e-6)
+        acc.register(PureDP(0.5)).register(BoundedRange(0.3))
+        before = (acc.to_json(), acc.global_bound_cdp(), acc.global_bound_zcdp())
+        with pytest.raises(ValueError) as info:
+            acc.register(c)
+        assert str(info.value) == f"cannot register {c}: its terms overflow a float"
+        assert (acc.to_json(), acc.global_bound_cdp(), acc.global_bound_zcdp()) == before
