@@ -19,7 +19,10 @@ grid only backstops the verified worst-case tilts in the candidate set.
 Cost grows like grid^(number of BR slots - 1), the terminal slot adding
 only its candidates; sequences are capped at 12 slots and the intended
 regime is at most two or three BR slots (or arbitrarily many DP slots,
-which are cheap and memoized).
+which are cheap and memoized).  Refinement over a suffix with no refined
+BR slot (the polish of the BR slot just before the terminal one) takes
+one vector pass per golden-section step, both budgets of the tilt in one
+array; a refined slot further back takes two memoized scalar passes.
 
 The recursion is the one evaluator of adaptive BR slots.  The closed
 forms for one DP slot and two BR slots (xyz_closed_forms) are written
@@ -111,36 +114,31 @@ class _RecursiveEvaluator:
         self.terminal = max(
             (i for i, s in enumerate(seq.slots) if s == "br"), default=-1
         )
-        # columns of _cand_matrix at each slot: 7 fixed tilts, then k + mdp + 1
-        self.n_cand = [8 + self.n - i + seq.slots[i:].count("dp") for i in range(self.n)]
+        # the last polished BR slot: only DP slots and the terminal slot follow
+        # it, so eval_vec prices what follows it exactly as eval_scalar does
+        self.last_polished = max(
+            (i for i, s in enumerate(seq.slots[: self.terminal]) if s == "br"),
+            default=-1,
+        )
+        # _cand_matrix's tilts (b + add) / div: 7 fixed (column 4, eps/2, set
+        # after), then k + mdp + 1 stationary; b + -0.0 is b, even at b = -0.0
+        eps = seq.eps
+        self.cand_rows = []
+        for i in range(self.n):
+            k, mdp = self.n - i, seq.slots[i:].count("dp")
+            js = range(1 - mdp, k + 2)
+            add = [-0.0, -0.0, eps, -eps, -0.0, eps, 2.0 * eps] + [eps * j for j in js]
+            div = [1.0, 2.0, 2.0, 2.0, 1.0, 3.0, 3.0] + [k - mdp + 1.0] * len(js)
+            self.cand_rows.append((np.array(add), np.array(div)))
 
     def _cand_matrix(self, idx: int, budgets: np.ndarray) -> np.ndarray:
         """Stationary-candidate tilts per budget, clipped into [0, eps]."""
-        eps = self.eps
-        rem = self.slots[idx:]
-        k, mdp = len(rem), rem.count("dp")
-        b = budgets
-        cols = [
-            b,
-            b / 2.0,
-            (b + eps) / 2.0,
-            (b - eps) / 2.0,
-            np.full_like(b, eps / 2.0),
-            (eps + b) / 3.0,
-            (2.0 * eps + b) / 3.0,
-        ]
-        denom = k - mdp + 1
-        for ell in range(self.n_cand[idx] - len(cols)):
-            cols.append((b + eps * (ell + 1 - mdp)) / denom)
-        mat = np.stack(cols, axis=1)
-        np.clip(mat, 0.0, eps, out=mat)
+        add, div = self.cand_rows[idx]
+        mat = budgets[:, None] + add
+        mat /= div
+        mat[:, 4] = self.eps / 2.0
+        np.clip(mat, 0.0, self.eps, out=mat)
         return mat
-
-    def _base_vec(self, budgets: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(budgets)
-        neg = budgets < 0.0
-        out[neg] = -np.expm1(budgets[neg])
-        return out
 
     def _tilt_values(
         self, idx: int, budgets: np.ndarray
@@ -162,7 +160,8 @@ class _RecursiveEvaluator:
 
     def eval_vec(self, idx: int, budgets: np.ndarray) -> np.ndarray:
         if idx == self.n:
-            return self._base_vec(budgets)
+            # [1 - e^b]_+; np.minimum keeps expm1 off the budgets it overflows on
+            return np.where(budgets < 0.0, -np.expm1(np.minimum(budgets, 0.0)), 0.0)
         slot = self.slots[idx]
         if slot == "dp":
             lo = self.eval_vec(idx + 1, budgets - self.eps)
@@ -170,11 +169,18 @@ class _RecursiveEvaluator:
             return self.qb * lo + (1.0 - self.qb) * hi
         out = np.empty_like(budgets)
         g = 0 if idx == self.terminal else self.t_grid.size
-        block = max(1, _CHUNK // (g + self.n_cand[idx]))
+        block = max(1, _CHUNK // (g + self.cand_rows[idx][0].size))
         for s in range(0, budgets.size, block):
             b = budgets[s : s + block]
             out[s : s + b.size] = self._tilt_values(idx, b)[1].max(axis=1)
         return out
+
+    def _next_pair(self, idx: int, x: float, y: float) -> Sequence[float]:
+        # eval_scalar(idx + 1, .) at x and y: one vector pass after the last
+        # polished slot, whose suffix eval_vec prices as eval_scalar does
+        if idx == self.last_polished:
+            return self.eval_vec(idx + 1, np.array([x, y])).tolist()
+        return self.eval_scalar(idx + 1, x), self.eval_scalar(idx + 1, y)
 
     def eval_scalar(self, idx: int, b: float) -> float:
         key = (idx, b)
@@ -198,9 +204,8 @@ class _RecursiveEvaluator:
 
                     def phi(t: float) -> float:
                         qt = grr_params(self.eps, t).q
-                        return qt * self.eval_scalar(idx + 1, b - t) + (
-                            1.0 - qt
-                        ) * self.eval_scalar(idx + 1, b + self.eps - t)
+                        f_lo, f_hi = self._next_pair(idx, b - t, b + self.eps - t)
+                        return qt * f_lo + (1.0 - qt) * f_hi
 
                     val = max(val, golden_max(phi, lo, hi, self.grid.refine_rounds))
         self.memo[key] = val

@@ -96,6 +96,8 @@ def analytic_gaussian_delta(sigma: float, eps: float) -> float:
     a = 0.5 / sigma - eps * sigma
     b = -0.5 / sigma - eps * sigma
     tail = eps + float(log_ndtr(b))
+    if tail >= 0.0:  # e^tail >= 1 >= Phi(a), and exp may overflow
+        return 0.0
     delta = std_normal_cdf(a) - (math.exp(tail) if tail > -745.0 else 0.0)
     return min(1.0, max(0.0, delta))
 
@@ -208,7 +210,14 @@ def solve_sigma_zcdp(eps: float, delta0: int, delta: float) -> float:
     check_delta("delta", delta)
     a = delta0 / 2.0
     b = math.sqrt(2.0 * delta0 * log_recip(delta))
-    return (b + math.sqrt(b * b + 4.0 * a * eps)) / (2.0 * eps)
+    disc = b * b + 4.0 * a * eps
+    if disc < math.inf:
+        sigma = (b + math.sqrt(disc)) / (2.0 * eps)
+    else:  # 4 a eps (and 2 eps) overflow: divide the root through by eps first
+        sigma = (b / eps + math.sqrt((b / eps) ** 2 + 4.0 * a / eps)) / 2.0
+    if sigma == math.inf:
+        raise ValueError(f"sigma at eps = {eps} exceeds the float range")
+    return sigma
 
 
 def laplace_eps_coord(sigma: float) -> float:

@@ -63,7 +63,6 @@ __all__ = [
     "GrrParams",
     "CompositionQuery",
     "grr_params",
-    "grr_log_probs",
     "delta_opt_dp",
     "delta_opt_br_nonadaptive",
     "delta_opt_mixed",
@@ -95,41 +94,18 @@ class GrrParams:
     p: float
 
 
-def _validate_eps_t(eps: float, t: float) -> None:
-    check_positive("eps", eps)
-    if not (0.0 <= t <= eps):
-        raise ValueError(f"t must lie in [0, eps]=[0, {eps}], got {t}")
-
-
 def grr_params(eps: float, t: float) -> GrrParams:
     """Response probabilities of the (eps, t) two-point pair.
 
     Stable at both endpoints: t=0 gives q=p=1, t=eps gives q=p=0.
     """
-    _validate_eps_t(eps, t)
+    check_positive("eps", eps)
+    if not (0.0 <= t <= eps):
+        raise ValueError(f"t must lie in [0, eps]=[0, {eps}], got {t}")
     # q = (1 - e^(t-eps)) / (1 - e^(-eps)), both differences via expm1
     q = math.expm1(t - eps) / math.expm1(-eps)
     p = math.exp(-t) * q
     return GrrParams(eps=eps, t=t, q=q, p=p)
-
-
-def grr_log_probs(eps: float, t: float) -> tuple[float, float, float, float]:
-    """(ln q, ln(1-q), ln p, ln(1-p)) for the (eps, t) pair.
-
-    -inf encodes an exact zero (t=eps for q and p, t=0 for their
-    complements).
-    """
-    _validate_eps_t(eps, t)
-    log_denom = log1mexp(-eps)
-    log_q = log1mexp(t - eps) - log_denom if t < eps else -math.inf
-    if t > 0:
-        log_1mq = -eps + t + log1mexp(-t) - log_denom
-        log_1mp = log1mexp(-t) - log_denom
-    else:
-        log_1mq = -math.inf
-        log_1mp = -math.inf
-    log_p = -t + log_q
-    return log_q, log_1mq, log_p, log_1mp
 
 
 @dataclass(frozen=True)
@@ -264,7 +240,7 @@ def _plan(
     inf = math.inf
 
     def rows(t: float) -> list[tuple[float, float]]:
-        # grr_log_probs(eps, t)'s ln p and ln(1-p)
+        # the (eps, t) pair's ln p and ln(1-p)
         log_p = -t + (log1mexp(t - eps) - log_denom if t < eps else -inf)
         log_1mp = log1mexp(-t) - log_denom if t > 0 else -inf
         out = []
@@ -388,7 +364,7 @@ def _bounded(
 
 
 def _exp_sum(terms: list[float]) -> float:
-    """exp(logsumexp(terms)), 0 for no terms; fsum rounds once, whatever the order."""
+    """exp(ln sum e^v) over terms, 0 for none; fsum rounds once, whatever the order."""
     if not terms:
         return 0.0
     top = max(terms)

@@ -36,7 +36,6 @@ __all__ = [
     "log_binomial",
     "log1mexp",
     "log1pexp",
-    "logsumexp",
     "std_normal_cdf",
     "pava_monotone_nonneg",
 ]
@@ -99,21 +98,6 @@ def log1pexp(x: float) -> float:
     if x > 0:
         return x + math.log1p(math.exp(-x))
     return math.log1p(math.exp(x))
-
-
-def logsumexp(values: Iterable[float]) -> float:
-    """ln sum(e^v) over the values, skipping -inf entries.
-
-    Empty input (or all -inf) returns -inf. Accumulates the shifted sum
-    with fsum so the result does not depend on summation order.
-    """
-    vals = [float(v) for v in values if v != -math.inf]
-    if not vals:
-        return -math.inf
-    m = max(vals)
-    if math.isinf(m):
-        return m
-    return m + math.log(math.fsum(math.exp(v - m) for v in vals))
 
 
 def std_normal_cdf(z: float) -> float:

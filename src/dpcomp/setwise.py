@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import Union
@@ -243,6 +244,10 @@ def _canonical_key(c: PrivacyClass) -> tuple:
     raise TypeError(f"unknown privacy class {t.__name__}")
 
 
+# the field whose square each class's terms take
+_SQUARED = {PureDP: "eps", BoundedRange: "alpha", Cdp: "tau"}
+
+
 def _terms(c: PrivacyClass, cdp: bool) -> tuple:
     """register's running-sum terms of c: mu, tau^2, xi + rho, rho, delta.
 
@@ -269,6 +274,11 @@ def _terms(c: PrivacyClass, cdp: bool) -> tuple:
         mu, tau = c.mu, c.tau
         rho = tau**2 / 2.0
         return mu, tau**2, (mu - rho) + rho, rho, 0.0
+    v = getattr(c, _SQUARED.get(t, ""), None)
+    if isinstance(v, float):
+        # numpy's float64 squares to inf with a warning where a float
+        # raises OverflowError: square the field as a float first
+        float(v) ** 2
     z = convert_to_zcdp(c)
     if not cdp:
         return None, None, z.xi + z.rho, z.rho, z.delta
@@ -331,7 +341,21 @@ def _from_dict(d: dict) -> PrivacyClass:
     if not (isinstance(tag, str) and tag in _BY_TAG):
         raise ValueError(f"unknown tag {tag!r}")
     cls, names = _BY_TAG[tag]
-    return cls(*[_field(d, name) for name in names])
+    return _build(cls, names, [_field(d, name) for name in names])
+
+
+def _build(cls, names: tuple[str, ...], values: list):
+    # the checks meet a JSON string, null, list or object with a TypeError and
+    # an integer beyond the float range with an OverflowError: name the field
+    try:
+        return cls(*values)
+    except (TypeError, OverflowError):
+        for name, v in zip(names, values):
+            if not isinstance(v, (int, float)) or abs(v) > sys.float_info.max:
+                raise ValueError(
+                    f"accountant JSON field {name!r} must be a number in the float range"
+                ) from None
+        raise
 
 
 class SetwiseAccountant:
@@ -472,7 +496,7 @@ class SetwiseAccountant:
         state = json.loads(payload)
         if not isinstance(state, dict):
             raise ValueError(f"accountant JSON must be an object, got {type(state).__name__}")
-        acc = cls(delta_slack=_field(state, "delta_slack"))
+        acc = _build(cls, ("delta_slack",), [_field(state, "delta_slack")])
         for d in _list_field(state, "registered"):
             acc.register(_from_dict(d))
         for d in _list_field(state, "consumed"):

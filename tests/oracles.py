@@ -11,11 +11,13 @@ that compose package functions into a second route: a brute-force
 supremum over mixed two-point products and the position-invariance
 check for one BR slot among DP slots.  The one- and two-BR adaptive
 deltas (a closed form, and a tilt search around it), the pure-DP slot's
-log-probabilities and the Laplace histogram delta are second routes the
-package no longer calls, and so are the per-tilt sum before its kernel
-was inlined, the inversion that judged every bisection midpoint by
-the full bound, and the analytic-Gaussian solves that evaluated every
-midpoint before their solves were given a predicted bracket.  The list-based release
+and the two-point pair's log-probabilities, the log-sum-exp they fed and
+the Laplace histogram delta are second routes the package no longer
+calls, and so are the per-tilt sum before its kernel was inlined, the
+inversion that judged every bisection midpoint by the full bound, the
+analytic-Gaussian solves that evaluated every midpoint before their
+solves were given a predicted bracket, and the adaptive evaluator that
+priced each golden-section step by two scalar passes.  The list-based release
 mechanisms are the package's former per-request sorts and full-width
 selection rounds, kept as the reference its columnar releases must
 reproduce byte for byte, and the audit categorizer that bins every trial
@@ -53,7 +55,6 @@ from dpcomp.nonadaptive import (
     _log_binomial_row,
     delta_opt_dp,
     delta_opt_mixed,
-    grr_log_probs,
     grr_params,
     mixed_candidate_ts,
 )
@@ -64,7 +65,6 @@ from dpcomp.numerics import (
     log1mexp,
     log1pexp,
     log_binomial,
-    logsumexp,
     solve,
 )
 from dpcomp.setwise import (
@@ -172,6 +172,40 @@ def mp_delta_dp(k: int, eps, eps_g) -> float:
             if term > 0:
                 total += term
         return float(norm * total)
+
+
+def logsumexp(values: Sequence[float]) -> float:
+    """ln sum(e^v) over the values, skipping -inf entries.
+
+    Empty input (or all -inf) returns -inf. Accumulates the shifted sum
+    with fsum so the result does not depend on summation order.
+    """
+    vals = [float(v) for v in values if v != -math.inf]
+    if not vals:
+        return -math.inf
+    m = max(vals)
+    if math.isinf(m):
+        return m
+    return m + math.log(math.fsum(math.exp(v - m) for v in vals))
+
+
+def grr_log_probs(eps: float, t: float) -> tuple[float, float, float, float]:
+    """(ln q, ln(1-q), ln p, ln(1-p)) for the (eps, t) pair.
+
+    -inf encodes an exact zero (t=eps for q and p, t=0 for their
+    complements).  Checks eps and t as grr_params does.
+    """
+    grr_params(eps, t)
+    log_denom = log1mexp(-eps)
+    log_q = log1mexp(t - eps) - log_denom if t < eps else -math.inf
+    if t > 0:
+        log_1mq = -eps + t + log1mexp(-t) - log_denom
+        log_1mp = log1mexp(-t) - log_denom
+    else:
+        log_1mq = -math.inf
+        log_1mp = -math.inf
+    log_p = -t + log_q
+    return log_q, log_1mq, log_p, log_1mp
 
 
 def float_delta_dp(k: int, eps: float, eps_g: float) -> float:
@@ -605,6 +639,122 @@ def single_br_position_invariance(
         if abs(val - ref) > tol:
             return False
     return True
+
+
+class _PlainRecursiveEvaluator:
+    """The adaptive evaluator as it was before its golden-section polish
+    took both budgets of a tilt in one vector pass: every phi(t) makes two
+    scalar passes, and the candidates are stacked one column at a time."""
+
+    def __init__(self, seq: MechanismSequence, grid: GridSpec) -> None:
+        self.slots = seq.slots
+        self.eps = seq.eps
+        self.n = len(seq.slots)
+        self.grid = grid
+        self.t_grid = np.linspace(0.0, seq.eps, grid.points_per_level)
+        self.h = seq.eps / (grid.points_per_level - 1)
+        self.qb = 1.0 / (1.0 + math.exp(-seq.eps))
+        self.memo: dict[tuple[int, float], float] = {}
+        self.terminal = max(
+            (i for i, s in enumerate(seq.slots) if s == "br"), default=-1
+        )
+        self.n_cand = [8 + self.n - i + seq.slots[i:].count("dp") for i in range(self.n)]
+
+    def _cand_matrix(self, idx: int, budgets: np.ndarray) -> np.ndarray:
+        eps = self.eps
+        rem = self.slots[idx:]
+        k, mdp = len(rem), rem.count("dp")
+        b = budgets
+        cols = [
+            b,
+            b / 2.0,
+            (b + eps) / 2.0,
+            (b - eps) / 2.0,
+            np.full_like(b, eps / 2.0),
+            (eps + b) / 3.0,
+            (2.0 * eps + b) / 3.0,
+        ]
+        denom = k - mdp + 1
+        for ell in range(self.n_cand[idx] - len(cols)):
+            cols.append((b + eps * (ell + 1 - mdp)) / denom)
+        mat = np.stack(cols, axis=1)
+        np.clip(mat, 0.0, eps, out=mat)
+        return mat
+
+    def _base_vec(self, budgets: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(budgets)
+        neg = budgets < 0.0
+        out[neg] = -np.expm1(budgets[neg])
+        return out
+
+    def _tilt_values(
+        self, idx: int, budgets: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        tilts = self._cand_matrix(idx, budgets)
+        if idx != self.terminal:
+            grid = np.broadcast_to(self.t_grid, (budgets.size, self.t_grid.size))
+            tilts = np.concatenate([grid, tilts], axis=1)
+        q = _tilt_q(self.eps, tilts)
+        b = budgets[:, None]
+        f_lo = self.eval_vec(idx + 1, (b - tilts).ravel()).reshape(tilts.shape)
+        f_hi = self.eval_vec(idx + 1, (b + self.eps - tilts).ravel()).reshape(tilts.shape)
+        return tilts, q * f_lo + (1.0 - q) * f_hi
+
+    def eval_vec(self, idx: int, budgets: np.ndarray) -> np.ndarray:
+        if idx == self.n:
+            return self._base_vec(budgets)
+        slot = self.slots[idx]
+        if slot == "dp":
+            lo = self.eval_vec(idx + 1, budgets - self.eps)
+            hi = self.eval_vec(idx + 1, budgets + self.eps)
+            return self.qb * lo + (1.0 - self.qb) * hi
+        out = np.empty_like(budgets)
+        g = 0 if idx == self.terminal else self.t_grid.size
+        block = max(1, (1 << 21) // (g + self.n_cand[idx]))
+        for s in range(0, budgets.size, block):
+            b = budgets[s : s + block]
+            out[s : s + b.size] = self._tilt_values(idx, b)[1].max(axis=1)
+        return out
+
+    def eval_scalar(self, idx: int, b: float) -> float:
+        key = (idx, b)
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit
+        if idx == self.n:
+            val = -math.expm1(b) if b < 0.0 else 0.0
+        elif self.slots[idx] == "dp":
+            val = self.qb * self.eval_scalar(idx + 1, b - self.eps) + (
+                1.0 - self.qb
+            ) * self.eval_scalar(idx + 1, b + self.eps)
+        else:
+            tilts, vals = self._tilt_values(idx, np.array([b]))
+            j = int(np.argmax(vals[0]))
+            val = float(vals[0, j])
+            if idx != self.terminal and self.grid.refine_rounds > 0:
+                lo = max(0.0, float(tilts[0, j]) - self.h)
+                hi = min(self.eps, float(tilts[0, j]) + self.h)
+                if hi > lo:
+
+                    def phi(t: float) -> float:
+                        qt = grr_params(self.eps, t).q
+                        return qt * self.eval_scalar(idx + 1, b - t) + (
+                            1.0 - qt
+                        ) * self.eval_scalar(idx + 1, b + self.eps - t)
+
+                    val = max(val, golden_max(phi, lo, hi, self.grid.refine_rounds))
+        self.memo[key] = val
+        return val
+
+
+def plain_delta_recursive(
+    seq: MechanismSequence, eps_g: float, grid: GridSpec | None = None
+) -> float:
+    """delta_opt_recursive by two scalar passes per golden-section step."""
+    if math.isnan(eps_g):
+        raise ValueError("eps_g must not be NaN")
+    ev = _PlainRecursiveEvaluator(seq, grid or GridSpec())
+    return ev.eval_scalar(0, eps_g)
 
 
 # ---------------------------------------------------------------------------

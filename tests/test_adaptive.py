@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -294,3 +295,51 @@ class TestLongSequences:
         )
         want = delta_opt_mixed(CompositionQuery(k=12, m=11, eps=0.3, eps_g=1.5))
         assert got == pytest.approx(want, abs=1e-9)
+
+
+class TestVectorPolish:
+    """The polish before the terminal BR slot prices both budgets of a
+    tilt in one vector pass; every float is that of two scalar passes."""
+
+    EPS_G_EDGES = (0.0, -0.0, math.inf, -math.inf)
+
+    @staticmethod
+    def _draw(rng, nbr):
+        n = rng.randint(nbr, min(nbr + 2, 5))
+        brs = set(rng.sample(range(n), nbr))
+        slots = tuple("br" if i in brs else "dp" for i in range(n))
+        eps = 10 ** rng.uniform(-3.0, math.log10(30.0))
+        r = rng.random()
+        if r < 0.3:
+            eps_g = rng.choice(TestVectorPolish.EPS_G_EDGES)
+        elif r < 0.5:
+            eps_g = -rng.uniform(0.0, n) * eps
+        else:
+            eps_g = rng.uniform(-n, n) * eps
+        if nbr == 3:
+            grid = GridSpec(rng.randint(2, 25), rng.randint(0, 8))
+        else:
+            grid = rng.choice(
+                [None, GridSpec(rng.randint(2, 300), rng.randint(0, 45)), GridSpec(51, 0)]
+            )
+        return MechanismSequence(slots, eps), eps_g, grid
+
+    @pytest.mark.parametrize("nbr, calls", [(1, 40), (2, 90), (3, 30)])
+    def test_matches_scalar_passes(self, nbr, calls):
+        rng = random.Random(2200 + nbr)
+        for _ in range(calls):
+            seq, eps_g, grid = self._draw(rng, nbr)
+            got = delta_opt_recursive(seq, eps_g, grid)
+            want = oracles.plain_delta_recursive(seq, eps_g, grid)
+            assert repr(got) == repr(want), (seq, eps_g, grid)
+
+    def test_edges_of_two_br(self):
+        # the named budgets at the default grid and without polish
+        for slots in (("br", "br"), ("br", "dp", "br", "dp"), ("dp", "br", "br")):
+            for eps in (1e-3, 0.5, 30.0):
+                seq = MechanismSequence(slots, eps)
+                for eps_g in self.EPS_G_EDGES + (-0.2, -3.0 * eps):
+                    for grid in (None, GridSpec(101, 0)):
+                        got = delta_opt_recursive(seq, eps_g, grid)
+                        want = oracles.plain_delta_recursive(seq, eps_g, grid)
+                        assert repr(got) == repr(want), (slots, eps, eps_g, grid)

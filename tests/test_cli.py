@@ -15,7 +15,7 @@ import pytest
 
 import dpcomp
 from dpcomp.adaptive import MechanismSequence, delta_opt_recursive
-from dpcomp.calibration import HistogramSpec, solve_sigma_zcdp
+from dpcomp.calibration import HistogramSpec, analytic_gaussian_delta, solve_sigma_zcdp
 from dpcomp.cli import _parse_grid, figure_data, load_histogram_counts, main, tokenize
 from dpcomp.mechanisms import RngState, histogram_from_text, known_gauss, known_lap_topk
 from dpcomp.nonadaptive import CompositionQuery, delta_opt_mixed, eps_inverse
@@ -449,6 +449,22 @@ class TestComposeCommand:
         assert math.isfinite(eps_g) and eps_g == pytest.approx(want, rel=1e-14)
         assert total == 5e-324 + 1e-9
 
+    @pytest.mark.parametrize(
+        "entry, shown",
+        [('{"tag": "pure_dp", "eps": "x"}', "field 'eps' must be a number"),
+         ('{"tag": "br", "alpha": 1' + "0" * 400 + "}", "field 'alpha' must be a number")],
+        ids=["string-eps", "400-digit-alpha"],
+    )
+    def test_setwise_field_that_is_not_a_float_is_usage_error(
+        self, capsys, tmp_path, entry, shown
+    ):
+        # the 400-digit integer used to exit 1 with an OverflowError traceback
+        path = tmp_path / "bad.json"
+        path.write_text('{"registered": [' + entry + '], "consumed": [], "delta_slack": 1e-6}')
+        code, out, err = run(capsys, ["compose", "setwise", "--config", str(path), "--delta", "1e-6"])
+        assert code == 2 and out == ""
+        assert shown in err
+
 
 class TestCsvFormat:
     def test_provenance_line_and_precision(self, capsys):
@@ -701,6 +717,38 @@ class TestCalibrateCommand:
         a, b = 2.5, math.sqrt(2.0 * 5 * 1074 * math.log(2.0))
         want = (b + math.sqrt(b * b + 4.0 * a)) / 2.0
         assert math.isfinite(float(out)) and float(out) == pytest.approx(want, rel=1e-14)
+
+    def test_analytic_route_at_largest_eps_answers(self, capsys):
+        # the curve's tilted tail e^tail overflowed math.exp at eps = 1.7e308
+        code, out, _ = run(
+            capsys, ["calibrate", "--route", "analytic", "--eps", "1.7e308", "--delta", "1e-6"]
+        )
+        assert code == 0
+        sigma = float(out)
+        assert 0.0 < sigma < 1e-150
+        assert analytic_gaussian_delta(sigma, 1.7e308) <= 1e-6
+
+    def test_zcdp_route_at_largest_eps_is_finite(self, capsys):
+        # 4 a eps and 2 eps overflowed to inf, and inf / inf printed nan
+        code, out, _ = run(
+            capsys,
+            ["calibrate", "--route", "zcdp", "--eps", "1.7e308", "--delta", "1e-6",
+             "--delta0", "5"],
+        )
+        assert code == 0
+        sigma = float(out)
+        # eps = a / sigma^2 + b / sigma is a / sigma^2 to within 1e-150 here
+        assert sigma == pytest.approx(math.sqrt(2.5 / 1.7e308), rel=1e-14)
+
+    def test_zcdp_route_sigma_beyond_float_range_is_usage_error(self, capsys):
+        # the true sigma, about 2e324, used to print as inf
+        code, out, err = run(
+            capsys,
+            ["calibrate", "--route", "zcdp", "--eps", "5e-324", "--delta", "1e-6",
+             "--delta0", "5"],
+        )
+        assert code == 2 and out == ""
+        assert "eps = 5e-324" in err
 
     def test_analytic_route_at_huge_eps(self, capsys):
         # from [0, 2^80] the halving needs about 1,150 steps to reach adjacent floats

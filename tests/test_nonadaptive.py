@@ -16,12 +16,12 @@ from dpcomp.nonadaptive import (
     delta_opt_dp,
     delta_opt_mixed,
     eps_inverse,
-    grr_log_probs,
     grr_params,
     mixed_candidate_ts,
 )
 
 from . import oracles
+from .oracles import grr_log_probs
 
 eps_strategy = st.floats(min_value=0.05, max_value=3.0)
 

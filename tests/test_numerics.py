@@ -21,13 +21,12 @@ from dpcomp.numerics import (
     log1pexp,
     log_binomial,
     log_recip,
-    logsumexp,
     pava_monotone_nonneg,
     solve,
     std_normal_cdf,
 )
 
-from .oracles import qp_project_monotone_nonneg
+from .oracles import logsumexp, qp_project_monotone_nonneg
 
 
 class TestLogBinomial:

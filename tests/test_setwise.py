@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -527,6 +528,28 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match=field):
             SetwiseAccountant.from_json(payload)
 
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ('{"registered": [], "consumed": [], "delta_slack": "x"}', "delta_slack"),
+            ('{"registered": [{"tag": "pure_dp", "eps": "x"}], "consumed": [],'
+             ' "delta_slack": 1e-6}', "eps"),
+            ('{"registered": [{"tag": "cdp", "mu": 0.1, "tau": null}], "consumed": [],'
+             ' "delta_slack": 1e-6}', "tau"),
+            ('{"registered": [{"tag": "zcdp", "delta": [0], "xi": 0, "rho": 1}], "consumed": [],'
+             ' "delta_slack": 1e-6}', "delta"),
+            ('{"registered": [{"tag": "br", "alpha": 1' + "0" * 400 + '}], "consumed": [],'
+             ' "delta_slack": 1e-6}', "alpha"),
+        ],
+        ids=["string-delta-slack", "string-eps", "null-tau", "list-delta", "400-digit-alpha"],
+    )
+    def test_field_that_is_not_a_float_is_value_error_naming_it(self, payload, field) -> None:
+        with pytest.raises(ValueError) as info:
+            SetwiseAccountant.from_json(payload)
+        assert str(info.value) == (
+            f"accountant JSON field {field!r} must be a number in the float range"
+        )
+
 
 # Field values the writer must render as json.dumps does: ints, bools, a
 # float subclass, -0.0, and floats at the ends of the range.
@@ -674,3 +697,20 @@ class TestSumsAgainstConversions:
             acc.register(c)
         assert str(info.value) == f"cannot register {c}: its terms overflow a float"
         assert (acc.to_json(), acc.global_bound_cdp(), acc.global_bound_zcdp()) == before
+
+    @pytest.mark.parametrize(
+        "c",
+        [PureDP(np.float64(1e200)), BoundedRange(np.float64(1e200)),
+         Cdp(np.float64(1e100), np.float64(1e200))],
+        ids=["pure-dp", "br", "cdp"],
+    )
+    def test_float64_overflow_keeps_the_float_message(self, c) -> None:
+        # numpy's float64 squares to inf with a RuntimeWarning, not an OverflowError
+        acc = SetwiseAccountant(1e-6).register(PureDP(0.5))
+        before = acc.to_json()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                acc.register(c)
+        assert str(info.value) == f"cannot register {c}: its terms overflow a float"
+        assert acc.to_json() == before
