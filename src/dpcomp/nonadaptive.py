@@ -21,13 +21,17 @@ accumulated in log space and the positive part of each term is decided
 on the sign of its exponent, never by subtracting nearly equal exps.
 
 Bound, then walk: the maximum over the candidate tilts does not walk
-every tilt.  Prefix sums over the plan's pairs give each tilt an upper
-bound U on its sum for the cost of its rows (``_bounded``), with a
-proven rounding term.  ``_max_sum`` walks the tilts in descending U and
-stops once the next U, raised by the walk's own relative error bound
-eta, is below the best sum walked: a tilt left unwalked cannot exceed
-it, so the float returned is the full maximum's.  Where a U is not
-finite every tilt is walked.
+every tilt.  A tilt's row weights, times e^s, are the Binomial(k-m, 1-q)
+masses of its pair, so one multiply per row steps them, with no log or
+exp of its own; prefix sums over the plan's pairs then give each tilt
+an upper bound U on its sum (``_bounded``), with a proven rounding term
+scaled to the tilt.  ``_max_sum`` walks the tilts in descending U, and
+forms rows only for them, until the next U, raised by the walk's own
+relative error bound eta, is below the best sum walked: a tilt left
+unwalked cannot exceed it, so the float returned is the full maximum's.
+Where a U is not finite every tilt is walked.  The candidates
+themselves are nondecreasing in ell, so ``mixed_candidate_ts`` evaluates
+only the ells between the first positive tilt and the first at eps.
 
 ``eps_inverse`` needs only whether a bound meets its target, not the
 bound itself: each bisection step takes the candidate tilts' sums one at
@@ -77,6 +81,11 @@ _ROW_CACHE = 8
 # below it exp's underflow, up to 2^-1075 absolute per operation, is no
 # longer small against a relative error bound
 _PRUNE_FLOOR = 2.0**-970
+# a tilt's binomial masses are carried as mass 2^shift; a mass above
+# 2^_RESCALE_BITS moves that power of two, exactly, into shift
+_RESCALE_BITS = 600
+_RESCALE = 2.0**_RESCALE_BITS
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -139,15 +148,38 @@ def mixed_candidate_ts(k: int, m: int, eps: float, eps_g: float) -> list[float]:
     One candidate per ell in 0..k+m: (eps_g + eps (ell+1-m)) / (k-m+1);
     out-of-range values snap to the nearer endpoint.  With no BR slot the
     bound is tilt-free and a single dummy candidate 0 is returned.
+
+    The tilts are nondecreasing in ell, so only the ells from the first
+    positive tilt to the first at least eps are evaluated: a zero from
+    the clip below (ell = 0's sign, as the clip keeps a -0.0), the
+    distinct interior tilts, then eps.  A NaN eps_g raises ValueError.
     """
-    if k - m == 0:
-        return [0.0]
+    if math.isnan(eps_g):
+        raise ValueError("eps_g must not be NaN")
     kb = k - m
-    cands = {
-        min(max((eps_g + eps * (ell + 1 - m)) / (kb + 1), 0.0), eps)
-        for ell in range(k + m + 1)
-    }
-    return sorted(cands)
+    if kb == 0:
+        return [0.0]
+    d = kb + 1
+    last = k + m
+    # the first ell with a positive tilt lies near m - 1 - eps_g/eps;
+    # exact float tests correct the guess
+    guess = -eps_g / eps + (m - 1)
+    ell = 0 if not guess > 0.0 else last + 1 if not guess < last else math.ceil(guess)
+    while ell > 0 and (eps_g + eps * (ell - m)) / d > 0.0:
+        ell -= 1
+    while ell <= last and not (eps_g + eps * (ell + 1 - m)) / d > 0.0:
+        ell += 1
+    ts = [max((eps_g + eps * (1 - m)) / d, 0.0)] if ell else []
+    prev = None
+    for ell in range(ell, last + 1):
+        t = (eps_g + eps * (ell + 1 - m)) / d
+        if t >= eps:
+            ts.append(eps)
+            break
+        if t != prev:
+            ts.append(t)
+            prev = t
+    return ts
 
 
 @functools.lru_cache(maxsize=_ROW_CACHE)
@@ -287,47 +319,81 @@ def _walk(rows: list[tuple[float, float]], pairs: list[tuple[float, float]]) -> 
 
 
 def _bounded(
-    kb: int,
-    pairs: list[tuple[float, float]],
-    rows: Callable[[float], list[tuple[float, float]]],
-    ts: Sequence[float],
-) -> tuple[list[tuple[float, list[tuple[float, float]]]], float] | None:
-    """Each tilt's upper bound U with its rows, by descending U, and eta's slope.
+    kb: int, eps: float, pairs: list[tuple[float, float]], ts: Sequence[float]
+) -> tuple[list[tuple[float, float]], float] | None:
+    """Each tilt's upper bound U with the tilt, by descending U, and eta's slope.
 
     With j the number of pairs whose base is below a row's s, the row
     adds e^L (A_j - D_j): A_j sums e^w and D_j sums e^(w + a - s) over
     the first j pairs.  D_j is formed as E_j e^(a_(j-1) - s) from the
     prefix sum E_j of e^(w + a - a_(j-1)), so no exponent is positive and
-    nothing overflows.  The identity is exact on the floats L, s, a and
-    w that the walk reads; the computed value loses only rounding.  Each
+    nothing overflows.  The identity is exact on the floats s, a and w
+    that the walk reads; the computed value loses only rounding.  Each
     e^w in A_j carries a few units of roundoff and j of them are added.
     Term p of D_j carries a few units per step of E_j's recurrence, plus
     u (s - a_p) from its exponents, against a size e^w e^(a_p - s); as
     x e^-x <= 1/e, D_j errs by a few units times (j + 1) A_j, whatever
     eps and eps_g are.  So A_j (1 + _ERR_UNIT (j + 2)) in place of A_j
-    makes each row's part an upper bound; the roundings of e^L and of
-    the sum over rows are a few units per row, inside eta below.
+    makes each row's part an upper bound.  s = kb t - i eps is the
+    walk's float and j comes from exact comparisons against it.
+
+    e^L is not formed from L.  As q/p = e^t and (1-p)/(1-q) = e^(eps-t),
+    row i's C(kb,i) p^(kb-i) (1-p)^i e^s is the Binomial(kb, 1-q) mass
+    P_i = C(kb,i) q^(kb-i) (1-q)^i: P_0 = q^kb and P_(i+1) = P_i
+    (kb-i)/(i+1) (1-q)/q, one multiply per row.  q = n1/den and (1-q)/q
+    = e^(t-eps) n2/n1, with n1 = -expm1(t-eps), n2 = -expm1(-t) and den =
+    -expm1(-eps), are each a few units from exact, but for e^(t-eps)'s
+    u (eps - t) from its rounded argument.  The masses are carried as M_i
+    2^shift: M_0 = e^(kb ln q - shift ln 2) lies in [1, 2), and an M
+    above 2^600 moves 2^600 into shift, exactly, with the sum so far.  So
+    P_0 may lie far below the normal range, and the masses keep their
+    relative accuracy up to their mode whatever kb is.
+
+    The float L that the walk reads differs from ln P_i by the roundings
+    of ln C(kb,i) (three lgamma, each at most lg = lgamma(kb+1)), of s
+    (magnitude kb eps) and of ln p = -t + ln n1 - ln den and ln(1-p) =
+    ln n2 - ln den, taken at most kb times: a few units of lg + kb (eps +
+    t + |ln n1| + |ln n2| + 2 |ln den| + 1).  M_0 errs by a few units of
+    kb (|ln n1| + |ln den| + 1), and each step of the recurrence by a few
+    units plus u (eps - t).  So, with
+
+        sigma = _ERR_UNIT (3 lg + kb (2 eps + t + |ln n1| + |ln n2|
+                                      + 3 |ln den| + 4)),
+
+    a row whose M_i is normal has e^L <= P_i e^sigma <= P_i (1 + 2 sigma)
+    for sigma <= 1.  At the mode M >= 1, so 2^shift <= 1 from there on;
+    past it the masses fall, and only there can an M_i underflow, each
+    step then erring by a few 2^-1075 2^shift while the errors carried in
+    shrink, and a rescale drops at most 2^-1074 of the sum.  Where 1-q
+    itself underflows, q > 1/2 and the rows past the first hold at most
+    kb 2^-1073.  So (kb+1)^2 2^-1070, which also takes the underflow of
+    each product and of the final scaling by 2^shift, bounds the rest:
+    U = (1 + 2 sigma) sum_i P_i (A_j - D_j) + (kb+1)^2 2^-1070 bounds
+    the exact sum of e^L (A_j - D_j) over the walk's floats.  Once a
+    computed M_i is 0 every later one is, and the rows stop there.  The
+    tilts 0 and eps have one row, L = 0 and s = +-0 at mass 1, and U is
+    its part.
 
     eta bounds the walk's relative error.  A term's log is L + w +
     ln(1 - e^(a-s)), three parts of one sign (L, a ln-probability, lies
-    above 0 only by rounding, at most lam), and each operation errs by a
-    few units times the magnitudes it adds: the term errs by a few units
-    times |ln term| + lam.  The shift by the top term, the exps, fsum
-    and the final exp add a few units more.  Weighted by x = term/top,
-    with x ln(1/x) <= 1/e, the sum over n terms errs by a few units
-    times |ln sum| + n + lam.  A walk that exceeds d >= _PRUNE_FLOOR has
-    |ln sum| <= |ln d| + lam + ln n.  So with n = (k-m+1) len(pairs),
-    eta(d) = _ERR_UNIT (|ln d| + n + lam) bounds its error, and
-    U (1 + eta(d)) < d proves the walk below d.  The slope returned is
-    n + lam.
+    above 0 only by rounding, at most lam = the largest sigma), and each
+    operation errs by a few units times the magnitudes it adds: the term
+    errs by a few units times |ln term| + lam.  The shift by the top
+    term, the exps, fsum and the final exp add a few units more.
+    Weighted by x = term/top, with x ln(1/x) <= 1/e, the sum over n terms
+    errs by a few units times |ln sum| + n + lam.  A walk that exceeds d
+    >= _PRUNE_FLOOR has |ln sum| <= |ln d| + lam + ln n.  So with n =
+    (kb+1) len(pairs), eta(d) = _ERR_UNIT (|ln d| + n + lam) bounds its
+    error, and U (1 + eta(d)) < d proves the walk below d.  The slope
+    returned is n + lam.
 
     A tilt with no row that reads a pair walks to exactly 0 and is left
-    out.  None where any U is not finite or its e^L overflows: then
-    every tilt is walked.
+    out.  None where any U is not finite, or where sigma exceeds 1 (kb
+    eps above about 3e13): then every tilt is walked.
     """
     if not pairs:
         return [], 0.0
-    exp = math.exp
+    exp, expm1, log = math.exp, math.expm1, math.log
     bases = [a for a, _ in pairs]
     a_hi, e_sum = [0.0], [0.0]
     acc = e = 0.0
@@ -339,27 +405,56 @@ def _bounded(
         prev = a
         a_hi.append(acc * (1.0 + _ERR_UNIT * (j + 2)))
         e_sum.append(e)
+    cut = bases[0]
+    den = -expm1(-eps)
+    log_den = log(den)
+    sigma_0 = _ERR_UNIT * (3.0 * math.lgamma(kb + 1) + kb * (2.0 * eps - 3.0 * log_den + 4.0))
+    tiny = (kb + 1.0) * (kb + 1.0) * 2.0**-1070
     lam = 0.0
     order = []
     for t in ts:
-        r = rows(t)
-        u = 0.0
-        read = False
-        for log_row, s in r:
+        if t == 0.0 or t == eps:
+            # one row, L = 0 and s = +-0, at mass 1
+            if not cut < 0.0:
+                continue
+            j = bisect_left(bases, 0.0)
+            u = a_hi[j] - e_sum[j] * exp(bases[j - 1])
+        else:
+            s_0 = s = kb * t
             j = bisect_left(bases, s)
-            if j:
-                try:
-                    u += exp(log_row) * (a_hi[j] - e_sum[j] * exp(bases[j - 1] - s))
-                except OverflowError:
-                    return None
-                read = True
-                if log_row > lam:
-                    lam = log_row
+            if not j:
+                continue
+            n1, n2 = -expm1(t - eps), -expm1(-t)
+            log_n1 = log(n1)
+            sigma = sigma_0 - _ERR_UNIT * kb * (log_n1 + log(n2) - t)
+            if not sigma <= 1.0:
+                return None
+            # q^kb = mass 2^shift with mass in [1, 2), and (1-q)/q
+            log_mass = kb * (log_n1 - log_den)
+            shift = math.floor(log_mass / _LN2)
+            mass = exp(log_mass - shift * _LN2)
+            ratio = exp(t - eps) * n2 / n1
+            u = mass * (a_hi[j] - e_sum[j] * exp(bases[j - 1] - s))
+            for i in range(1, kb + 1):
+                mass = mass * (kb - i + 1) / i * ratio
+                if mass > _RESCALE:
+                    mass *= 1.0 / _RESCALE
+                    u *= 1.0 / _RESCALE
+                    shift += _RESCALE_BITS
+                elif not mass:
+                    break
+                s = s_0 - i * eps
+                while j and bases[j - 1] >= s:
+                    j -= 1
+                if not j:
+                    break
+                u += mass * (a_hi[j] - e_sum[j] * exp(bases[j - 1] - s))
+            u = math.ldexp(u, shift) * (1.0 + 2.0 * sigma) + tiny
+            lam = max(lam, sigma)
         if not u < math.inf:
             return None
-        if read:
-            order.append((u, r))
-    order.sort(key=lambda ur: ur[0], reverse=True)
+        order.append((u, t))
+    order.sort(key=lambda ut: ut[0], reverse=True)
     return order, (kb + 1) * len(pairs) + lam
 
 
@@ -376,24 +471,25 @@ def _max_sum(k: int, m: int, eps: float, eps_g: float) -> float:
 
     Tilts are walked in descending bound U, until U (1 + eta(best)) is
     below the best sum so far: no tilt left can exceed it, so the float
-    returned is the full maximum's.  Every tilt is walked where there is
-    one candidate, where k eps overflows (a row's s is then NaN, and no
-    bound places it) and where ``_bounded`` finds no finite bound.
+    returned is the full maximum's.  Only a walked tilt forms its rows.
+    Every tilt is walked where there is one candidate, where k eps
+    overflows (a row's s is then NaN, and no bound places it) and where
+    ``_bounded`` finds no finite bound.
     """
     ts = mixed_candidate_ts(k, m, eps, eps_g)
-    found = None
-    if len(ts) > 1 and k * eps < math.inf:
-        pairs, rows = _plan(k, m, eps, eps_g, ts)
-        found = _bounded(k - m, pairs, rows, ts)
-    if found is None:
+    if len(ts) < 2 or not k * eps < math.inf:
         return max(_tilt_sums(k, m, eps, eps_g, ts))
+    pairs, rows = _plan(k, m, eps, eps_g, ts)
+    found = _bounded(k - m, eps, pairs, ts)
+    if found is None:
+        return max(_walk(rows(t), pairs) for t in ts)
     order, slope = found
     best = 0.0
-    for u, r in order:
+    for u, t in order:
         if best >= _PRUNE_FLOOR:
             if u * (1.0 + _ERR_UNIT * (slope + abs(math.log(best)))) < best:
                 break
-        best = max(best, _walk(r, pairs))
+        best = max(best, _walk(rows(t), pairs))
     return best
 
 

@@ -234,14 +234,23 @@ def _canonical_key(c: PrivacyClass) -> tuple:
     # the exact class and its fields rounded to 1e-12
     t = type(c)
     if t is PureDP:
-        return t, round(c.eps, 12)
+        return t, _round12(c.eps)
     if t is BoundedRange:
-        return t, round(c.alpha, 12)
+        return t, _round12(c.alpha)
     if t is Cdp:
-        return t, round(c.mu, 12), round(c.tau, 12)
+        return t, _round12(c.mu), _round12(c.tau)
     if t is Zcdp:
-        return t, round(c.delta, 12), round(c.xi, 12), round(c.rho, 12)
+        return t, _round12(c.delta), _round12(c.xi), _round12(c.rho)
     raise TypeError(f"unknown privacy class {t.__name__}")
+
+
+def _round12(x: float) -> float:
+    # a float subclass (numpy's float64) rounds as a float: numpy's own
+    # round scales by 10^12 first, so above about 1.8e296 it overflows to
+    # inf and distinct values would share a key
+    if type(x) is not float and isinstance(x, float):
+        x = float(x)
+    return round(x, 12)
 
 
 # the field whose square each class's terms take

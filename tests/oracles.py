@@ -13,7 +13,8 @@ check for one BR slot among DP slots.  The one- and two-BR adaptive
 deltas (a closed form, and a tilt search around it), the pure-DP slot's
 and the two-point pair's log-probabilities, the log-sum-exp they fed and
 the Laplace histogram delta are second routes the package no longer
-calls, and so are the per-tilt sum before its kernel was inlined, the
+calls, and so are the candidate tilts clipped one by one into a set,
+the per-tilt sum before its kernel was inlined, the
 inversion that judged every bisection midpoint by the full bound, the
 analytic-Gaussian solves that evaluated every midpoint before their
 solves were given a predicted bracket, and the adaptive evaluator that
@@ -56,7 +57,6 @@ from dpcomp.nonadaptive import (
     delta_opt_dp,
     delta_opt_mixed,
     grr_params,
-    mixed_candidate_ts,
 )
 from dpcomp.numerics import (
     check_delta,
@@ -293,11 +293,26 @@ def _float_delta_mixed_at_t(k: int, m: int, eps: float, eps_g: float, t: float) 
     return math.exp(logsumexp(terms))
 
 
+def plain_candidate_ts(k: int, m: int, eps: float, eps_g: float) -> list[float]:
+    """The mixed bound's candidate tilts as the package first formed them:
+    every ell in 0..k+m clipped into [0, eps], deduplicated in a set and
+    sorted.  ``nonadaptive.mixed_candidate_ts`` must return the same
+    list, ``repr`` for ``repr``."""
+    if k - m == 0:
+        return [0.0]
+    kb = k - m
+    cands = {
+        min(max((eps_g + eps * (ell + 1 - m)) / (kb + 1), 0.0), eps)
+        for ell in range(k + m + 1)
+    }
+    return sorted(cands)
+
+
 def float_delta_mixed(k: int, m: int, eps: float, eps_g: float) -> float:
     """Mixed optimal delta as a float double sum in the q-form."""
     return max(
         _float_delta_mixed_at_t(k, m, eps, eps_g, t)
-        for t in mixed_candidate_ts(k, m, eps, eps_g)
+        for t in plain_candidate_ts(k, m, eps, eps_g)
     )
 
 
@@ -338,7 +353,7 @@ def plain_delta_max(k: int, m: int, eps: float, eps_g: float) -> float:
     candidate tilt, each walked in full; ``delta_opt_mixed`` (and at
     m = 0 ``delta_opt_br_nonadaptive``) must return the same float."""
     return max(logsumexp_delta_at_t(k, m, eps, eps_g, t)
-               for t in mixed_candidate_ts(k, m, eps, eps_g))
+               for t in plain_candidate_ts(k, m, eps, eps_g))
 
 
 def plain_eps_inverse(
@@ -461,7 +476,7 @@ def mixed_brute_force_sup(
         np.concatenate(
             [
                 np.linspace(0.0, eps, grid_points),
-                np.asarray(mixed_candidate_ts(k, m, eps, eps_g)),
+                np.asarray(plain_candidate_ts(k, m, eps, eps_g)),
             ]
         )
     )

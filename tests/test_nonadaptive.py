@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -208,6 +209,40 @@ class TestDeltaOptMixed:
         assert len(set(ts)) == len(ts)
         assert mixed_candidate_ts(4, 4, 1.0, 0.4) == [0.0]
 
+    def test_candidate_ts_match_plain_set(self):
+        # 200,000 seeded draws, bit for bit against the clipped, set-
+        # deduplicated and sorted list (so a -0.0 from an underflowed tilt
+        # is kept where the set kept it): k up to 2,000, m in 0..k, eps from
+        # 5e-324 to 1e8, eps_g at 0, +-inf, below 0, past k eps and on
+        # multiples of eps
+        rng = random.Random(29)
+        epss = (lambda: 5e-324, lambda: 10 ** rng.uniform(-323.0, 8.0),
+                lambda: 10 ** rng.uniform(-3.0, 1.0), lambda: 1e8)
+        budgets = (lambda k, e: 0.0, lambda k, e: math.inf, lambda k, e: -math.inf,
+                   lambda k, e: -rng.expovariate(0.1),
+                   lambda k, e: rng.uniform(-1.5, 1.5) * k * e,
+                   lambda k, e: k * e * (1.0 + rng.random()),
+                   lambda k, e: rng.randint(-k, k) * e,
+                   lambda k, e: -(10 ** rng.uniform(-324.0, -300.0)))
+        differ = []
+        for _ in range(200_000):
+            k = rng.randint(1, 2000) if rng.random() < 0.01 else rng.randint(1, 40)
+            m = rng.choice((0, k, rng.randint(0, k)))
+            eps = rng.choice(epss)()
+            eps_g = rng.choice(budgets)(k, eps)
+            got = mixed_candidate_ts(k, m, eps, eps_g)
+            want = oracles.plain_candidate_ts(k, m, eps, eps_g)
+            # bit for bit, so repr for repr
+            if array("d", got).tobytes() != array("d", want).tobytes():
+                differ.append((k, m, eps, eps_g, repr(got), repr(want)))
+        assert differ == []
+
+    @pytest.mark.parametrize("k, m", [(3, 0), (3, 1), (3, 3)])
+    def test_candidate_ts_refuse_nan_budget(self, k, m):
+        # the set-and-sorted list held k + m + 1 NaNs
+        with pytest.raises(ValueError, match="^eps_g must not be NaN$"):
+            mixed_candidate_ts(k, m, 0.5, math.nan)
+
     @given(
         st.integers(1, 10),
         st.data(),
@@ -366,14 +401,25 @@ class TestOneEvaluator:
         assert 0 < len(calls) <= 201
 
 
-def _plan_bounds(k, m, eps, eps_g):
-    ts = mixed_candidate_ts(k, m, eps, eps_g)
+def _plan_bounds(k, m, eps, eps_g, ts=None):
+    ts = mixed_candidate_ts(k, m, eps, eps_g) if ts is None else ts
     pairs, rows = nonadaptive._plan(k, m, eps, eps_g, ts)
-    return ts, pairs, rows, nonadaptive._bounded(k - m, pairs, rows, ts)
+    return ts, pairs, rows, nonadaptive._bounded(k - m, eps, pairs, ts)
+
+
+def _bound_misses(ts, pairs, rows, found):
+    # the bounds below their walked sums; the tilts left out must walk to
+    # exactly 0, and the order must be by bound
+    order, _ = found
+    assert [u for u, _ in order] == sorted((u for u, _ in order), reverse=True)
+    walked = [nonadaptive._walk(rows(t), pairs) for _, t in order]
+    every = sorted(nonadaptive._walk(rows(t), pairs) for t in ts)
+    assert sorted(walked + [0.0] * (len(ts) - len(order))) == every
+    return [t for (u, t), w in zip(order, walked) if not u >= w]
 
 
 class TestBoundThenWalk:
-    """The prefix-sum bound on each candidate tilt, and the walks it saves."""
+    """The binomial-mass bound on each candidate tilt, and the walks it saves."""
 
     def test_bound_is_at_least_walked_sum(self):
         # seeded sweep: every bound is at least its tilt's walked sum, the
@@ -389,15 +435,39 @@ class TestBoundThenWalk:
             if len(ts) < 2:
                 continue
             assert found is not None
-            order, slope = found
-            assert [u for u, _ in order] == sorted((u for u, _ in order), reverse=True)
-            walked = [nonadaptive._walk(r, pairs) for _, r in order]
-            below += [(k, m, eps, eps_g) for (u, _), w in zip(order, walked) if not u >= w]
-            every = sorted(nonadaptive._walk(rows(t), pairs) for t in ts)
-            assert sorted(walked + [0.0] * (len(ts) - len(order))) == every
-            bounded += len(order)
+            below += [(k, m, eps, eps_g, t) for t in _bound_misses(ts, pairs, rows, found)]
+            bounded += len(found[0])
         assert below == []
         assert bounded > 10_000
+        # targeted tilts the candidates rarely hit: both endpoints beside
+        # interior tilts, tilts one float below eps (q^(k-m) below the
+        # normal range), eps up to 1e8 (1-q underflows), eps_g = inf (no
+        # pair) and eps_g = -inf (a prefix sum of NaN, so no bound)
+        rng = random.Random(41)
+        bounded, subnormal, refused = 0, 0, 0
+        for _ in range(1500):
+            k = rng.randint(2, 60)
+            m = rng.choice((0, k - 1, rng.randint(0, k - 1)))
+            eps = rng.choice((10 ** rng.uniform(-3.0, 0.7), 10 ** rng.uniform(1.0, 8.0), 1e8))
+            eps_g = rng.choice((rng.uniform(-1.0, 1.0) * k * eps, -rng.expovariate(0.1),
+                                math.inf, -math.inf))
+            ts = sorted({0.0, eps, rng.random() * eps, rng.random() * eps,
+                         rng.choice((math.nextafter(eps, 0.0), eps * (1.0 - 1e-9)))})
+            ts, pairs, rows, found = _plan_bounds(k, m, eps, eps_g, ts)
+            if eps_g == -math.inf:
+                assert found is None
+                refused += 1
+                continue
+            assert found is not None
+            below += [(k, m, eps, eps_g, t) for t in _bound_misses(ts, pairs, rows, found)]
+            bounded += len(found[0])
+            subnormal += any(
+                0.0 < t < eps and grr_params(eps, t).q ** (k - m) < 2.0**-1022 for _, t in found[0]
+            )
+        assert below == []
+        assert bounded > 2_000
+        assert subnormal > 100
+        assert refused > 300
 
     def test_large_eps_bound_stays_finite(self):
         # k = 12, m = 4, eps = 1000: a bound normalised by the last base
@@ -413,15 +483,15 @@ class TestBoundThenWalk:
             assert delta_opt_mixed(q) == oracles.plain_delta_max(12, 4, 1000.0, eps_g)
 
     def test_non_finite_bound_walks_every_tilt(self, monkeypatch):
-        # an e^L that overflows, or a sum of bounds that does, leaves no
-        # finite bound, and then no tilt is skipped
-        pair = [(-1.0, 0.0)]
-        assert nonadaptive._bounded(1, pair, lambda t: [(800.0, 0.0)], (0.0, 1.0)) is None
-        assert nonadaptive._bounded(1, pair, lambda t: [(709.0, 0.0)] * 4, (0.0, 1.0)) is None
+        # a prefix sum of e^w that overflows, or a rounding term too large
+        # to bound (k eps above about 3e13), leaves no finite bound, and then no
+        # tilt is skipped
+        assert nonadaptive._bounded(1, 1.0, [(-1.0, 709.0)] * 4, (0.0, 0.5)) is None
+        assert nonadaptive._bounded(1, 1e300, [(-1.0, 0.0)], (0.0, 5e299)) is None
         bounded = nonadaptive._bounded
 
-        def overflowing(kb, pairs, rows, ts):
-            return bounded(kb, pairs, lambda t: rows(t) + [(800.0, pairs[-1][0] + 1.0)], ts)
+        def overflowing(kb, eps, pairs, ts):
+            return bounded(kb, eps, [(pairs[0][0], 709.0)] * 2 + pairs, ts)
 
         monkeypatch.setattr(nonadaptive, "_bounded", overflowing)
         sums_made = []

@@ -420,6 +420,19 @@ class TestConsumeLifecycle:
         acc.consume(Cdp(mu=0.1, tau=0.2))
         assert len(acc.consumed) == 3
 
+    def test_large_float64_fields_keep_distinct_keys(self) -> None:
+        # numpy's round scales by 1e12 first, so 1e300 and 3e300 both keyed
+        # as inf, with an overflow RuntimeWarning, and 3e300 spent 1e300
+        big, bigger = np.float64(1e300), np.float64(3e300)
+        acc = SetwiseAccountant(1e-6).register(Cdp(big, np.float64(2.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert setwise._canonical_key(PureDP(big)) != setwise._canonical_key(PureDP(bigger))
+            with pytest.raises(ConsumeMismatchError):
+                acc.consume(Cdp(bigger, np.float64(2.0)))
+            acc.consume(Cdp(big, np.float64(2.0)))
+        assert acc.consumed == (Cdp(1e300, 2.0),)
+
 
 _OFFSETS = (0.0, 1e-13, -1e-13, 1e-10, -1e-10)
 # exact repeats, near-duplicates inside and beyond the 1e-12 rounding, and
