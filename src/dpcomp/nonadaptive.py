@@ -6,32 +6,32 @@ mechanism or an eps-bounded-range mechanism.  The worst case over both
 classes is a two-point randomized response pair, so every bound is a
 finite sum over binomial mixtures of those pairs.
 
-One evaluator, ``_tilt_sums``, computes that sum for m pure-DP slots and
-k-m BR slots sharing one tilt t, lazily at each tilt of a list, and the
-three public bounds are views of it: ``delta_opt_dp`` is m = k
-(tilt-free), ``delta_opt_br_nonadaptive`` is m = 0, and
-``delta_opt_mixed`` is any m; the last two maximize over
-``mixed_candidate_ts``.  Each call forms one plan that all its tilts
-share (``_plan``): the exponent bases eps_g + (m - 2 ell) eps paired
-with their pure-DP weights, cut where the largest tilt's first row stops
-reading them, the row cut and ln(1 - e^-eps).  A tilt adds only its ln p,
-ln(1-p) and rows, and ``_walk`` sums its terms.  With no BR slot there is
-one walk and no plan.  ``_delta_at_t`` is the one-tilt view.  The sum is
-accumulated in log space and the positive part of each term is decided
-on the sign of its exponent, never by subtracting nearly equal exps.
+One kernel, ``_walk``, sums that mixture for m pure-DP slots and k-m BR
+slots sharing one tilt t, and the three public bounds are one call,
+``_max_sum``, over ``mixed_candidate_ts``: ``delta_opt_dp`` is m = k,
+whose one candidate has the one row L = s = 0, ``delta_opt_br_nonadaptive``
+is m = 0, and ``delta_opt_mixed`` is any m.  The pure-DP pairs (c, w) =
+((m - 2 ell) eps, ln weight of row ell) are cached per (m, eps)
+(``_dp_pairs``), and the walk forms each exponent eps_g + c - s as it
+reads it.  Each call forms one plan that all its tilts share (``_plan``):
+the row cut and ln(1 - e^-eps).  A tilt adds only its ln p, ln(1-p) and
+rows.  The sum is accumulated in log space and the positive part of each
+term is decided on the sign of its exponent, never by subtracting nearly
+equal exps.
 
 Bound, then walk: the maximum over the candidate tilts does not walk
 every tilt.  A tilt's row weights, times e^s, are the Binomial(k-m, 1-q)
 masses of its pair, so one multiply per row steps them, with no log or
-exp of its own; prefix sums over the plan's pairs then give each tilt
+exp of its own; prefix sums over the pure-DP pairs then give each tilt
 an upper bound U on its sum (``_bounded``), with a proven rounding term
 scaled to the tilt.  ``_max_sum`` walks the tilts in descending U, and
 forms rows only for them, until the next U, raised by the walk's own
 relative error bound eta, is below the best sum walked: a tilt left
 unwalked cannot exceed it, so the float returned is the full maximum's.
-Where a U is not finite every tilt is walked.  The candidates
-themselves are nondecreasing in ell, so ``mixed_candidate_ts`` evaluates
-only the ells between the first positive tilt and the first at eps.
+With one candidate, or where a U is not finite, every tilt is walked.
+The candidates themselves are nondecreasing in ell, so
+``mixed_candidate_ts`` evaluates only the ells between the first
+positive tilt and the first at eps.
 
 ``eps_inverse`` needs only whether a bound meets its target, not the
 bound itself: each bisection step takes the candidate tilts' sums one at
@@ -49,7 +49,7 @@ import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .numerics import (
     _ERR_UNIT,
@@ -74,7 +74,7 @@ __all__ = [
     "eps_inverse",
 ]
 
-# ln C(n, .) rows and pure-DP weight rows kept for reuse across one
+# ln C(n, .) rows and pure-DP pairs kept for reuse across one
 # inversion or curve; few, so memory stays flat
 _ROW_CACHE = 8
 # smallest sum or target against which a tilt is skipped on its bound:
@@ -152,10 +152,15 @@ def mixed_candidate_ts(k: int, m: int, eps: float, eps_g: float) -> list[float]:
     The tilts are nondecreasing in ell, so only the ells from the first
     positive tilt to the first at least eps are evaluated: a zero from
     the clip below (ell = 0's sign, as the clip keeps a -0.0), the
-    distinct interior tilts, then eps.  A NaN eps_g raises ValueError.
+    distinct interior tilts, then eps.  Inputs that ``CompositionQuery``
+    refuses raise its ValueError.
     """
-    if math.isnan(eps_g):
-        raise ValueError("eps_g must not be NaN")
+    CompositionQuery(k=k, m=m, eps=eps, eps_g=eps_g)
+    return _candidate_ts(k, m, eps, eps_g)
+
+
+def _candidate_ts(k: int, m: int, eps: float, eps_g: float) -> list[float]:
+    """``mixed_candidate_ts`` on a query already checked."""
     kb = k - m
     if kb == 0:
         return [0.0]
@@ -188,84 +193,43 @@ def _log_binomial_row(n: int) -> tuple[float, ...]:
 
 
 @functools.lru_cache(maxsize=_ROW_CACHE)
-def _dp_weights(m: int, eps: float) -> tuple[float, ...]:
-    # ln P(ell of m worst-case pure-DP slots answer q), q = e^eps/(1+e^eps)
+def _dp_pairs(m: int, eps: float) -> tuple[tuple[float, float], ...]:
+    """(c, w) for each pure-DP row ell in walk order, ell = m down to 0.
+
+    Row ell (ell of m worst-case slots answer q = e^eps/(1+e^eps)) weighs
+    C(m,ell) e^(ell eps) / (1+e^eps)^m; w is its log and c = (m - 2 ell)
+    eps its exponent's offset, so c ascends.
+    """
     log_norm = m * log1pexp(eps)
-    return tuple(lb + ell * eps - log_norm for ell, lb in enumerate(_log_binomial_row(m)))
+    lb_row = _log_binomial_row(m)
+    return tuple(
+        ((m - 2 * ell) * eps, lb_row[ell] + ell * eps - log_norm) for ell in range(m, -1, -1)
+    )
 
 
-def _delta_at_t(k: int, m: int, eps: float, eps_g: float, t: float) -> float:
-    """Hockey-stick sum of m pure-DP slots and k-m BR slots, all at tilt t.
-
-    The one-tilt view of ``_tilt_sums``.
-    """
-    return next(_tilt_sums(k, m, eps, eps_g, (t,)))
-
-
-def _tilt_sums(
-    k: int, m: int, eps: float, eps_g: float, ts: Sequence[float]
-) -> Iterator[float]:
-    """The hockey-stick sum at each tilt of ts in turn, lazily, from one plan.
-
-    With no BR slot there is one walk, over the one row s = 0, and it
-    reads the pairs as it forms them; its sum does not depend on t.
-    """
-    if k == m:
-        dp_w = _dp_weights(m, eps)
-        exp, log, log1p, expm1 = math.exp, math.log, math.log1p, math.expm1
-        log_half = _LOG_HALF
-        # _walk's terms at L = s = 0 (0 + w is w)
-        terms = []
-        for ell in range(m, -1, -1):
-            expo = eps_g + (m - 2 * ell) * eps
-            if expo < log_half:
-                terms.append(dp_w[ell] + log1p(-exp(expo)))
-            elif expo < 0.0:
-                terms.append(dp_w[ell] + log(-expm1(expo)))
-            elif expo >= 0.0:
-                break
-            else:
-                log1mexp(expo)
-        total = _exp_sum(terms)
-        for _ in ts:
-            yield total
-        return
-    pairs, rows = _plan(k, m, eps, eps_g, ts)
-    for t in ts:
-        yield _walk(rows(t), pairs)
+def _one_row(t: float) -> list[tuple[float, float]]:
+    """The rows of every tilt with no BR slot: the one row L = s = 0."""
+    return [(0.0, 0.0)]
 
 
 def _plan(
-    k: int, m: int, eps: float, eps_g: float, ts: Sequence[float]
-) -> tuple[list[tuple[float, float]], Callable[[float], list[tuple[float, float]]]]:
-    """(pairs, rows): what every tilt of ts shares, and each tilt's own rows.
+    k: int, m: int, eps: float, eps_g: float
+) -> Callable[[float], list[tuple[float, float]]]:
+    """rows: each tilt's own rows (L, s), from what all the call's tilts share.
 
     At tilt t, BR row i (i slots answer 1-p) weighs
-    C(k-m,i) p^(k-m-i) (1-p)^i e^s, s = (k-m) t - i eps; DP row ell (ell
-    slots answer q) weighs C(m,ell) e^(ell eps) / (1+e^eps)^m.  A pair's
-    exponent eps_g + (m - 2 ell) eps - s rises as ell falls and as i
-    grows, so the walk over ell stops at the first nonnegative exponent,
-    and the rows stop at the first one whose ell = m exponent is
-    nonnegative.
-
-    pairs are (a, w) = (eps_g + (m - 2 ell) eps, ln DP weight of row ell)
-    in walk order, so a ascends.  They stop at the first base a >= s_hi
-    = (k-m) max(ts), the largest s of any row at any tilt: from there
-    every exponent a - s is nonnegative, so no walk reads further.  A NaN
-    base fails that test, is kept, and raises in log1mexp.  rows(t)
-    forms ln p and ln(1-p) of the tilt's pair (t must lie in [0, eps],
-    and is not checked) and returns its rows (L, s), L = ln(row weight)
-    + s, up to the row cut eps_g - m eps.  It needs a BR slot, k > m.
+    C(k-m,i) p^(k-m-i) (1-p)^i e^s, s = (k-m) t - i eps, and L = ln(row
+    weight) + s.  A pair's exponent eps_g + c - s rises along the pairs
+    and as i grows, so a row's walk stops at the first nonnegative
+    exponent, and the rows stop at the first one whose first exponent,
+    eps_g - m eps - s, is nonnegative.  rows(t) forms ln p and ln(1-p) of
+    the tilt's pair (t must lie in [0, eps], and is not checked).  With no
+    BR slot, k = m, every tilt has the one row L = s = 0, whose walk stops
+    where the row cut would drop it.
     """
     kb = k - m
-    dp_w = _dp_weights(m, eps)
-    s_hi = kb * max(ts)
-    pairs = []
-    for ell in range(m, -1, -1):
-        a = eps_g + (m - 2 * ell) * eps
-        if a >= s_hi:
-            break
-        pairs.append((a, dp_w[ell]))
+    if not kb:
+        return _one_row
     cut = eps_g - m * eps
     log_denom = log1mexp(-eps)
     lb_row = _log_binomial_row(kb)
@@ -288,25 +252,27 @@ def _plan(
                 out.append((lb + s, s))
         return out
 
-    return pairs, rows
+    return rows
 
 
-def _walk(rows: list[tuple[float, float]], pairs: list[tuple[float, float]]) -> float:
-    """The sum over rows of e^(L + w) (1 - e^(a - s)) for each pair with a < s.
+def _walk(
+    rows: list[tuple[float, float]], eps_g: float, pairs: Sequence[tuple[float, float]]
+) -> float:
+    """The sum of e^(L + w) (1 - e^x) over rows and pairs with x = eps_g + c - s < 0.
 
-    Accumulated in log space.  a - s is the float eps_g + (m - 2 ell) eps
-    - s, and fsum rounds once whatever the order, so a sum does not
-    depend on which plan formed its pairs.  log1mexp's two branches are
+    Accumulated in log space.  Each exponent is formed as it is read, so
+    a row walks the pairs only up to its first nonnegative exponent, and
+    fsum rounds once whatever the order.  log1mexp's two branches are
     inline: an exponent below -ln 2 takes log1p(-exp), one in [-ln 2, 0)
     log(-expm1), a nonnegative one ends the row, and a NaN one (an
-    overflowed eps) raises in log1mexp.
+    overflowed eps) raises in log1mexp.  This is the only walk.
     """
     exp, log, log1p, expm1 = math.exp, math.log, math.log1p, math.expm1
     log_half = _LOG_HALF
     terms = []
     for log_row, s in rows:
-        for a, w in pairs:
-            expo = a - s
+        for c, w in pairs:
+            expo = eps_g + c - s
             if expo < log_half:
                 terms.append(log_row + w + log1p(-exp(expo)))
             elif expo < 0.0:
@@ -319,9 +285,15 @@ def _walk(rows: list[tuple[float, float]], pairs: list[tuple[float, float]]) -> 
 
 
 def _bounded(
-    kb: int, eps: float, pairs: list[tuple[float, float]], ts: Sequence[float]
+    kb: int, eps: float, eps_g: float, pairs: Sequence[tuple[float, float]], ts: Sequence[float]
 ) -> tuple[list[tuple[float, float]], float] | None:
     """Each tilt's upper bound U with the tilt, by descending U, and eta's slope.
+
+    The pair cut lives here.  The bases a = eps_g + c are the floats the
+    walk forms, and they stop at the first a >= s_hi = kb max(ts), the
+    largest s of any row at any tilt: from there every exponent a - s is
+    nonnegative, so no walk reads further.  A NaN base fails that test,
+    is kept, and leaves no finite bound.
 
     With j the number of pairs whose base is below a row's s, the row
     adds e^L (A_j - D_j): A_j sums e^w and D_j sums e^(w + a - s) over
@@ -383,22 +355,28 @@ def _bounded(
     Weighted by x = term/top, with x ln(1/x) <= 1/e, the sum over n terms
     errs by a few units times |ln sum| + n + lam.  A walk that exceeds d
     >= _PRUNE_FLOOR has |ln sum| <= |ln d| + lam + ln n.  So with n =
-    (kb+1) len(pairs), eta(d) = _ERR_UNIT (|ln d| + n + lam) bounds its
-    error, and U (1 + eta(d)) < d proves the walk below d.  The slope
-    returned is n + lam.
+    (kb+1) times the number of pairs kept, eta(d) = _ERR_UNIT (|ln d| + n
+    + lam) bounds its error, and U (1 + eta(d)) < d proves the walk below
+    d.  The slope returned is n + lam.
 
     A tilt with no row that reads a pair walks to exactly 0 and is left
     out.  None where any U is not finite, or where sigma exceeds 1 (kb
     eps above about 3e13): then every tilt is walked.
     """
-    if not pairs:
+    s_hi = kb * max(ts)
+    bases = []
+    for c, _ in pairs:
+        a = eps_g + c
+        if a >= s_hi:
+            break
+        bases.append(a)
+    if not bases:
         return [], 0.0
     exp, expm1, log = math.exp, math.expm1, math.log
-    bases = [a for a, _ in pairs]
     a_hi, e_sum = [0.0], [0.0]
     acc = e = 0.0
     prev = bases[0]
-    for j, (a, w) in enumerate(pairs, 1):
+    for j, (a, (_, w)) in enumerate(zip(bases, pairs), 1):
         ew = exp(w)
         acc += ew
         e = e * exp(prev - a) + ew
@@ -455,7 +433,7 @@ def _bounded(
             return None
         order.append((u, t))
     order.sort(key=lambda ut: ut[0], reverse=True)
-    return order, (kb + 1) * len(pairs) + lam
+    return order, (kb + 1) * len(bases) + lam
 
 
 def _exp_sum(terms: list[float]) -> float:
@@ -472,34 +450,33 @@ def _max_sum(k: int, m: int, eps: float, eps_g: float) -> float:
     Tilts are walked in descending bound U, until U (1 + eta(best)) is
     below the best sum so far: no tilt left can exceed it, so the float
     returned is the full maximum's.  Only a walked tilt forms its rows.
-    Every tilt is walked where there is one candidate, where k eps
-    overflows (a row's s is then NaN, and no bound places it) and where
-    ``_bounded`` finds no finite bound.
+    The one fallback walks every tilt: where there is one candidate (pure
+    DP among them) and where ``_bounded`` finds no finite bound.  k eps
+    must be finite, as ``CompositionQuery`` requires.
     """
-    ts = mixed_candidate_ts(k, m, eps, eps_g)
-    if len(ts) < 2 or not k * eps < math.inf:
-        return max(_tilt_sums(k, m, eps, eps_g, ts))
-    pairs, rows = _plan(k, m, eps, eps_g, ts)
-    found = _bounded(k - m, eps, pairs, ts)
+    ts = _candidate_ts(k, m, eps, eps_g)
+    rows = _plan(k, m, eps, eps_g)
+    pairs = _dp_pairs(m, eps)
+    found = _bounded(k - m, eps, eps_g, pairs, ts) if len(ts) > 1 else None
     if found is None:
-        return max(_walk(rows(t), pairs) for t in ts)
+        return max([_walk(rows(t), eps_g, pairs) for t in ts])
     order, slope = found
     best = 0.0
     for u, t in order:
         if best >= _PRUNE_FLOOR:
             if u * (1.0 + _ERR_UNIT * (slope + abs(math.log(best)))) < best:
                 break
-        best = max(best, _walk(rows(t), pairs))
+        best = max(best, _walk(rows(t), eps_g, pairs))
     return best
 
 
 def delta_opt_dp(k: int, eps: float, eps_g: float) -> float:
     """Smallest delta for k-fold composition of pure eps-DP mechanisms.
 
-    The mixed bound at m = k: tilt-free, one evaluation of the sum.
+    The mixed bound at m = k: tilt-free, one walk of the one row L = s = 0.
     """
     CompositionQuery(k=k, m=k, eps=eps, eps_g=eps_g)
-    return _delta_at_t(k, k, eps, eps_g, 0.0)
+    return _max_sum(k, k, eps, eps_g)
 
 
 def delta_opt_br_nonadaptive(k: int, eps: float, eps_g: float) -> float:
@@ -566,7 +543,8 @@ def eps_inverse(
     ``numerics._predicted_bracket`` measures on the full bound without
     evaluating it; the midpoints and the result stay the same.  That full
     bound is ``_max_sum``'s bound-then-walk maximum.  A midpoint's own
-    test keeps the candidate order: ordering it by bound measured slower.
+    test walks from the same plan and kernel, and keeps the candidate
+    order: ordering it by bound measured slower.
     """
     check_delta("delta_target", delta_target)
     if not tol >= 0.0:
@@ -574,10 +552,14 @@ def eps_inverse(
     _bound_curve(bound, k, eps, m)  # rejects an unknown bound, and m with any but "mixed"
     m = {"dp": k, "br": 0}.get(bound, m)
     CompositionQuery(k=k, m=m, eps=eps, eps_g=0.0)
-    ok = lambda eg: all(
-        d <= delta_target
-        for d in _tilt_sums(k, m, eps, eg, mixed_candidate_ts(k, m, eps, eg))
-    )
+    pairs = _dp_pairs(m, eps)
+
+    def ok(eg: float) -> bool:
+        rows = _plan(k, m, eps, eg)
+        return all(
+            _walk(rows(t), eg, pairs) <= delta_target for t in _candidate_ts(k, m, eps, eg)
+        )
+
     if ok(0.0):
         return 0.0
     f = lambda eg: _max_sum(k, m, eps, eg)

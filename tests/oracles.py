@@ -30,6 +30,7 @@ producing function by name.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -52,8 +53,6 @@ from dpcomp.mechanisms import (
 )
 from dpcomp.nonadaptive import (
     CompositionQuery,
-    _dp_weights,
-    _log_binomial_row,
     delta_opt_dp,
     delta_opt_mixed,
     grr_params,
@@ -316,11 +315,27 @@ def float_delta_mixed(k: int, m: int, eps: float, eps_g: float) -> float:
     )
 
 
+@functools.lru_cache(maxsize=64)
+def _log_binomial_row(n: int) -> tuple[float, ...]:
+    """ln C(n, i) for i = 0..n, formed here and not shared with the package."""
+    return tuple(log_binomial(n, i) for i in range(n + 1))
+
+
+@functools.lru_cache(maxsize=64)
+def _dp_weights(m: int, eps: float) -> tuple[float, ...]:
+    """ln P(ell of m worst-case pure-DP slots answer q), q = e^eps/(1+e^eps),
+    for ell = 0..m, formed here and not shared with the package."""
+    log_norm = m * log1pexp(eps)
+    return tuple(lb + ell * eps - log_norm for ell, lb in enumerate(_log_binomial_row(m)))
+
+
 def logsumexp_delta_at_t(k: int, m: int, eps: float, eps_g: float, t: float) -> float:
     """The package's per-tilt sum as written before its kernel was inlined.
 
-    Calls ``log1mexp`` per term and ends in ``logsumexp``; the inlined
-    ``nonadaptive._delta_at_t`` must return the same float.
+    Calls ``log1mexp`` per term and ends in ``logsumexp``, over rows and
+    pure-DP weights of its own; the package's walk of one tilt's rows,
+    ``nonadaptive._walk`` over ``_plan``'s rows and the ``_dp_pairs``,
+    must return the same float.
     """
     kb = k - m
     dp_w = _dp_weights(m, eps)

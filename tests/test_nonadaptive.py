@@ -27,6 +27,12 @@ from .oracles import grr_log_probs
 eps_strategy = st.floats(min_value=0.05, max_value=3.0)
 
 
+def _sum_at(k, m, eps, eps_g, t):
+    # the package's sum at one tilt: the walk of that tilt's rows
+    rows = nonadaptive._plan(k, m, eps, eps_g)
+    return nonadaptive._walk(rows(t), eps_g, nonadaptive._dp_pairs(m, eps))
+
+
 class TestGrrParams:
     def test_frozen(self):
         # values from mp_q / mp_p at (1.0, 0.4)
@@ -167,10 +173,8 @@ class TestDeltaOptBr:
 
         for k, eps, eps_g in [(3, 0.5, 0.6), (4, 1.0, 1.1), (2, 0.8, -0.2)]:
             best = delta_opt_br_nonadaptive(k, eps, eps_g)
-            from dpcomp.nonadaptive import _delta_at_t
-
             ts = np.linspace(0.0, eps, 100_001)
-            grid = max(_delta_at_t(k, 0, eps, eps_g, float(t)) for t in ts)
+            grid = max(_sum_at(k, 0, eps, eps_g, float(t)) for t in ts)
             assert grid <= best + 1e-9
 
 
@@ -236,6 +240,25 @@ class TestDeltaOptMixed:
             if array("d", got).tobytes() != array("d", want).tobytes():
                 differ.append((k, m, eps, eps_g, repr(got), repr(want)))
         assert differ == []
+
+    @pytest.mark.parametrize(
+        "k, m, eps, eps_g, message",
+        [(2, 3, 0.1, 0.0, r"^m must lie in 0\.\.k=2, got 3$"),
+         (2, 1, 0.0, 0.0, r"^eps must be positive and finite, got 0\.0$"),
+         (2, 1, math.inf, 0.0, r"^eps must be positive and finite, got inf$"),
+         (2, 1, -1.0, 0.0, r"^eps must be positive and finite, got -1\.0$"),
+         (0, 0, 0.1, 0.0, r"^k must be a positive integer, got 0$"),
+         (3, 0, 1e308, 1.0, r"^k\*eps must be finite")],
+        ids=["m-above-k", "eps-zero", "eps-inf", "eps-negative", "k-zero", "k-eps-overflow"],
+    )
+    def test_candidate_ts_refuse_what_the_query_refuses(self, k, m, eps, eps_g, message):
+        # m > k and eps = 0 divided by zero, eps = inf gave [nan, inf], and
+        # eps = -1, k = 0 and an overflowing k eps each gave a list: every
+        # one now raises the query's own error
+        with pytest.raises(ValueError, match=message):
+            CompositionQuery(k=k, m=m, eps=eps, eps_g=eps_g)
+        with pytest.raises(ValueError, match=message):
+            mixed_candidate_ts(k, m, eps, eps_g)
 
     @pytest.mark.parametrize("k, m", [(3, 0), (3, 1), (3, 3)])
     def test_candidate_ts_refuse_nan_budget(self, k, m):
@@ -332,13 +355,13 @@ class TestOneEvaluator:
             draws.append((k, m, eps, eps_g, t))
         differ = [
             d for d in draws
-            if nonadaptive._delta_at_t(*d) != oracles.logsumexp_delta_at_t(*d)
+            if _sum_at(*d) != oracles.logsumexp_delta_at_t(*d)
         ]
         assert differ == []
 
     def test_tilt_sums_match_logsumexp_route_at_every_candidate(self):
-        # one call walks every candidate tilt from shared bases, cut at the
-        # largest tilt's row 0; each sum is the separate walk's float
+        # one plan walks every candidate tilt against the cached pure-DP
+        # pairs; each sum is the separate walk's float
         rng = random.Random(19)
         differ = []
         for _ in range(3000):
@@ -348,7 +371,8 @@ class TestOneEvaluator:
             eps_g = rng.choice((0.0, rng.uniform(-1.5, 1.5) * k * eps, -rng.expovariate(0.1),
                                 math.inf, -math.inf))
             ts = mixed_candidate_ts(k, m, eps, eps_g)
-            got = list(nonadaptive._tilt_sums(k, m, eps, eps_g, ts))
+            rows, pairs = nonadaptive._plan(k, m, eps, eps_g), nonadaptive._dp_pairs(m, eps)
+            got = [nonadaptive._walk(rows(t), eps_g, pairs) for t in ts]
             want = [oracles.logsumexp_delta_at_t(k, m, eps, eps_g, t) for t in ts]
             if got != want:
                 differ.append((k, m, eps, eps_g))
@@ -379,11 +403,11 @@ class TestOneEvaluator:
     def test_nan_exponent_raises(self, k, m, eps, eps_g):
         # k eps overflows, so a term's exponent (at -inf, its base) is NaN:
         # both routes refuse it
-        t = mixed_candidate_ts(k, m, eps, eps_g)[-1]
+        t = nonadaptive._candidate_ts(k, m, eps, eps_g)[-1]
         with pytest.raises(ValueError, match="got nan"):
             oracles.logsumexp_delta_at_t(k, m, eps, eps_g, t)
         with pytest.raises(ValueError, match="got nan"):
-            nonadaptive._delta_at_t(k, m, eps, eps_g, t)
+            _sum_at(k, m, eps, eps_g, t)
 
     def test_inversion_reuses_rows(self, monkeypatch):
         # one ln C(200, .) row serves every bisection step
@@ -396,24 +420,26 @@ class TestOneEvaluator:
 
         monkeypatch.setattr(nonadaptive, "log_binomial", counted)
         nonadaptive._log_binomial_row.cache_clear()
-        nonadaptive._dp_weights.cache_clear()
+        nonadaptive._dp_pairs.cache_clear()
         eps_inverse(1e-6, "dp", 200, 0.05)
         assert 0 < len(calls) <= 201
 
 
 def _plan_bounds(k, m, eps, eps_g, ts=None):
+    # the tilts, each tilt's walk, and their bounds
     ts = mixed_candidate_ts(k, m, eps, eps_g) if ts is None else ts
-    pairs, rows = nonadaptive._plan(k, m, eps, eps_g, ts)
-    return ts, pairs, rows, nonadaptive._bounded(k - m, eps, pairs, ts)
+    rows, pairs = nonadaptive._plan(k, m, eps, eps_g), nonadaptive._dp_pairs(m, eps)
+    walk = lambda t: nonadaptive._walk(rows(t), eps_g, pairs)
+    return ts, walk, nonadaptive._bounded(k - m, eps, eps_g, pairs, ts)
 
 
-def _bound_misses(ts, pairs, rows, found):
+def _bound_misses(ts, walk, found):
     # the bounds below their walked sums; the tilts left out must walk to
     # exactly 0, and the order must be by bound
     order, _ = found
     assert [u for u, _ in order] == sorted((u for u, _ in order), reverse=True)
-    walked = [nonadaptive._walk(rows(t), pairs) for _, t in order]
-    every = sorted(nonadaptive._walk(rows(t), pairs) for t in ts)
+    walked = [walk(t) for _, t in order]
+    every = sorted(walk(t) for t in ts)
     assert sorted(walked + [0.0] * (len(ts) - len(order))) == every
     return [t for (u, t), w in zip(order, walked) if not u >= w]
 
@@ -431,11 +457,11 @@ class TestBoundThenWalk:
             m = rng.choice((0, k - 1, rng.randint(0, k - 1)))
             eps = rng.choice((10 ** rng.uniform(-3.0, 0.7), 10 ** rng.uniform(1.0, 8.0)))
             eps_g = rng.choice((rng.uniform(-1.0, 1.0) * k * eps, -rng.expovariate(0.1)))
-            ts, pairs, rows, found = _plan_bounds(k, m, eps, eps_g)
+            ts, walk, found = _plan_bounds(k, m, eps, eps_g)
             if len(ts) < 2:
                 continue
             assert found is not None
-            below += [(k, m, eps, eps_g, t) for t in _bound_misses(ts, pairs, rows, found)]
+            below += [(k, m, eps, eps_g, t) for t in _bound_misses(ts, walk, found)]
             bounded += len(found[0])
         assert below == []
         assert bounded > 10_000
@@ -453,13 +479,13 @@ class TestBoundThenWalk:
                                 math.inf, -math.inf))
             ts = sorted({0.0, eps, rng.random() * eps, rng.random() * eps,
                          rng.choice((math.nextafter(eps, 0.0), eps * (1.0 - 1e-9)))})
-            ts, pairs, rows, found = _plan_bounds(k, m, eps, eps_g, ts)
+            ts, walk, found = _plan_bounds(k, m, eps, eps_g, ts)
             if eps_g == -math.inf:
                 assert found is None
                 refused += 1
                 continue
             assert found is not None
-            below += [(k, m, eps, eps_g, t) for t in _bound_misses(ts, pairs, rows, found)]
+            below += [(k, m, eps, eps_g, t) for t in _bound_misses(ts, walk, found)]
             bounded += len(found[0])
             subnormal += any(
                 0.0 < t < eps and grr_params(eps, t).q ** (k - m) < 2.0**-1022 for _, t in found[0]
@@ -475,7 +501,7 @@ class TestBoundThenWalk:
         # normalised per j never raise an exponent above 0
         for i in range(101):
             eps_g = 120.0 * i
-            ts, pairs, rows, found = _plan_bounds(12, 4, 1000.0, eps_g)
+            ts, _, found = _plan_bounds(12, 4, 1000.0, eps_g)
             if len(ts) > 1:
                 assert found is not None
                 assert all(math.isfinite(u) for u, _ in found[0])
@@ -486,12 +512,12 @@ class TestBoundThenWalk:
         # a prefix sum of e^w that overflows, or a rounding term too large
         # to bound (k eps above about 3e13), leaves no finite bound, and then no
         # tilt is skipped
-        assert nonadaptive._bounded(1, 1.0, [(-1.0, 709.0)] * 4, (0.0, 0.5)) is None
-        assert nonadaptive._bounded(1, 1e300, [(-1.0, 0.0)], (0.0, 5e299)) is None
+        assert nonadaptive._bounded(1, 1.0, 0.0, [(-1.0, 709.0)] * 4, (0.0, 0.5)) is None
+        assert nonadaptive._bounded(1, 1e300, 0.0, [(-1.0, 0.0)], (0.0, 5e299)) is None
         bounded = nonadaptive._bounded
 
-        def overflowing(kb, eps, pairs, ts):
-            return bounded(kb, eps, [(pairs[0][0], 709.0)] * 2 + pairs, ts)
+        def overflowing(kb, eps, eps_g, pairs, ts):
+            return bounded(kb, eps, eps_g, [(pairs[0][0], 709.0)] * 2 + list(pairs), ts)
 
         monkeypatch.setattr(nonadaptive, "_bounded", overflowing)
         sums_made = []
