@@ -64,6 +64,7 @@ from dpcomp.numerics import (
     log1mexp,
     log1pexp,
     log_binomial,
+    pava_monotone_nonneg,
     solve,
 )
 from dpcomp.setwise import (
@@ -963,6 +964,17 @@ def list_exp_mech_topk(
         chosen.append(ids.pop(j))
         scores = np.delete(scores, j)
     return chosen
+
+
+def list_topk_release(
+    hist: Histogram, k: int, eps_per_round: float, sigma: float, rng: RngState
+) -> list[tuple[str, float]]:
+    """topk_release by the list selection, noising the selected counts in pick order."""
+    ids = list_exp_mech_topk(hist, k, eps_per_round, rng.derive(0))
+    tau = hist.require_spec().tau
+    raw = np.array([hist.counts[element] for element in ids])
+    noisy = raw + sample_gaussian(rng.derive(1).generator(), tau * sigma, size=len(ids))
+    return list(zip(ids, pava_monotone_nonneg(noisy).tolist()))
 
 
 def list_known_lap_topk(

@@ -283,6 +283,28 @@ class TestExitCodes:
         assert code == 2
         assert out == "" and f"invalid parameters: {name} underflows to 0" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--mode", "known-lap", "--k", "5", "--eps", "1e-320"],
+             "tau/eps overflows to inf at tau = 1.0, eps = 1e-320"),
+            (["--mode", "known-gauss", "--sigma", "1e308", "--tau", "10"],
+             "tau*sigma overflows to inf at tau = 10.0, sigma = 1e+308"),
+            (["--mode", "known-gauss", "--sigma", "1e-320", "--tau", "1e-10"],
+             "tau*sigma underflows to 0 at tau = 1e-10, sigma = 1e-320"),
+            (["--mode", "lsnoise", "--k", "5", "--eps", "0.5", "--sigma", "1e308", "--tau", "10"],
+             "tau*sigma overflows to inf at tau = 10.0, sigma = 1e+308"),
+        ],
+        ids=["known-lap-overflow", "known-gauss-overflow", "known-gauss-underflow",
+             "lsnoise-overflow"],
+    )
+    def test_noise_scale_out_of_range_names_its_operands(self, capsys, corpus_file, argv, message):
+        # each operand is finite and positive, but the scale formed from
+        # them is not; no option is called scale
+        code, out, err = run(capsys, ["topk", "--input", corpus_file] + argv)
+        assert code == 2
+        assert out == "" and f"invalid parameters: {message}" in err
+
     def test_vanishing_window_mass_is_usage_error(self, capsys, corpus_file):
         # tau * sigma = 1e17 leaves the truncation window no float mass
         for argv in (

@@ -1,5 +1,6 @@
 """Tests for seeded release mechanisms."""
 
+import dataclasses
 import math
 import pickle
 import warnings
@@ -629,6 +630,74 @@ class TestTruncGaussRelease:
         value, _ = integrate.quad(integrand, tau - t_level, t_level)
         divergence = math.log(value) / (alpha - 1.0)
         assert divergence <= alpha / (2.0 * sigma * sigma) + 1e-9
+
+
+class TestReleaseEntry:
+    """ReleaseEntry's own __init__ keeps the frozen dataclass contract."""
+
+    ENTRY = ReleaseEntry(rank=3, element="e0000004", value=41.5)
+
+    def test_positional_equals_keyword(self) -> None:
+        assert ReleaseEntry(3, "e0000004", 41.5) == self.ENTRY
+        assert ReleaseEntry(7, None, 2.0) == ReleaseEntry(value=2.0, element=None, rank=7)
+        assert hash(ReleaseEntry(3, "e0000004", 41.5)) == hash(self.ENTRY)
+        assert ReleaseEntry(3, "e0000004", 41.5) != ReleaseEntry(3, "e0000004", 41.25)
+        with pytest.raises(TypeError):
+            ReleaseEntry(3, "e0000004")
+
+    def test_fields_are_frozen(self) -> None:
+        for name, value in (("rank", 4), ("element", None), ("value", 0.0), ("extra", 1)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(self.ENTRY, name, value)
+        assert self.ENTRY == ReleaseEntry(rank=3, element="e0000004", value=41.5)
+
+    def test_dataclass_surface(self) -> None:
+        assert [f.name for f in dataclasses.fields(ReleaseEntry)] == ["rank", "element", "value"]
+        assert dataclasses.replace(self.ENTRY, value=1.0) == ReleaseEntry(3, "e0000004", 1.0)
+        assert dataclasses.astuple(self.ENTRY) == (3, "e0000004", 41.5)
+        assert repr(self.ENTRY) == "ReleaseEntry(rank=3, element='e0000004', value=41.5)"
+        assert repr(ReleaseEntry(0, None, 1e300)) == "ReleaseEntry(rank=0, element=None, value=1e+300)"
+
+    def test_pickle_round_trip(self) -> None:
+        back = pickle.loads(pickle.dumps(self.ENTRY))
+        assert back == self.ENTRY and hash(back) == hash(self.ENTRY)
+        assert repr(back) == repr(self.ENTRY)
+
+
+def _zipf_histogram(d: int) -> Histogram:
+    # the benchmark's release input: floor(1e6 / i^1.1), whose tail ties
+    counts = np.floor(1e6 / np.arange(1, d + 1, dtype=float) ** 1.1).tolist()
+    ids = (f"e{i:07d}" for i in range(1, d + 1))
+    spec = HistogramSpec(d=d, delta0=50, tau=1.0, d_bar=d)
+    return histogram_from_counts(dict(zip(ids, counts)), spec=spec)
+
+
+class TestSmallZipfReleases:
+    """Releases shaped like the benchmark's small ones against the list routes."""
+
+    @pytest.mark.parametrize("d", [1_000, 10_000])
+    def test_identical_to_list_routes(self, d) -> None:
+        hist = _zipf_histogram(d)
+        spec = hist.require_spec()
+        draws = np.random.default_rng(d)
+        for seed in range(60):
+            rng = RngState(seed)
+            k = 1 + seed % 30
+            # 1e-6 puts every element in the round's prefix, 1 only the top few
+            eps = float(10.0 ** draws.uniform(-6.0, 0.0))
+            sigma = float(10.0 ** draws.uniform(0.0, 1.3))
+            delta = float(10.0 ** draws.uniform(-10.0, -5.0))
+            case = (seed, k, eps, sigma)
+            assert exp_mech_topk(hist, k, eps, rng) == oracles.list_exp_mech_topk(
+                hist, k, eps, rng
+            ), case
+            assert topk_release(hist, k, eps, sigma, rng) == oracles.list_topk_release(
+                hist, k, eps, sigma, rng
+            ), case
+            config = TruncGaussConfig.from_target(spec, sigma, delta)
+            assert trunc_gauss_release(
+                hist, config, rng
+            ) == oracles.list_trunc_gauss_release(hist, config, rng), case
 
 
 class TestKnownBaselines:

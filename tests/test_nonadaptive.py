@@ -538,6 +538,21 @@ class TestBoundThenWalk:
             delta_opt_mixed(CompositionQuery(k=30, m=20, eps=0.09, eps_g=0.03 * i))
         assert len(sums_made) == 101
 
+    @pytest.mark.parametrize(
+        "k, m, eps, eps_g, walks", [(20, 16, 4.0, 1.0, 1), (25, 20, 4.0, 5.0, 6)]
+    )
+    def test_pair_cut_keeps_the_slope_short(self, monkeypatch, k, m, eps, eps_g, walks):
+        # delta lies within 1e-10 of 1 here, so the tilts' sums nearly tie
+        # and eta's slope, (k - m + 1) times the pairs _bounded keeps,
+        # decides which tilts are walked; keeping every pair past s_hi
+        # walks 2 and 8 sums
+        sums_made = []
+        exp_sum = nonadaptive._exp_sum
+        monkeypatch.setattr(nonadaptive, "_exp_sum", lambda v: sums_made.append(v) or exp_sum(v))
+        got = delta_opt_mixed(CompositionQuery(k=k, m=m, eps=eps, eps_g=eps_g))
+        assert len(sums_made) == walks
+        assert got == oracles.plain_delta_max(k, m, eps, eps_g)
+
 
 class TestEpsInverse:
     def test_frozen_anchor(self):
