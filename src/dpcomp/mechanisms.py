@@ -294,9 +294,13 @@ def sample_gaussian(gen: np.random.Generator, scale: float, size: int) -> np.nda
 
 
 def sample_gumbel(gen: np.random.Generator, scale: float, size: int) -> np.ndarray:
-    """Gumbel(0, scale) via -scale * ln(-ln u)."""
+    """Gumbel(0, scale) via -scale * ln(-ln u), computed in place."""
     check_positive("scale", scale)
-    return -scale * np.log(-np.log(_uniforms(gen, size)))
+    g = _uniforms(gen, size)
+    np.log(g, out=g)
+    np.negative(g, out=g)
+    np.log(g, out=g)
+    return np.multiply(g, -scale, out=g)
 
 
 def exp_mech_topk(
@@ -343,13 +347,8 @@ def exp_mech_topk(
             candidates += cols.ids[cursor:end].tolist()
             live = np.concatenate((live, scores[cursor:end]))
             cursor = end
-        # sample_gumbel's -ln(-ln u) at scale 1, in place; live - ln(-ln u)
-        # is live + (-ln(-ln u)) bit for bit
-        g = _uniforms(rng.substream(round_index), live.size)
-        np.log(g, out=g)
-        np.negative(g, out=g)
-        np.log(g, out=g)
-        j = int(np.subtract(live, g, out=g).argmax())
+        noise = sample_gumbel(rng.substream(round_index), 1.0, size=live.size)
+        j = int(np.add(live, noise, out=noise).argmax())
         chosen.append(candidates.pop(j))
         live = np.concatenate((live[:j], live[j + 1 :]))
     return chosen
@@ -394,9 +393,7 @@ def topk_release(
 def _trunc_rhs(t_level: float, delta0: int, tau: float, sigma: float) -> float:
     # mass the tau-shifted window loses, as a fraction of the window mass;
     # written tail-minus-tail so nothing cancels near 1 when T >> s
-    s = tau * sigma
-    if s == 0.0:
-        raise ValueError(f"tau*sigma underflows to 0 at tau = {tau}, sigma = {sigma}")
+    s = _noise_scale("tau*sigma", tau * sigma, tau=tau, sigma=sigma)
     num = std_normal_cdf((tau - t_level) / s) - std_normal_cdf(-t_level / s)
     den = std_normal_cdf(t_level / s) - std_normal_cdf(-t_level / s)
     if den == 0.0:

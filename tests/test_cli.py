@@ -294,9 +294,11 @@ class TestExitCodes:
              "tau*sigma underflows to 0 at tau = 1e-10, sigma = 1e-320"),
             (["--mode", "lsnoise", "--k", "5", "--eps", "0.5", "--sigma", "1e308", "--tau", "10"],
              "tau*sigma overflows to inf at tau = 10.0, sigma = 1e+308"),
+            (["--mode", "trunc-gauss", "--sigma", "1e308", "--tau", "10", "--delta", "1e-6"],
+             "tau*sigma overflows to inf at tau = 10.0, sigma = 1e+308"),
         ],
         ids=["known-lap-overflow", "known-gauss-overflow", "known-gauss-underflow",
-             "lsnoise-overflow"],
+             "lsnoise-overflow", "trunc-gauss-overflow"],
     )
     def test_noise_scale_out_of_range_names_its_operands(self, capsys, corpus_file, argv, message):
         # each operand is finite and positive, but the scale formed from
