@@ -80,6 +80,10 @@ class MechanismSequence:
         if bad:
             raise ValueError(f"unknown slot kinds {bad}; use 'dp' or 'br'")
         check_positive("eps", self.eps)
+        if not math.isfinite(len(self.slots) * self.eps):
+            raise ValueError(
+                f"len(slots)*eps must be finite, got {len(self.slots)} * {self.eps}"
+            )
 
 
 @dataclass(frozen=True)

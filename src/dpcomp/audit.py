@@ -37,7 +37,7 @@ import numpy as np
 
 from .calibration import _gaussian_rho
 from .mechanisms import RngState, TruncGaussConfig
-from .nonadaptive import delta_opt_dp, grr_params
+from .nonadaptive import GrrParams, delta_opt_dp, grr_params
 from .numerics import check_nonnegative
 from .setwise import Zcdp, zcdp_dp_guarantee
 
@@ -66,6 +66,8 @@ _N_BOOTSTRAP = 200
 _MAX_OUTCOME = float(np.finfo(float).max) / 2.0
 # largest eps_g at which math.exp(eps_g) does not overflow
 _LOG_MAX = math.log(float(np.finfo(float).max))
+# the caveat every report carries (see the module docstring)
+_NOTE = "binning biases the estimate downward; consistency check only"
 
 
 @dataclass(frozen=True)
@@ -262,31 +264,37 @@ def _second_outcome_sampler(first_prob: float, k: int) -> Sampler:
     return sample
 
 
+def _report(
+    mechanism: str, eps_g: float, bound: float, estimate: tuple, n_trials: int, **metadata
+) -> AuditReport:
+    # the report of every audit, each carrying the shared note
+    metadata = {"n_trials": n_trials, **metadata, "note": _NOTE}
+    return AuditReport(mechanism, eps_g, *estimate, bound, metadata)
+
+
+def _pair_estimate(
+    pair: GrrParams, k: int, eps_g: float, n_trials: int, rng: RngState
+) -> tuple[float, float]:
+    # k copies of one two-point pair, binned by the count of second outcomes
+    return monte_carlo_delta(
+        _second_outcome_sampler(pair.q, k),
+        _second_outcome_sampler(pair.p, k),
+        eps_g,
+        n_trials,
+        rng,
+        n_bins=max(1000, k + 1),
+    )
+
+
 def audit_two_point(
     eps: float, t: float, eps_g: float, n_trials: int, rng: RngState
 ) -> AuditReport:
     """Monte-Carlo check of a single two-point pair against its exact mass."""
     pair = grr_params(eps, t)
     bound = hockey_stick_exact([(pair.q, pair.p)], eps_g)
-    estimate, se = monte_carlo_delta(
-        _second_outcome_sampler(pair.q, 1),
-        _second_outcome_sampler(pair.p, 1),
-        eps_g,
-        n_trials,
-        rng,
-    )
-    return AuditReport(
-        mechanism=f"two_point(eps={eps}, t={t})",
-        eps_g=eps_g,
-        empirical_delta=estimate,
-        std_error=se,
-        bound_delta=bound,
-        metadata={
-            "n_trials": n_trials,
-            "binning": "atoms(2)",
-            "note": "binning biases the estimate downward; consistency check only",
-        },
-    )
+    estimate = _pair_estimate(pair, 1, eps_g, n_trials, rng)
+    mechanism = f"two_point(eps={eps}, t={t})"
+    return _report(mechanism, eps_g, bound, estimate, n_trials, binning="atoms(2)")
 
 
 def audit_composed_dp(
@@ -300,27 +308,10 @@ def audit_composed_dp(
     k responses took the second outcome, which fixes its privacy loss.
     """
     bound = delta_opt_dp(k, eps, eps_g)
-    pair = grr_params(2.0 * eps, eps)
-    estimate, se = monte_carlo_delta(
-        _second_outcome_sampler(pair.q, k),
-        _second_outcome_sampler(pair.p, k),
-        eps_g,
-        n_trials,
-        rng,
-        n_bins=max(1000, k + 1),
-    )
-    return AuditReport(
-        mechanism=f"composed_dp(k={k}, eps={eps})",
-        eps_g=eps_g,
-        empirical_delta=estimate,
-        std_error=se,
-        bound_delta=bound,
-        metadata={
-            "n_trials": n_trials,
-            "binning": f"atoms({k + 1}) by the count of second outcomes",
-            "note": "binning biases the estimate downward; consistency check only",
-        },
-    )
+    estimate = _pair_estimate(grr_params(2.0 * eps, eps), k, eps_g, n_trials, rng)
+    binning = f"atoms({k + 1}) by the count of second outcomes"
+    mechanism = f"composed_dp(k={k}, eps={eps})"
+    return _report(mechanism, eps_g, bound, estimate, n_trials, binning=binning)
 
 
 def audit_trunc_gauss(
@@ -350,24 +341,20 @@ def audit_trunc_gauss(
 
     instance = Zcdp(delta=config.delta, xi=0.0, rho=_gaussian_rho(config.sigma, 1))
     eps_g, bound = zcdp_dp_guarantee(instance, conversion_delta)
-    estimate, se = monte_carlo_delta(
+    estimate = monte_carlo_delta(
         windowed(config.tau + t_level),
         windowed(t_level),
         eps_g,
         n_trials,
         rng,
     )
-    return AuditReport(
-        mechanism=f"trunc_gauss(sigma={config.sigma}, tau={config.tau})",
-        eps_g=eps_g,
-        empirical_delta=estimate,
-        std_error=se,
-        bound_delta=bound,
-        metadata={
-            "n_trials": n_trials,
-            "binning": "quantile(1000)",
-            "counts": [config.tau + t_level, t_level],
-            "conversion_delta": conversion_delta,
-            "note": "binning biases the estimate downward; consistency check only",
-        },
+    return _report(
+        f"trunc_gauss(sigma={config.sigma}, tau={config.tau})",
+        eps_g,
+        bound,
+        estimate,
+        n_trials,
+        binning="quantile(1000)",
+        counts=[config.tau + t_level, t_level],
+        conversion_delta=conversion_delta,
     )

@@ -183,16 +183,20 @@ def gaussian_zcdp_eps(sigma: float, delta0: int, delta: float) -> float:
     delta0 gives rho = delta0 / (2 sigma^2) and the usual conversion
     eps = rho + 2 sqrt(rho ln(1/delta)).
     """
-    check_positive("sigma", sigma)
-    if delta0 < 1:
-        raise ValueError(f"delta0 must be >= 1, got {delta0}")
-    check_delta("delta", delta)
     rho = _gaussian_rho(sigma, delta0)
+    check_delta("delta", delta)
     return _zcdp_eps(rho, rho, delta)
 
 
 def _gaussian_rho(sigma: float, delta0: int) -> float:
-    """zCDP rho = delta0 / (2 sigma^2) of Gaussian noise at L0 sensitivity delta0."""
+    """zCDP rho = delta0 / (2 sigma^2) of Gaussian noise at L0 sensitivity delta0.
+
+    The one copy of the Gaussian price: ValueError unless sigma > 0,
+    delta0 >= 1 and sigma^2 is a positive float.
+    """
+    check_positive("sigma", sigma)
+    if delta0 < 1:
+        raise ValueError(f"delta0 must be >= 1, got {delta0}")
     if sigma * sigma == 0.0:
         raise ValueError(f"sigma^2 underflows to 0 at sigma = {sigma}")
     return delta0 / (2.0 * sigma * sigma)

@@ -35,7 +35,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 import numpy as np
 from scipy.special import ndtri
 
-from .calibration import HistogramSpec
+from .calibration import HistogramSpec, _gaussian_rho
 from .numerics import check_delta, check_positive, pava_monotone_nonneg, solve, std_normal_cdf
 from .setwise import Cdp, Zcdp
 
@@ -61,6 +61,11 @@ __all__ = [
 
 _MIN_UNIFORM = 2.0**-64
 _MAX_UNIFORM = 1.0 - 2.0**-53  # largest value Generator.random returns
+# largest |draw| per unit scale: sample_gaussian's at u = 2^-64, and
+# sample_laplace's at |u - 1/2| just below 1/2, where log1p(-2|u - 1/2|)
+# is ln 2^-53
+_GAUSS_REACH = float(-ndtri(_MIN_UNIFORM))
+_LAPLACE_REACH = 53.0 * math.log(2.0)
 
 # Width of the interval holding every Gumbel value -ln(-ln u) that
 # sample_gumbel can return: _uniforms keeps u in [2^-64, 1 - 2^-53], and
@@ -117,11 +122,14 @@ def _check_k(k: int, d: int) -> None:
         raise ValueError(f"k must be an integer in [1, {d}], got {k}")
 
 
-def _noise_scale(formula: str, scale: float, **operands: float) -> float:
+def _noise_scale(formula: str, scale: float, reach: float, **operands: float) -> float:
     """A noise scale formed from finite positive operands, or a ValueError
-    naming them where the scale overflowed to inf or underflowed to 0."""
-    if not 0.0 < scale < math.inf:
+    naming them where the scale overflowed to inf or underflowed to 0, or
+    where its largest draw, reach times the scale, overflows to inf."""
+    if not 0.0 < scale * reach < math.inf:  # reach >= 1, so 0 only where the scale is
         fate = "underflows to 0" if scale == 0.0 else "overflows to inf"
+        if 0.0 < scale < math.inf:
+            fate = f"times {reach:.4g}, its largest draw, {fate}"
         named = ", ".join(f"{name} = {value}" for name, value in operands.items())
         raise ValueError(f"{formula} {fate} at {named}")
     return scale
@@ -370,7 +378,7 @@ def ls_noise(
         raise ValueError("ordering must cover the histogram elements exactly")
     tau = hist.require_spec().tau
     raw = np.array([hist.count(element) for element in ordering])
-    scale = _noise_scale("tau*sigma", tau * sigma, tau=tau, sigma=sigma)
+    scale = _noise_scale("tau*sigma", tau * sigma, _GAUSS_REACH, tau=tau, sigma=sigma)
     noisy = raw + sample_gaussian(rng.generator(), scale, size=raw.size)
     projected = pava_monotone_nonneg(noisy)
     return list(zip(ordering, projected.tolist()))
@@ -393,7 +401,8 @@ def topk_release(
 def _trunc_rhs(t_level: float, delta0: int, tau: float, sigma: float) -> float:
     # mass the tau-shifted window loses, as a fraction of the window mass;
     # written tail-minus-tail so nothing cancels near 1 when T >> s
-    s = _noise_scale("tau*sigma", tau * sigma, tau=tau, sigma=sigma)
+    # the window bounds this noise by t_level, so no draw can overflow
+    s = _noise_scale("tau*sigma", tau * sigma, 1.0, tau=tau, sigma=sigma)
     num = std_normal_cdf((tau - t_level) / s) - std_normal_cdf(-t_level / s)
     den = std_normal_cdf(t_level / s) - std_normal_cdf(-t_level / s)
     if den == 0.0:
@@ -492,8 +501,7 @@ class TruncGaussConfig:
         )
 
     def guarantee(self) -> Zcdp:
-        rho = self.delta0 / (2.0 * self.sigma * self.sigma)
-        return Zcdp(delta=self.delta, xi=0.0, rho=rho)
+        return Zcdp(delta=self.delta, xi=0.0, rho=_gaussian_rho(self.sigma, self.delta0))
 
     def window_noise(self, gen: np.random.Generator, n: int) -> np.ndarray:
         """n draws of N(0, (tau sigma)^2) truncated to [-T, T], by inverse CDF."""
@@ -572,7 +580,9 @@ def known_lap_topk(
         raise ValueError(f"eps_per_coord must be positive, got {eps_per_coord}")
     tau = hist.require_spec().tau
     cols = hist._columns
-    scale = _noise_scale("tau/eps", tau / eps_per_coord, tau=tau, eps=eps_per_coord)
+    scale = _noise_scale(
+        "tau/eps", tau / eps_per_coord, _LAPLACE_REACH, tau=tau, eps=eps_per_coord
+    )
     noise = sample_laplace(rng.generator(), scale, size=len(cols.ids))
     noisy = cols.counts + noise
     # every value tied with the k-th largest stays in, so the id tie-break
@@ -595,7 +605,7 @@ def known_gauss(
     check_positive("sigma", sigma)
     tau = hist.require_spec().tau
     cols = hist._columns
-    scale = _noise_scale("tau*sigma", tau * sigma, tau=tau, sigma=sigma)
+    scale = _noise_scale("tau*sigma", tau * sigma, _GAUSS_REACH, tau=tau, sigma=sigma)
     noise = sample_gaussian(rng.generator(), scale, size=len(cols.ids))
     noisy = cols.counts + noise
     order = _descending(noisy, cols.id_rank)
@@ -604,7 +614,4 @@ def known_gauss(
 
 def gauss_cdp_guarantee(delta0: int, sigma: float) -> Cdp:
     """Concentrated-DP class of the known-domain Gaussian release."""
-    if delta0 < 1:
-        raise ValueError(f"delta0 must be >= 1, got {delta0}")
-    check_positive("sigma", sigma)
-    return Cdp(mu=delta0 / (2.0 * sigma * sigma), tau=math.sqrt(delta0) / sigma)
+    return Cdp(mu=_gaussian_rho(sigma, delta0), tau=math.sqrt(delta0) / sigma)

@@ -499,12 +499,10 @@ def delta_opt_mixed(query: CompositionQuery) -> float:
     return _max_sum(query.k, query.m, query.eps, query.eps_g)
 
 
-def _bound_curve(
-    bound: str, k: int, eps: float, m: int | None
-) -> Callable[[float], float]:
-    """eps_g -> delta of the named bound, "dp", "br" or "mixed" (with m).
+def _pure_slots(bound: str, k: int, m: int | None) -> int:
+    """The pure-DP slot count of the named bound: k for "dp", 0 for "br", m for "mixed".
 
-    m is refused for "dp" and "br", which fix it at k and 0.
+    "mixed" requires m, and "dp" and "br", which fix it, refuse it.
     """
     if bound not in ("dp", "br", "mixed"):
         raise ValueError(f"unknown bound {bound!r}")
@@ -512,10 +510,18 @@ def _bound_curve(
         raise ValueError("bound='mixed' requires m")
     if bound != "mixed" and m is not None:
         raise ValueError(f"m is for bound='mixed' only, got m={m} with bound={bound!r}")
-    if bound == "dp":
-        return lambda eg: delta_opt_dp(k, eps, eg)
-    if bound == "br":
-        return lambda eg: delta_opt_br_nonadaptive(k, eps, eg)
+    return {"dp": k, "br": 0}.get(bound, m)
+
+
+def _bound_curve(
+    bound: str, k: int, eps: float, m: int | None
+) -> Callable[[float], float]:
+    """eps_g -> delta of the named bound, "dp", "br" or "mixed" (with m).
+
+    Each is the mixed bound at its m (see ``_pure_slots``), which at m = k
+    and m = 0 is delta_opt_dp's and delta_opt_br_nonadaptive's, bit for bit.
+    """
+    m = _pure_slots(bound, k, m)
     return lambda eg: delta_opt_mixed(CompositionQuery(k=k, m=m, eps=eps, eps_g=eg))
 
 
@@ -549,8 +555,7 @@ def eps_inverse(
     check_delta("delta_target", delta_target)
     if not tol >= 0.0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
-    _bound_curve(bound, k, eps, m)  # rejects an unknown bound, and m with any but "mixed"
-    m = {"dp": k, "br": 0}.get(bound, m)
+    m = _pure_slots(bound, k, m)
     CompositionQuery(k=k, m=m, eps=eps, eps_g=0.0)
     pairs = _dp_pairs(m, eps)
 

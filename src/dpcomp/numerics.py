@@ -323,8 +323,6 @@ def pava_monotone_nonneg(values: "np.ndarray | Iterable[float]") -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-d array, got shape {v.shape}")
-    if v.size == 0:
-        return v.copy()
     if not np.all(np.isfinite(v)):
         raise ValueError("input contains non-finite values")
 
@@ -332,19 +330,12 @@ def pava_monotone_nonneg(values: "np.ndarray | Iterable[float]") -> np.ndarray:
     # right neighbour, merged by weighted averaging.
     means: list[float] = []
     counts: list[int] = []
-    for x in v:
-        means.append(float(x))
+    for x in v.tolist():
+        means.append(x)
         counts.append(1)
         while len(means) >= 2 and means[-2] < means[-1]:
             m2, c2 = means.pop(), counts.pop()
             m1, c1 = means.pop(), counts.pop()
             means.append((m1 * c1 + m2 * c2) / (c1 + c2))
             counts.append(c1 + c2)
-
-    out = np.empty_like(v)
-    pos = 0
-    for m, c in zip(means, counts):
-        out[pos : pos + c] = m
-        pos += c
-    np.maximum(out, 0.0, out=out)
-    return out
+    return np.maximum(np.repeat(means, counts), 0.0)

@@ -22,7 +22,9 @@ priced each golden-section step by two scalar passes.  The list-based release
 mechanisms are the package's former per-request sorts and full-width
 selection rounds, kept as the reference its columnar releases must
 reproduce byte for byte, and the audit categorizer that bins every trial
-by its own binary search is the reference for the sorted-sample counts.
+by its own binary search is the reference for the sorted-sample counts;
+the block-stack PAVA that wrote each pooled block by slice assignment is
+the byte reference for the projection.
 Frozen constants in the tests cite the
 producing function by name.
 """
@@ -112,6 +114,33 @@ def qp_project_monotone_nonneg(v: Sequence[float]) -> np.ndarray:
     u = np.triu(np.ones((n, n)))
     d, _ = nnls(u, v)
     return u @ d
+
+
+def stack_pava_monotone_nonneg(v: Sequence[float]) -> np.ndarray:
+    """The package's former pool-adjacent-violators, kept as a byte reference.
+
+    Same block stack of (mean, count) as pava_monotone_nonneg, but it
+    iterates the numpy array itself and writes each pooled block through
+    a slice assignment before the clamp at zero.
+    """
+    v = np.asarray(v, dtype=float)
+    means: list[float] = []
+    counts: list[int] = []
+    for x in v:
+        means.append(float(x))
+        counts.append(1)
+        while len(means) >= 2 and means[-2] < means[-1]:
+            m2, c2 = means.pop(), counts.pop()
+            m1, c1 = means.pop(), counts.pop()
+            means.append((m1 * c1 + m2 * c2) / (c1 + c2))
+            counts.append(c1 + c2)
+    out = np.empty_like(v)
+    pos = 0
+    for m, c in zip(means, counts):
+        out[pos : pos + c] = m
+        pos += c
+    np.maximum(out, 0.0, out=out)
+    return out
 
 
 # ---------------------------------------------------------------------------

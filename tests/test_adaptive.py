@@ -44,6 +44,13 @@ class TestTypes:
         with pytest.raises(ValueError):
             MechanismSequence(("dp",), 0.0)
 
+    def test_overflowing_budget_sum_is_refused(self):
+        # three slots at eps 1e308 used to price at nan, as CompositionQuery
+        # refuses the same k*eps
+        with pytest.raises(ValueError, match=r"^len\(slots\)\*eps must be finite"):
+            MechanismSequence(("br", "dp", "br"), 1e308)
+        assert MechanismSequence(("br",), 1e308).eps == 1e308
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             GridSpec(points_per_level=1)

@@ -39,7 +39,8 @@ from .oracles import (
 # two_point(eps=1.0, t=0.3) at eps_g 0.2 and the one-bin trunc_gauss
 # instance (sigma 1, delta 1e-3) at conversion slack 0.1, both with 1e5
 # trials, as produced by the per-trial binary-search categorizer
-# (oracles.searchsorted_category_counts)
+# (oracles.searchsorted_category_counts); composed_dp(k=12, eps=0.1) at
+# eps_g 0.5 and seed 1, as produced when each audit built its own report
 TWO_POINT_JSON = (
     '{\n  "bound_delta": 0.07578655941618495,\n  "empirical_delta": 0.07206458523846726,'
     '\n  "eps_g": 0.2,\n  "mechanism": "two_point(eps=1.0, t=0.3)",\n  "metadata": {'
@@ -55,6 +56,14 @@ TRUNC_GAUSS_JSON = (
     '\n    "n_trials": 100000,'
     '\n    "note": "binning biases the estimate downward; consistency check only"\n  },'
     '\n  "std_error": 0.001605170338617728,\n  "verdict": "consistent"\n}'
+)
+
+COMPOSED_DP_JSON = (
+    '{\n  "bound_delta": 0.015027239815465793,\n  "empirical_delta": 0.015210545072765345,'
+    '\n  "eps_g": 0.5,\n  "mechanism": "composed_dp(k=12, eps=0.1)",\n  "metadata": {'
+    '\n    "binning": "atoms(13) by the count of second outcomes",\n    "n_trials": 100000,'
+    '\n    "note": "binning biases the estimate downward; consistency check only"\n  },'
+    '\n  "std_error": 0.001587354717385489,\n  "verdict": "consistent"\n}'
 )
 
 
@@ -400,6 +409,9 @@ class TestMonteCarloDelta:
         config = TruncGaussConfig.from_target(spec, 1.0, 1e-3)
         report = audit_trunc_gauss(config, 10**5, RngState(3), conversion_delta=0.1)
         assert report.to_json() == TRUNC_GAUSS_JSON
+        assert audit_composed_dp(12, 0.1, 0.5, 10**5, RngState(1)).to_json() == (
+            COMPOSED_DP_JSON
+        )
 
     def test_validation(self) -> None:
         def sampler(gen, n):

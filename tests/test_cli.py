@@ -292,13 +292,16 @@ class TestExitCodes:
              "tau*sigma overflows to inf at tau = 10.0, sigma = 1e+308"),
             (["--mode", "known-gauss", "--sigma", "1e-320", "--tau", "1e-10"],
              "tau*sigma underflows to 0 at tau = 1e-10, sigma = 1e-320"),
+            (["--mode", "known-gauss", "--sigma", "1e308", "--tau", "1"],
+             "tau*sigma times 9.08, its largest draw, overflows to inf at tau = 1.0, "
+             "sigma = 1e+308"),
             (["--mode", "lsnoise", "--k", "5", "--eps", "0.5", "--sigma", "1e308", "--tau", "10"],
              "tau*sigma overflows to inf at tau = 10.0, sigma = 1e+308"),
             (["--mode", "trunc-gauss", "--sigma", "1e308", "--tau", "10", "--delta", "1e-6"],
              "tau*sigma overflows to inf at tau = 10.0, sigma = 1e+308"),
         ],
         ids=["known-lap-overflow", "known-gauss-overflow", "known-gauss-underflow",
-             "lsnoise-overflow", "trunc-gauss-overflow"],
+             "known-gauss-draw-overflow", "lsnoise-overflow", "trunc-gauss-overflow"],
     )
     def test_noise_scale_out_of_range_names_its_operands(self, capsys, corpus_file, argv, message):
         # each operand is finite and positive, but the scale formed from
@@ -333,6 +336,13 @@ class TestExitCodes:
         code, out, err = run(capsys, argv)
         assert code == 2
         assert out == "" and "invalid parameters: k*eps must be finite" in err
+
+    def test_overflowing_adaptive_budget_is_usage_error(self, capsys):
+        # 3 * 1e308 overflows; this used to print nan and exit 0
+        argv = ["compose", "adaptive", "--slots", "br,dp,br", "--eps", "1e308", "--eps-g", "0.3"]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == "" and "invalid parameters: len(slots)*eps must be finite" in err
 
     def test_missing_input_is_exit_four(self, capsys):
         code, _, _ = run(capsys, ["compose", "setwise", "--config", "/does/not/exist.json"])

@@ -747,6 +747,11 @@ class TestKnownBaselines:
         acc.register(c)
         assert acc.global_bound_cdp() > 0.0
 
+    def test_gauss_cdp_guarantee_refuses_underflowing_sigma(self) -> None:
+        # sigma^2 underflows to 0: this used to raise ZeroDivisionError
+        with pytest.raises(ValueError, match=r"^sigma\^2 underflows to 0 at sigma = 1e-200$"):
+            gauss_cdp_guarantee(1, 1e-200)
+
     def test_validation(self) -> None:
         with pytest.raises(ValueError):
             known_lap_topk(HIST, 0, 1.0, RngState(0))

@@ -26,7 +26,7 @@ from dpcomp.numerics import (
     std_normal_cdf,
 )
 
-from .oracles import logsumexp, qp_project_monotone_nonneg
+from .oracles import logsumexp, qp_project_monotone_nonneg, stack_pava_monotone_nonneg
 
 
 class TestLogBinomial:
@@ -466,6 +466,21 @@ class TestPava:
 
     def test_empty(self):
         assert pava_monotone_nonneg([]).size == 0
+
+    def test_bytes_match_stack_reference(self):
+        # seeded vectors with ties, at scales 1e-300 to 1e300 and lengths
+        # 1 to 400, against the former slice-assigning block stack
+        rng = np.random.default_rng(26)
+        for trial in range(1500):
+            n = int(rng.integers(1, 401)) if trial % 3 else int(rng.integers(1, 16))
+            scale = 10.0 ** rng.integers(-300, 301)
+            v = rng.normal(size=n)
+            if trial % 2:
+                v = np.round(v * 2.0) / 2.0  # heavy ties, zeros and -0.0
+            v = v * scale
+            got = pava_monotone_nonneg(v)
+            want = stack_pava_monotone_nonneg(v)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), trial
 
     def test_validation(self):
         with pytest.raises(ValueError):
