@@ -66,6 +66,8 @@ _MAX_UNIFORM = 1.0 - 2.0**-53  # largest value Generator.random returns
 # is ln 2^-53
 _GAUSS_REACH = float(-ndtri(_MIN_UNIFORM))
 _LAPLACE_REACH = 53.0 * math.log(2.0)
+# how far a truncation window's slack may miss its target delta
+_WINDOW_RESIDUAL = 1e-9
 
 # Width of the interval holding every Gumbel value -ln(-ln u) that
 # sample_gumbel can return: _uniforms keeps u in [2^-64, 1 - 2^-53], and
@@ -481,7 +483,7 @@ class TruncGaussConfig:
         residual = abs(
             _trunc_rhs(self.t_level, self.delta0, self.tau, self.sigma) - self.delta
         )
-        if residual > 1e-9:
+        if residual > _WINDOW_RESIDUAL:
             raise ValueError(
                 f"t_level does not solve the window equation (residual {residual:.3g})"
             )
@@ -491,6 +493,14 @@ class TruncGaussConfig:
         cls, spec: HistogramSpec, sigma: float, delta: float
     ) -> "TruncGaussConfig":
         t_level = solve_truncation_level(spec.delta0, spec.tau, sigma, delta)
+        residual = abs(_trunc_rhs(t_level, spec.delta0, spec.tau, sigma) - delta)
+        if residual > _WINDOW_RESIDUAL:
+            # the solve stops at width 1e-12 * max(1, tau*sigma), too wide
+            # where the window's excess over tau, a few tau*sigma, is small
+            raise ValueError(
+                f"the truncation window cannot be solved at tau*sigma = {spec.tau * sigma}, "
+                f"sigma = {sigma}: residual {residual:.3g} above {_WINDOW_RESIDUAL:g}"
+            )
         return cls(
             delta0=spec.delta0,
             d_bar=spec.d_bar,

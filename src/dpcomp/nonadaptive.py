@@ -86,6 +86,11 @@ _PRUNE_FLOOR = 2.0**-970
 _RESCALE_BITS = 600
 _RESCALE = 2.0**_RESCALE_BITS
 _LN2 = math.log(2.0)
+# largest k a query accepts.  Measured peak per ln C(k, .) entry: a
+# pure-DP bound 217 B at k = 1e6 (the row 41 B, its (c, w) pairs 136 B,
+# the walk's terms), a BR bound 249 B at k = 2e4; so a row of 4e6
+# entries stays near 1 GB, and a larger k is refused before it is built
+_MAX_K = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -122,7 +127,8 @@ class CompositionQuery:
     """k homogeneous slots at per-slot budget eps, m of them pure DP.
 
     The remaining k - m slots are eps-bounded-range.  eps_g is the global
-    budget, unrestricted in sign.
+    budget, unrestricted in sign.  k is at most ``_MAX_K`` (4e6), so
+    that its ln C(k, .) row fits in memory.
     """
 
     k: int
@@ -133,6 +139,10 @@ class CompositionQuery:
     def __post_init__(self) -> None:
         if not isinstance(self.k, int) or self.k < 1:
             raise ValueError(f"k must be a positive integer, got {self.k}")
+        if self.k > _MAX_K:
+            raise ValueError(
+                f"k must be at most {_MAX_K}, so that its ln C(k, .) row fits, got {self.k}"
+            )
         if not isinstance(self.m, int) or not 0 <= self.m <= self.k:
             raise ValueError(f"m must lie in 0..k={self.k}, got {self.m}")
         check_positive("eps", self.eps)

@@ -36,7 +36,7 @@ import functools
 import itertools
 import json
 import math
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import mpmath as mp
 import numpy as np
@@ -952,22 +952,6 @@ def laplace_histogram_delta(eps_coord: float, spec: HistogramSpec, eps_g: float)
     composed under the optimal pure-DP bound.
     """
     return delta_opt_dp(spec.delta0, eps_coord, eps_g)
-
-
-def mp_trunc_rhs(delta0, tau, sigma, T) -> float:
-    """Right-hand side of the truncation-level equation, mpf ncdf."""
-    with mp.workdps(DPS):
-        d0, tau, sigma, T = mp.mpf(delta0), mp.mpf(tau), mp.mpf(sigma), mp.mpf(T)
-        s = tau * sigma
-        num = mp.ncdf(T / s) - mp.ncdf((tau - T) / s)
-        den = mp.ncdf(T / s) - mp.ncdf(-T / s)
-        return float(d0 * (1 - num / den))
-
-
-def grid_sup(f: Callable[[float], float], lo: float, hi: float, n: int) -> float:
-    """Plain dense-grid supremum used to sanity-check closed-form maxima."""
-    ts = np.linspace(lo, hi, n)
-    return max(f(float(t)) for t in ts)
 
 
 def list_sorted_items(hist: Histogram) -> list[tuple[str, float]]:

@@ -8,6 +8,7 @@ same argv must give identical output.
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 
@@ -299,13 +300,17 @@ class TestExitCodes:
              "tau*sigma overflows to inf at tau = 10.0, sigma = 1e+308"),
             (["--mode", "trunc-gauss", "--sigma", "1e308", "--tau", "10", "--delta", "1e-6"],
              "tau*sigma overflows to inf at tau = 10.0, sigma = 1e+308"),
+            (["--mode", "trunc-gauss", "--sigma", "1e-200", "--delta", "1e-6"],
+             "the truncation window cannot be solved at tau*sigma = 1e-200, sigma = 1e-200"),
         ],
         ids=["known-lap-overflow", "known-gauss-overflow", "known-gauss-underflow",
-             "known-gauss-draw-overflow", "lsnoise-overflow", "trunc-gauss-overflow"],
+             "known-gauss-draw-overflow", "lsnoise-overflow", "trunc-gauss-overflow",
+             "trunc-gauss-unresolvable"],
     )
     def test_noise_scale_out_of_range_names_its_operands(self, capsys, corpus_file, argv, message):
         # each operand is finite and positive, but the scale formed from
-        # them is not; no option is called scale
+        # them is not, or is too small for the truncation window's solve;
+        # no option is called scale
         code, out, err = run(capsys, ["topk", "--input", corpus_file] + argv)
         assert code == 2
         assert out == "" and f"invalid parameters: {message}" in err
@@ -336,6 +341,39 @@ class TestExitCodes:
         code, out, err = run(capsys, argv)
         assert code == 2
         assert out == "" and "invalid parameters: k*eps must be finite" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compose", "dp", "--k", "1000000000", "--eps", "0.001", "--eps-g", "1"],
+            ["compose", "br", "--k", "1000000000", "--eps", "0.001", "--eps-g", "1"],
+            ["compose", "mixed", "--k", "1000000000", "--m", "3", "--eps", "0.001",
+             "--eps-g-grid", "0:1:0.5"],
+            ["compare", "single", "--delta0", "1000000000", "--sigma", "1", "--delta", "1e-6"],
+            ["compare", "kfold", "--delta0", "1000000000", "--sigma", "1", "--delta", "1e-6"],
+        ],
+        ids=["dp", "br", "mixed", "single", "kfold"],
+    )
+    def test_k_past_the_row_limit_is_refused_at_once(self, capsys, argv):
+        # each used to start building a ln C(1e9, .) row, some 30 GB
+        class StillRunning(Exception):
+            pass
+
+        def expire(signum, frame):
+            raise StillRunning
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(5)
+        try:
+            code, out, err = run(capsys, argv)
+        except StillRunning:
+            code, out, err = None, "", "still running after 5 s"
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 2, err
+        assert out == "" and "invalid parameters: k must be at most 4000000" in err
+        assert "got 1000000000" in err
 
     def test_overflowing_adaptive_budget_is_usage_error(self, capsys):
         # 3 * 1e308 overflows; this used to print nan and exit 0

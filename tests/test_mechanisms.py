@@ -547,6 +547,20 @@ class TestTruncGaussConfig:
                 delta0=1, d_bar=6, tau=1.0, sigma=0.05, delta=0.9, t_level=0.4
             )
 
+    def test_from_target_names_sigma_its_solve_cannot_resolve(self) -> None:
+        # the solve stops at width 1e-12, against a window excess T - tau
+        # of 4.75e-12; this used to read "t_level does not solve the window
+        # equation (residual 7.13e-07)", naming no option
+        spec = HistogramSpec(d=1, delta0=1, tau=1.0, d_bar=1)
+        message = (
+            r"^the truncation window cannot be solved at tau\*sigma = 1e-12, "
+            r"sigma = 1e-12: residual 7\.13e-07 above 1e-09$"
+        )
+        with pytest.raises(ValueError, match=message):
+            TruncGaussConfig.from_target(spec, 1e-12, 1e-6)
+        # a scale the solve resolves keeps its window
+        assert TruncGaussConfig.from_target(spec, 1e-8, 1e-6).t_level > 1.0
+
 
 class TestTruncGaussRelease:
     CFG = TruncGaussConfig.from_target(SPEC6, 2.0, 1e-4)

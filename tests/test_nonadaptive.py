@@ -248,8 +248,11 @@ class TestDeltaOptMixed:
          (2, 1, math.inf, 0.0, r"^eps must be positive and finite, got inf$"),
          (2, 1, -1.0, 0.0, r"^eps must be positive and finite, got -1\.0$"),
          (0, 0, 0.1, 0.0, r"^k must be a positive integer, got 0$"),
-         (3, 0, 1e308, 1.0, r"^k\*eps must be finite")],
-        ids=["m-above-k", "eps-zero", "eps-inf", "eps-negative", "k-zero", "k-eps-overflow"],
+         (3, 0, 1e308, 1.0, r"^k\*eps must be finite"),
+         (4_000_001, 0, 0.1, 0.0,
+          r"^k must be at most 4000000, so that its ln C\(k, \.\) row fits, got 4000001$")],
+        ids=["m-above-k", "eps-zero", "eps-inf", "eps-negative", "k-zero", "k-eps-overflow",
+             "k-past-row-limit"],
     )
     def test_candidate_ts_refuse_what_the_query_refuses(self, k, m, eps, eps_g, message):
         # m > k and eps = 0 divided by zero, eps = inf gave [nan, inf], and
