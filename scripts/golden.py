@@ -48,8 +48,10 @@ _TOPK = {
 _CI = """
 compose dp --k 10 --eps 1e8 --invert --delta 1e-6
 compose br --k 20 --eps 0.3 --invert --delta 1e-6
+compose br --k 1 --eps 0.037 --invert --delta 8.2e-9
 compose dp --k 3 --eps 1e308 --eps-g 1
 compose dp --k 1000000000 --eps 0.001 --eps-g 1
+compose mixed --k 20000 --m 10000 --eps 0.001 --eps-g 1
 compose br --k 20 --eps 3.7e7 --invert --delta 0.999
 compose mixed --k 20 --m 10 --eps 0.1 --eps-g-grid 0:3:0.01 -o {tmp}/curve.csv
 compose mixed --k 30 --m 20 --eps 0.09 --eps-g-grid 0:3:0.03 -o {tmp}/curve30.csv
@@ -116,6 +118,8 @@ calibrate --route zcdp --eps 1 --delta 1e-6 --delta0 5
 calibrate --route analytic --eps 0.5 --delta 1e-9 --delta0 5
 topk --mode trunc-gauss {counts} --sigma 1e-200 --delta 1e-6
 audit trunc-gauss --sigma 1e-12 --delta 1e-6
+compose dp --k 10 --eps 0.5 --invert --delta 1e-6
+compare kfold --k 10 --delta0 50 --sigma 2 --delta 1e-9
 """
 
 

@@ -379,11 +379,18 @@ def ls_noise(
     if len(ordering) != len(hist) or set(ordering) != set(hist.counts):
         raise ValueError("ordering must cover the histogram elements exactly")
     tau = hist.require_spec().tau
-    raw = np.array([hist.count(element) for element in ordering])
+    return _ls_noise(ordering, [hist.count(element) for element in ordering], tau, sigma, rng)
+
+
+def _ls_noise(
+    ids: Sequence[str], counts: Sequence[float], tau: float, sigma: float, rng: RngState
+) -> list[tuple[str, float]]:
+    """``ls_noise``'s release of the counts of ids, in that order, at a
+    positive sigma: its callers check the ordering and sigma."""
     scale = _noise_scale("tau*sigma", tau * sigma, _GAUSS_REACH, tau=tau, sigma=sigma)
-    noisy = raw + sample_gaussian(rng.generator(), scale, size=raw.size)
+    noisy = np.array(counts) + sample_gaussian(rng.generator(), scale, size=len(counts))
     projected = pava_monotone_nonneg(noisy)
-    return list(zip(ordering, projected.tolist()))
+    return list(zip(ids, projected.tolist()))
 
 
 def topk_release(
@@ -397,7 +404,9 @@ def topk_release(
     selected counts.
     """
     ids = exp_mech_topk(hist, k, eps_per_round, rng.derive(0))
-    return ls_noise(hist.restrict(ids), ids, sigma, rng.derive(1))
+    check_positive("sigma", sigma)
+    counts = [hist.count(element) for element in ids]
+    return _ls_noise(ids, counts, hist.require_spec().tau, sigma, rng.derive(1))
 
 
 def _trunc_rhs(t_level: float, delta0: int, tau: float, sigma: float) -> float:

@@ -10,14 +10,16 @@ One kernel, ``_walk``, sums that mixture for m pure-DP slots and k-m BR
 slots sharing one tilt t, and the three public bounds are one call,
 ``_max_sum``, over ``mixed_candidate_ts``: ``delta_opt_dp`` is m = k,
 whose one candidate has the one row L = s = 0, ``delta_opt_br_nonadaptive``
-is m = 0, and ``delta_opt_mixed`` is any m.  The pure-DP pairs (c, w) =
-((m - 2 ell) eps, ln weight of row ell) are cached per (m, eps)
-(``_dp_pairs``), and the walk forms each exponent eps_g + c - s as it
-reads it.  Each call forms one plan that all its tilts share (``_plan``):
-the row cut and ln(1 - e^-eps).  A tilt adds only its ln p, ln(1-p) and
-rows.  The sum is accumulated in log space and the positive part of each
-term is decided on the sign of its exponent, never by subtracting nearly
-equal exps.
+is m = 0, and ``delta_opt_mixed`` is any m.  The ln C(n, .) rows are
+cached per n (``_log_binomial_row``), each built from one table of
+lgamma(i + 1), one lgamma per entry, as log_binomial's own float
+expression.  The pure-DP pairs (c, w) = ((m - 2 ell) eps, ln weight of
+row ell) are cached per (m, eps) (``_dp_pairs``), and the walk forms
+each exponent eps_g + c - s as it reads it.  Each call forms one plan
+that all its tilts share (``_plan``): the row cut and ln(1 - e^-eps).
+A tilt adds only its ln p, ln(1-p) and rows.  The sum is accumulated in
+log space and the positive part of each term is decided on the sign of
+its exponent, never by subtracting nearly equal exps.
 
 Bound, then walk: the maximum over the candidate tilts does not walk
 every tilt.  A tilt's row weights, times e^s, are the Binomial(k-m, 1-q)
@@ -38,6 +40,10 @@ bound itself: each bisection step takes the candidate tilts' sums one at
 a time and stops at the first that is not at most the target.  A
 predicted bracket, from a few evaluations of the full bound and its
 rounding-error bound, decides most midpoints without evaluating them.
+As the bound is exactly 0 at k eps and vanishes linearly there, the
+bracket's search steps toward a root near k eps on that model
+(``numerics._predicted_bracket``'s zero-end step) rather than halving
+toward it.
 
 The global budget eps_g may be any real, including negative: delta then
 approaches the total-variation limit 1 - e^eps_g.
@@ -59,7 +65,6 @@ from .numerics import (
     check_positive,
     log1mexp,
     log1pexp,
-    log_binomial,
     solve,
 )
 
@@ -86,11 +91,19 @@ _PRUNE_FLOOR = 2.0**-970
 _RESCALE_BITS = 600
 _RESCALE = 2.0**_RESCALE_BITS
 _LN2 = math.log(2.0)
-# largest k a query accepts.  Measured peak per ln C(k, .) entry: a
-# pure-DP bound 217 B at k = 1e6 (the row 41 B, its (c, w) pairs 136 B,
-# the walk's terms), a BR bound 249 B at k = 2e4; so a row of 4e6
-# entries stays near 1 GB, and a larger k is refused before it is built
+# largest k a query accepts.  Measured peak per ln C(k, .) entry of a
+# pure-DP bound at k = 1e6 and eps = 0.001: 207 B at eps_g = 1 (its
+# (c, w) pairs 130 B, the walk's terms 38 B; the row's build peaks at
+# 84 B and leaves 39 B), 245 B at eps_g = -1001, where the walk keeps
+# every term; a BR bound 249 B at k = 2e4.  So a row of 4e6 entries
+# stays near 1 GB, and a larger k is refused before it is built
 _MAX_K = 4_000_000
+# largest (k - m + 1)(m + 1) a query accepts: one walk keeps a term per
+# BR row and pure-DP pair, 80.3 B each at peak (the term, its exp for
+# fsum, the rows), measured on a walk of 2e7 terms at k = 8942, m = 4471;
+# so a walk stays near 1 GB, and every pure-DP or BR query of k <= _MAX_K
+# fits
+_MAX_TERMS = 12_500_000
 
 
 @dataclass(frozen=True)
@@ -128,7 +141,8 @@ class CompositionQuery:
 
     The remaining k - m slots are eps-bounded-range.  eps_g is the global
     budget, unrestricted in sign.  k is at most ``_MAX_K`` (4e6), so
-    that its ln C(k, .) row fits in memory.
+    that its ln C(k, .) row fits in memory, and (k - m + 1)(m + 1), the
+    terms one walk keeps, at most ``_MAX_TERMS`` (1.25e7).
     """
 
     k: int
@@ -145,6 +159,12 @@ class CompositionQuery:
             )
         if not isinstance(self.m, int) or not 0 <= self.m <= self.k:
             raise ValueError(f"m must lie in 0..k={self.k}, got {self.m}")
+        terms = (self.k - self.m + 1) * (self.m + 1)
+        if terms > _MAX_TERMS:
+            raise ValueError(
+                f"k = {self.k} and m = {self.m} make a walk of (k - m + 1)(m + 1) = {terms}"
+                f" terms, above the {_MAX_TERMS} that fit"
+            )
         check_positive("eps", self.eps)
         if not math.isfinite(self.k * self.eps):
             raise ValueError(f"k*eps must be finite, got {self.k} * {self.eps}")
@@ -199,7 +219,16 @@ def _candidate_ts(k: int, m: int, eps: float, eps_g: float) -> list[float]:
 
 @functools.lru_cache(maxsize=_ROW_CACHE)
 def _log_binomial_row(n: int) -> tuple[float, ...]:
-    return tuple(log_binomial(n, i) for i in range(n + 1))
+    """ln C(n, i) for i = 0..n, each ``log_binomial(n, i)``'s float.
+
+    One lgamma per entry: entry i is lg[n] - lg[i] - lg[n - i] over the
+    table lg[i] = lgamma(i + 1), log_binomial's own expression in its
+    own order.  The row is not symmetric in floats, so entry n - i is
+    read from the table, not copied from entry i.
+    """
+    lg = list(map(math.lgamma, range(1, n + 2)))
+    top = lg[n]
+    return tuple([top - a - b for a, b in zip(lg, reversed(lg))])
 
 
 @functools.lru_cache(maxsize=_ROW_CACHE)
@@ -213,7 +242,7 @@ def _dp_pairs(m: int, eps: float) -> tuple[tuple[float, float], ...]:
     log_norm = m * log1pexp(eps)
     lb_row = _log_binomial_row(m)
     return tuple(
-        ((m - 2 * ell) * eps, lb_row[ell] + ell * eps - log_norm) for ell in range(m, -1, -1)
+        [((m - 2 * ell) * eps, lb_row[ell] + ell * eps - log_norm) for ell in range(m, -1, -1)]
     )
 
 
@@ -558,9 +587,10 @@ def eps_inverse(
     are too.  The bisection takes a midpoint outside the bracket that
     ``numerics._predicted_bracket`` measures on the full bound without
     evaluating it; the midpoints and the result stay the same.  That full
-    bound is ``_max_sum``'s bound-then-walk maximum.  A midpoint's own
-    test walks from the same plan and kernel, and keeps the candidate
-    order: ordering it by bound measured slower.
+    bound is ``_max_sum``'s bound-then-walk maximum, and it is exactly 0
+    at k eps, so the bracket's search takes its zero-end step.  A
+    midpoint's own test walks from the same plan and kernel, and keeps
+    the candidate order: ordering it by bound measured slower.
     """
     check_delta("delta_target", delta_target)
     if not tol >= 0.0:
@@ -591,6 +621,7 @@ def eps_inverse(
         f, delta_target, lo, hi,
         err=lambda eg, d: _ERR_UNIT * (rel + abs(eg)) * d,
         x_err=lambda eg: _ERR_UNIT * (abs(eg) + 2.0 * k * eps),
+        zero_end=True,
     )
     # tol=0 stops at adjacent floats: no positive width is below ulp(0)
     tol_abs = max(tol, math.ulp(0.0))

@@ -15,7 +15,11 @@ at b by more than twice the caller's bound on f's rounding error.  As
 the exact bound is monotone, every point beyond a (or b), moved outward
 by the caller's bound on the error in x itself, has a known answer, and
 the halving takes those midpoints without evaluating them.  It walks the
-same midpoints either way and returns the same float.
+same midpoints either way and returns the same float.  A caller whose f
+is exactly 0 at hi, as a composed bound is at eps_g = k eps, may turn on
+a zero-end step: while the search's upper end is hi or a point where f
+is 0, f is taken to vanish linearly there, so a root near hi is reached
+in a few steps rather than by halving toward it.
 
 Probabilities that can underflow are carried as natural logs throughout the
 package; ``-inf`` encodes an exact zero.
@@ -58,6 +62,9 @@ _ERR_UNIT = 64.0 * sys.float_info.epsilon
 # noise bands from the converged root its probes sit
 _PREDICT_STEPS = 60
 _PROBE_BANDS = 4.0
+# the zero-end step stops at least this share of the bracket short of
+# the end where f is 0
+_ZERO_END_DAMP = 1.0 / 16.0
 
 
 class BracketError(ValueError):
@@ -203,6 +210,7 @@ def _predicted_bracket(
     hi: float,
     err: Callable[[float, float], float],
     x_err: Callable[[float], float],
+    zero_end: bool = False,
 ) -> tuple[float, float]:
     """Measured points a < b around the root of f(x) = target in (lo, hi).
 
@@ -220,16 +228,29 @@ def _predicted_bracket(
     sides if the points contradict each other (a >= b).
 
     Illinois-type false position (Dowell & Jarratt, BIT 1971) on
-    g = ln f - ln target runs inside (lo, hi), never at either end.  It
-    bisects while an end's value is unknown or f there is 0, and after
-    three steps in a row on one side, which a flat stretch of ln f
-    causes; a step that replaces the same end as the last one scales
-    the other end's g by Anderson & Bjorck's 1 - g/g_replaced (by 1/2
-    when that is not positive).  It stops at the first point within the
-    noise band, or after _PREDICT_STEPS evaluations.  The secant slope
-    through the last two points then sets up to two probes _PROBE_BANDS
-    bands either side of that point, each made only where it would
-    narrow (a, b).
+    g = ln f - ln target runs inside (lo, hi), never at either end, on a
+    bracket x_a < x_b with g_a = g(x_a) > 0 >= g(x_b) once evaluated.
+    It bisects while an end's value is unknown or f there is 0, and
+    after three steps in a row on one side, which a flat stretch of ln f
+    causes; a step that replaces the same end as the last one scales the
+    other end's g by Anderson & Bjorck's 1 - g/g_replaced (by 1/2 when
+    that is not positive).
+
+    zero_end is for an f that is exactly 0 at hi, as ``eps_inverse``'s
+    bound is at k eps.  After two steps in a row above the target, while
+    x_b is still hi or a point where f is 0, it replaces the bisection
+    by a zero-end step: near such an end ln f ~ ln(x_b - x) + const, so
+    the root lies near x_b - (x_b - x_a) e^-g_a.  The step goes there,
+    or only 15/16 of the way from x_a (_ZERO_END_DAMP) where e^-g_a is
+    smaller.  If it lands on f = 0, that point becomes x_b and the next
+    step bisects.  Taken from the first step, or undamped, the step
+    cost the other inversions evaluations; on a curve that is not 0 at
+    hi it would mislead, so it is off by default.
+
+    It stops at the first point within the noise band, or after
+    _PREDICT_STEPS evaluations.  The secant slope through the last two
+    points then sets up to two probes _PROBE_BANDS bands either side of
+    that point, each made only where it would narrow (a, b).
     """
     ln_target = math.log(target)
     a, b = -math.inf, math.inf
@@ -255,7 +276,9 @@ def _predicted_bracket(
         return m if m > 0.0 else 0.5
 
     for _ in range(_PREDICT_STEPS):
-        if run < 3 and 0.0 < ga < math.inf and -math.inf < gb < 0.0:
+        if zero_end and side > 0 and run > 1 and not gb > -math.inf and 0.0 < ga < math.inf:
+            x = xb - (xb - xa) * max(math.exp(-ga), _ZERO_END_DAMP)
+        elif run < 3 and 0.0 < ga < math.inf and -math.inf < gb < 0.0:
             x = xb - gb * (xb - xa) / (gb - ga)
         else:
             x = 0.5 * (xa + xb)

@@ -14,7 +14,8 @@ deltas (a closed form, and a tilt search around it), the pure-DP slot's
 and the two-point pair's log-probabilities, the log-sum-exp they fed and
 the Laplace histogram delta are second routes the package no longer
 calls, and so are the candidate tilts clipped one by one into a set,
-the per-tilt sum before its kernel was inlined, the
+the per-tilt sum before its kernel was inlined, the pure-DP pairs as
+a generator over three-lgamma rows, the
 inversion that judged every bisection midpoint by the full bound, the
 analytic-Gaussian solves that evaluated every midpoint before their
 solves were given a predicted bracket, and the adaptive evaluator that
@@ -349,6 +350,16 @@ def float_delta_mixed(k: int, m: int, eps: float, eps_g: float) -> float:
 def _log_binomial_row(n: int) -> tuple[float, ...]:
     """ln C(n, i) for i = 0..n, formed here and not shared with the package."""
     return tuple(log_binomial(n, i) for i in range(n + 1))
+
+
+def generator_dp_pairs(m: int, eps: float) -> tuple[tuple[float, float], ...]:
+    """``nonadaptive._dp_pairs`` as a generator over three-lgamma rows, the
+    form it had before its row and pairs were built by list comprehension."""
+    log_norm = m * log1pexp(eps)
+    lb_row = _log_binomial_row(m)
+    return tuple(
+        ((m - 2 * ell) * eps, lb_row[ell] + ell * eps - log_norm) for ell in range(m, -1, -1)
+    )
 
 
 @functools.lru_cache(maxsize=64)

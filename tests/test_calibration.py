@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpcomp import calibration
 from dpcomp.calibration import (
     HistogramSpec,
     analytic_gaussian_delta,
@@ -178,6 +179,21 @@ class TestSolvers:
             if got != self._outcome(plain_solve_sigma_analytic, eps, delta):
                 differ.append((eps, delta))
         assert differ == []
+
+    def test_curve_solves_keep_the_zero_end_step_off(self, monkeypatch) -> None:
+        # the curve is not 0 at the solve's upper end, so the inversions'
+        # zero-end step would mislead its predicted bracket: 93 evaluations
+        # here with it on, against 22
+        seen = []
+        curve = calibration.analytic_gaussian_delta
+
+        def counted(sigma: float, eps: float) -> float:
+            seen.append(sigma)
+            return curve(sigma, eps)
+
+        monkeypatch.setattr(calibration, "analytic_gaussian_delta", counted)
+        solve_sigma_analytic(0.05, 1e-3)
+        assert len(seen) <= 22
 
     def test_zcdp_eps_frozen(self) -> None:
         assert gaussian_zcdp_eps(13.0937, 25, 1e-6) == pytest.approx(

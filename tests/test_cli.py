@@ -38,6 +38,25 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def run_within(capsys, argv, seconds):
+    # run, or (None, "", a note) once the alarm cuts it off
+    class StillRunning(Exception):
+        pass
+
+    def expire(signum, frame):
+        raise StillRunning
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return run(capsys, argv)
+    except StillRunning:
+        return None, "", f"still running after {seconds} s"
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestExitCodes:
     def test_success_is_zero(self, capsys):
         code, out, _ = run(capsys, ["compose", "dp", "--k", "3", "--eps", "0.5", "--eps-g", "0.7"])
@@ -356,24 +375,20 @@ class TestExitCodes:
     )
     def test_k_past_the_row_limit_is_refused_at_once(self, capsys, argv):
         # each used to start building a ln C(1e9, .) row, some 30 GB
-        class StillRunning(Exception):
-            pass
-
-        def expire(signum, frame):
-            raise StillRunning
-
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.alarm(5)
-        try:
-            code, out, err = run(capsys, argv)
-        except StillRunning:
-            code, out, err = None, "", "still running after 5 s"
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+        code, out, err = run_within(capsys, argv, 5)
         assert code == 2, err
         assert out == "" and "invalid parameters: k must be at most 4000000" in err
         assert "got 1000000000" in err
+
+    def test_mixed_walk_past_the_term_limit_is_refused_at_once(self, capsys):
+        # a walk of (k - m + 1)(m + 1) = 1e8 terms: this used to run for
+        # 92 s and peak 3.5 GB
+        argv = ["compose", "mixed", "--k", "20000", "--m", "10000", "--eps", "0.001",
+                "--eps-g", "1"]
+        code, out, err = run_within(capsys, argv, 5)
+        assert code == 2, err
+        assert out == "" and "invalid parameters: k = 20000 and m = 10000 make a walk" in err
+        assert "= 100020001 terms, above the 12500000 that fit" in err
 
     def test_overflowing_adaptive_budget_is_usage_error(self, capsys):
         # 3 * 1e308 overflows; this used to print nan and exit 0

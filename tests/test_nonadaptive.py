@@ -20,6 +20,7 @@ from dpcomp.nonadaptive import (
     grr_params,
     mixed_candidate_ts,
 )
+from dpcomp.numerics import log_binomial
 
 from . import oracles
 from .oracles import grr_log_probs
@@ -250,9 +251,12 @@ class TestDeltaOptMixed:
          (0, 0, 0.1, 0.0, r"^k must be a positive integer, got 0$"),
          (3, 0, 1e308, 1.0, r"^k\*eps must be finite"),
          (4_000_001, 0, 0.1, 0.0,
-          r"^k must be at most 4000000, so that its ln C\(k, \.\) row fits, got 4000001$")],
+          r"^k must be at most 4000000, so that its ln C\(k, \.\) row fits, got 4000001$"),
+         (8000, 4000, 0.001, 1.0,
+          r"^k = 8000 and m = 4000 make a walk of \(k - m \+ 1\)\(m \+ 1\) = 16008001 terms,"
+          r" above the 12500000 that fit$")],
         ids=["m-above-k", "eps-zero", "eps-inf", "eps-negative", "k-zero", "k-eps-overflow",
-             "k-past-row-limit"],
+             "k-past-row-limit", "walk-past-term-limit"],
     )
     def test_candidate_ts_refuse_what_the_query_refuses(self, k, m, eps, eps_g, message):
         # m > k and eps = 0 divided by zero, eps = inf gave [nan, inf], and
@@ -412,20 +416,30 @@ class TestOneEvaluator:
         with pytest.raises(ValueError, match="got nan"):
             _sum_at(k, m, eps, eps_g, t)
 
-    def test_inversion_reuses_rows(self, monkeypatch):
+    def test_inversion_reuses_rows(self):
         # one ln C(200, .) row serves every bisection step
-        calls = []
-        log_binomial = nonadaptive.log_binomial
-
-        def counted(n, i):
-            calls.append((n, i))
-            return log_binomial(n, i)
-
-        monkeypatch.setattr(nonadaptive, "log_binomial", counted)
         nonadaptive._log_binomial_row.cache_clear()
         nonadaptive._dp_pairs.cache_clear()
         eps_inverse(1e-6, "dp", 200, 0.05)
-        assert 0 < len(calls) <= 201
+        assert nonadaptive._log_binomial_row.cache_info().misses == 1
+
+    def test_row_matches_log_binomial(self):
+        # one lgamma per entry gives log_binomial's float at every index,
+        # up to the largest k a query accepts
+        nonadaptive._log_binomial_row.cache_clear()
+        for n in [*range(601), 10_000, 123_457, 1_000_000]:
+            want = tuple(log_binomial(n, i) for i in range(n + 1))
+            assert nonadaptive._log_binomial_row(n) == want, n
+        nonadaptive._log_binomial_row.cache_clear()
+
+    def test_dp_pairs_match_generator_form(self):
+        # the pairs over the one-lgamma rows are the generator form's floats
+        rng = random.Random(41)
+        nonadaptive._dp_pairs.cache_clear()
+        cases = [(m, 10 ** rng.uniform(-3.0, 8.0)) for m in [*range(60), 500, 4000]]
+        for m, eps in cases:
+            assert nonadaptive._dp_pairs(m, eps) == oracles.generator_dp_pairs(m, eps), (m, eps)
+        nonadaptive._dp_pairs.cache_clear()
 
 
 def _plan_bounds(k, m, eps, eps_g, ts=None):
@@ -654,6 +668,28 @@ class TestEpsInverse:
         monkeypatch.setattr(nonadaptive, "_exp_sum", counted)
         eps_inverse(delta, bound, k, eps, m=m)
         assert len(sums_made) == sums
+
+    @pytest.mark.parametrize(
+        "delta, bound, k, eps, m, evals",
+        [(8.2e-9, "br", 1, 0.037, None, 13), (2.5e-10, "dp", 28, 0.1, None, 11),
+         (5.3e-7, "mixed", 8, 0.25, 6, 13), (1e-6, "dp", 10, 0.5, None, 8)],
+    )
+    def test_zero_end_step_saves_full_bounds(self, monkeypatch, delta, bound, k, eps, m, evals):
+        # roots at or near k eps, where the bound is exactly 0: the
+        # predicted bracket steps toward that end on ln f ~ ln(k eps - x)
+        # instead of halving toward it, which took 20, 17, 16 and 23 full
+        # bounds; the root is the plain bisection's float
+        calls = []
+        max_sum = nonadaptive._max_sum
+
+        def counted(*args):
+            calls.append(args)
+            return max_sum(*args)
+
+        monkeypatch.setattr(nonadaptive, "_max_sum", counted)
+        got = eps_inverse(delta, bound, k, eps, m=m)
+        assert len(calls) <= evals
+        assert got == oracles.plain_eps_inverse(delta, bound, k, eps, m=m)
 
     @pytest.mark.parametrize("bound", ["dp", "br"])
     def test_m_is_refused_unless_mixed(self, bound):

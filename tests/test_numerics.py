@@ -326,6 +326,37 @@ class TestPredictedWalk:
                 saved += len(plain_calls) - len(walked_calls)
         assert saved > 0
 
+    def test_zero_end_step_walks_as_plain_in_fewer_evaluations(self):
+        # a curve that is exactly 0 at hi and vanishes linearly there, as a
+        # composed bound does at k eps: roots near hi are reached by the
+        # zero-end step, not by halving toward hi, and solve still returns
+        # the plain walk's float
+        def f(x):
+            noise = 0.99 * self.REL * random.Random(x).random()
+            return 0.0 if x >= 1.0 else (1.0 - x) * (1.0 - noise)
+
+        evals = {False: 0, True: 0}
+        for i in range(60):
+            target = 10.0 ** (-0.5 - 11.0 * i / 59.0)
+            ok = lambda x: f(x) <= target
+            want = solve(ok, 0.0, 1.0, tol_abs=1e-15, tol_rel=0.0, doublings=0)
+            for zero_end in evals:
+                seen = []
+
+                def counted(x):
+                    seen.append(x)
+                    return f(x)
+
+                predict = lambda lo, hi: _predicted_bracket(
+                    counted, target, lo, hi, err=lambda x, fx: self.REL * fx,
+                    x_err=lambda x: 0.0, zero_end=zero_end,
+                )
+                got = solve(ok, 0.0, 1.0, tol_abs=1e-15, tol_rel=0.0, doublings=0,
+                            predict=predict)
+                assert got == want, (target, zero_end)
+                evals[zero_end] += len(seen)
+        assert evals[True] < evals[False] / 2
+
     def test_curve_stuck_at_target_evaluates_every_midpoint(self):
         # no point clears its band, so no midpoint is decided unseen
         values = []
