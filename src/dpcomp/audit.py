@@ -13,6 +13,12 @@ a Monte-Carlo audit can refute a claimed bound but never certify it;
 reports carry that caveat.  The brute-force searches that check the
 composition formulas themselves are test oracles in tests/oracles.py.
 
+The two output laws are drawn at once: one worker thread draws, checks
+and sorts the first law's sample while the calling thread does the same
+for the second.  Nearly all of that time is numpy and scipy work that
+releases the interpreter lock, and each law draws only from its own
+substream, so the overlap changes no draw and no result.
+
 Categories are counted from one sort of each sample: NaN ("no output")
 sorts last, so its count is the length of the tail, and each atom or
 quantile bin's count is the difference of two binary-search positions
@@ -30,6 +36,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -54,10 +62,12 @@ __all__ = [
 Sampler = Callable[[np.random.Generator, int], np.ndarray]
 
 _MAX_EXACT_SLOTS = 20
-# trials per block of the two-point samplers: a (rows, k) block of
-# uniforms stays small and cache-resident whatever the trial count, and
-# PCG64 fills consecutive blocks with the stream one (n, k) draw would use
+# trials per block of the two-point samplers, at most _SAMPLE_ROWS and at
+# most _SAMPLE_CELLS / k: a (rows, k) block of uniforms stays within 8 MB
+# whatever the trial count (for k up to 2^20), and PCG64 fills consecutive
+# blocks with the stream one (n, k) draw would use
 _SAMPLE_ROWS = 1 << 14
+_SAMPLE_CELLS = 1 << 20
 # multinomial resamples behind a Monte-Carlo standard error
 _N_BOOTSTRAP = 200
 # largest outcome magnitude a quantile bin takes: np.quantile interpolates
@@ -159,20 +169,20 @@ def _distinct(sorted_values: np.ndarray) -> np.ndarray:
 def _category_counts(
     xs: np.ndarray, ys: np.ndarray, n_bins: int
 ) -> tuple[np.ndarray, np.ndarray, str]:
-    """Histogram both samples on one shared discretization.
+    """Histogram both sorted samples on one shared discretization.
 
     Finite outcomes become categories either by their distinct values
     (when the pooled samples hold at most n_bins of them) or by
     pooled-quantile bins; NaN outcomes land in a dedicated final
     category so "no output" stays a visible event.  An infinite outcome,
     or a finite one beyond half the float range, has no quantile bin and
-    raises ValueError.  Each sample is sorted once and every count is a
-    difference of two positions in it, so no trial is binned on its own.
+    raises ValueError.  Both samples arrive sorted (np.sort order) and
+    every count is a difference of two positions in one of them, so no
+    trial is binned on its own.
     """
     # NaN sorts last, so the non-NaN outcomes are a prefix of each sample
     # whose two ends hold its largest magnitudes, any +-inf among them
-    samples = [np.sort(xs), np.sort(ys)]
-    finite = [s[: np.searchsorted(s, np.nan)] for s in samples]
+    finite = [s[: np.searchsorted(s, np.nan)] for s in (xs, ys)]
     for f in finite:
         largest = max(-f[0], f[-1]) if f.size else 0.0
         if largest > _MAX_OUTCOME:
@@ -200,7 +210,7 @@ def _category_counts(
 
     counts = [
         np.append(binned(f), s.size - f.size).astype(np.int64)
-        for s, f in zip(samples, finite)
+        for s, f in zip((xs, ys), finite)
     ]
     return counts[0], counts[1], mode
 
@@ -210,6 +220,14 @@ def _positive_part(counts_p: np.ndarray, counts_q: np.ndarray, eps_g: float) -> 
     n_q = counts_q.sum(axis=-1, keepdims=True)
     diff = counts_p / n_p - _exp_times(eps_g, counts_q) / n_q
     return np.maximum(diff, 0.0).sum(axis=-1)
+
+
+def _sorted_sample(sample: Sampler, gen: np.random.Generator, n_trials: int) -> np.ndarray:
+    # one law's outcomes, checked and sorted; runs on either thread
+    values = np.asarray(sample(gen, n_trials), dtype=float)
+    if values.shape != (n_trials,):
+        raise ValueError("samplers must return one outcome per trial")
+    return np.sort(values)
 
 
 def monte_carlo_delta(
@@ -229,17 +247,36 @@ def monte_carlo_delta(
     spread of the estimate across 200 multinomial resamples of both count
     vectors (substream 2).  Each outcome is NaN ("no output") or a finite
     float of magnitude at most half the float range; a sampler that
-    returns anything else, +-inf included, raises ValueError.
+    returns anything else, +-inf included, raises ValueError, and so do
+    an n_trials or n_bins that is not an integer.
+
+    The two laws are drawn concurrently: sample_p runs on a worker
+    thread and sample_q on the caller's thread, each with its own
+    generator, so each sampler must draw only from the generator it is
+    given and share no mutable state with the other.  The result is the
+    one the two draws would give one after the other.  Errors surface in
+    that serial order: sample_p's exception is raised whenever it raises,
+    sample_q's only when sample_p returned.  The worker ends before this
+    function returns or raises.  A signal handler that raises (a deadline
+    alarm) still interrupts the caller's thread, and its exception
+    surfaces once the worker's draw has ended.
     """
+    for name, count in (("n_trials", n_trials), ("n_bins", n_bins)):
+        if not isinstance(count, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
     if n_trials < 10**5:
         raise ValueError(f"need at least 1e5 trials for a stable tail, got {n_trials}")
     check_nonnegative("eps_g", eps_g)
     if n_bins < 2:
         raise ValueError(f"n_bins must be >= 2, got {n_bins}")
-    xs = np.asarray(sample_p(rng.substream(0), n_trials), dtype=float)
-    ys = np.asarray(sample_q(rng.substream(1), n_trials), dtype=float)
-    if xs.shape != (n_trials,) or ys.shape != (n_trials,):
-        raise ValueError("samplers must return one outcome per trial")
+    gen_p, gen_q = rng.substream(0), rng.substream(1)
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        drawn_p = worker.submit(_sorted_sample, sample_p, gen_p, n_trials)
+        try:
+            ys = _sorted_sample(sample_q, gen_q, n_trials)
+        finally:
+            # read even when sample_q raised, so sample_p's error comes first
+            xs = drawn_p.result()
     counts_p, counts_q, _ = _category_counts(xs, ys, n_bins)
     estimate = float(_positive_part(counts_p, counts_q, eps_g))
 
@@ -254,9 +291,10 @@ def _second_outcome_sampler(first_prob: float, k: int) -> Sampler:
     # k independent copies of one two-point response; the outcome is how
     # many of them took the second value
     def sample(gen: np.random.Generator, n: int) -> np.ndarray:
+        rows = max(1, min(_SAMPLE_ROWS, _SAMPLE_CELLS // k))
         ones = np.zeros(n, dtype=np.int64)
-        for start in range(0, n, _SAMPLE_ROWS):
-            block = ones[start : start + _SAMPLE_ROWS]
+        for start in range(0, n, rows):
+            block = ones[start : start + rows]
             for column in (gen.random((block.size, k)) >= first_prob).T:
                 block += column
         return ones.astype(float)
@@ -334,8 +372,10 @@ def audit_trunc_gauss(
 
     def windowed(count: float) -> Sampler:
         def sample(gen: np.random.Generator, n: int) -> np.ndarray:
-            values = count + config.window_noise(gen, n)
-            return np.where(values > threshold, values, np.nan)
+            values = config.window_noise(gen, n)
+            values += count
+            values[~(values > threshold)] = np.nan
+            return values
 
         return sample
 

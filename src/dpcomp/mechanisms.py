@@ -286,7 +286,8 @@ class RngState:
 
 def _uniforms(gen: np.random.Generator, size: int) -> np.ndarray:
     # keep away from 0 so inverse CDFs stay finite
-    return np.maximum(gen.random(size), _MIN_UNIFORM)
+    u = gen.random(size)
+    return np.maximum(u, _MIN_UNIFORM, out=u)
 
 
 def sample_laplace(gen: np.random.Generator, scale: float, size: int) -> np.ndarray:
@@ -527,8 +528,14 @@ class TruncGaussConfig:
         s = self.tau * self.sigma
         lo = std_normal_cdf(-self.t_level / s)
         hi = std_normal_cdf(self.t_level / s)
+        # in place: u (hi - lo) + lo and x s are the floats of
+        # lo + u (hi - lo) and s x, since IEEE + and * commute
         u = _uniforms(gen, n)
-        return s * ndtri(lo + u * (hi - lo))
+        u *= hi - lo
+        u += lo
+        ndtri(u, out=u)
+        u *= s
+        return u
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,11 @@ priced each golden-section step by two scalar passes.  The list-based release
 mechanisms are the package's former per-request sorts and full-width
 selection rounds, kept as the reference its columnar releases must
 reproduce byte for byte, and the audit categorizer that bins every trial
-by its own binary search is the reference for the sorted-sample counts;
+by its own binary search is the reference for the sorted-sample counts.
+The Monte-Carlo estimate that drew its two laws one after the other,
+and the trunc-gauss audit's window sampler written as one expression
+that allocates each intermediate, are the references for the
+concurrent draws and the in-place sampler;
 the block-stack PAVA that wrote each pooled block by slice assignment is
 the byte reference for the projection.
 Frozen constants in the tests cite the
@@ -41,11 +45,13 @@ from typing import Optional, Sequence
 
 import mpmath as mp
 import numpy as np
+from scipy.special import ndtri
 
 from dpcomp.adaptive import GridSpec, MechanismSequence, _tilt_q, delta_opt_recursive
-from dpcomp.audit import _MAX_EXACT_SLOTS
+from dpcomp.audit import _MAX_EXACT_SLOTS, _N_BOOTSTRAP, _category_counts, _positive_part
 from dpcomp.calibration import _SEARCH, _TOL_REL, HistogramSpec, analytic_gaussian_delta
 from dpcomp.mechanisms import (
+    _MIN_UNIFORM,
     Histogram,
     ReleaseEntry,
     RngState,
@@ -69,6 +75,7 @@ from dpcomp.numerics import (
     log_binomial,
     pava_monotone_nonneg,
     solve,
+    std_normal_cdf,
 )
 from dpcomp.setwise import (
     AccountantStateError,
@@ -1077,3 +1084,52 @@ def searchsorted_category_counts(
         return np.append(c, miss.sum()).astype(np.int64)
 
     return counts(xs), counts(ys), mode
+
+
+def serial_monte_carlo_delta(
+    sample_p, sample_q, eps_g: float, n_trials: int, rng: RngState, n_bins: int = 1000
+) -> tuple[float, float]:
+    """audit.monte_carlo_delta as it drew its two laws one after the other.
+
+    The body before the draws overlapped, with the sort that the
+    categorizer used to make moved to its call; the concurrent version
+    must return the same floats.
+    """
+    if n_trials < 10**5:
+        raise ValueError(f"need at least 1e5 trials for a stable tail, got {n_trials}")
+    check_nonnegative("eps_g", eps_g)
+    if n_bins < 2:
+        raise ValueError(f"n_bins must be >= 2, got {n_bins}")
+    xs = np.asarray(sample_p(rng.substream(0), n_trials), dtype=float)
+    ys = np.asarray(sample_q(rng.substream(1), n_trials), dtype=float)
+    if xs.shape != (n_trials,) or ys.shape != (n_trials,):
+        raise ValueError("samplers must return one outcome per trial")
+    counts_p, counts_q, _ = _category_counts(np.sort(xs), np.sort(ys), n_bins)
+    estimate = float(_positive_part(counts_p, counts_q, eps_g))
+
+    boot = rng.substream(2)
+    resampled_p = boot.multinomial(n_trials, counts_p / n_trials, size=_N_BOOTSTRAP)
+    resampled_q = boot.multinomial(n_trials, counts_q / n_trials, size=_N_BOOTSTRAP)
+    deltas = _positive_part(resampled_p, resampled_q, eps_g)
+    return estimate, float(np.std(deltas, ddof=1))
+
+
+def expression_window_noise(config: TruncGaussConfig, gen: np.random.Generator, n: int) -> np.ndarray:
+    """TruncGaussConfig.window_noise as one expression over fresh arrays."""
+    s = config.tau * config.sigma
+    lo = std_normal_cdf(-config.t_level / s)
+    hi = std_normal_cdf(config.t_level / s)
+    u = np.maximum(gen.random(n), _MIN_UNIFORM)
+    return s * ndtri(lo + u * (hi - lo))
+
+
+def where_windowed_sampler(config: TruncGaussConfig, count: float):
+    """The trunc-gauss audit's sampler for one neighbor's count, built by
+    np.where over a fresh sum instead of in place."""
+    threshold = config.tau + config.t_level
+
+    def sample(gen: np.random.Generator, n: int) -> np.ndarray:
+        values = count + expression_window_noise(config, gen, n)
+        return np.where(values > threshold, values, np.nan)
+
+    return sample

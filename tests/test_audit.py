@@ -2,6 +2,9 @@
 
 import json
 import math
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -34,6 +37,8 @@ from .oracles import (
     mixed_brute_force_sup,
     product_delta,
     searchsorted_category_counts,
+    serial_monte_carlo_delta,
+    where_windowed_sampler,
 )
 
 # two_point(eps=1.0, t=0.3) at eps_g 0.2 and the one-bin trunc_gauss
@@ -218,9 +223,9 @@ class TestCategoryCounts:
         xs, ys, n_bins = case
         if (np.abs(np.concatenate([xs, ys])) > np.finfo(float).max / 2).any():
             with pytest.raises(ValueError, match="magnitude"):
-                _category_counts(xs, ys, n_bins)
+                _category_counts(np.sort(xs), np.sort(ys), n_bins)
             return
-        got = _category_counts(xs, ys, n_bins)
+        got = _category_counts(np.sort(xs), np.sort(ys), n_bins)
         want = searchsorted_category_counts(xs, ys, n_bins)
         assert got[2] == want[2]
         for g, w in zip(got[:2], want[:2]):
@@ -230,14 +235,14 @@ class TestCategoryCounts:
     def test_outcomes_beyond_half_the_float_range_rejected(self) -> None:
         # b - a overflows in np.quantile's a + (b - a) t, so these finite
         # outcomes would give a quantile edge of inf
-        xs = np.array([-1.7e308, 1.7e308, 1.6e308])
+        xs = np.array([-1.7e308, 1.6e308, 1.7e308])
         ys = np.array([-1.6e308, 1.5e308])
         with pytest.raises(ValueError, match="magnitude"):
             _category_counts(xs, ys, 3)
         with pytest.raises(ValueError, match="magnitude"):
             _category_counts(ys, np.array([0.0]), 3)
         half = np.finfo(float).max / 2
-        xs, ys = np.array([-half, half, 1.0]), np.array([-1.0, half, np.nan])
+        xs, ys = np.array([-half, 1.0, half]), np.array([-1.0, half, np.nan])
         got = _category_counts(xs, ys, 3)
         want = searchsorted_category_counts(xs, ys, 3)
         assert got[2] == want[2] == "quantile(3)"
@@ -248,7 +253,7 @@ class TestCategoryCounts:
         xs = np.where(gen.random(5000) < 0.1, np.nan, gen.normal(size=5000))
         ys = gen.normal(size=4000)
         for n_bins, mode in ((1000, "quantile(1000)"), (10000, "atoms(8473)")):
-            got = _category_counts(xs, ys, n_bins)
+            got = _category_counts(np.sort(xs), np.sort(ys), n_bins)
             want = searchsorted_category_counts(xs, ys, n_bins)
             assert got[2] == want[2] == mode
             assert np.array_equal(got[0], want[0])
@@ -381,9 +386,10 @@ class TestMonteCarloDelta:
             with pytest.raises(ValueError, match="infinite"):
                 monte_carlo_delta(sample_p, sample_q, 0.5, 10**5, RngState(0))
 
-    @pytest.mark.parametrize("k", [1, 3, 12])
+    @pytest.mark.parametrize("k", [1, 3, 12, 100])
     def test_blocked_draws_match_one_shot(self, k) -> None:
-        # a trial count that is not a multiple of the block size
+        # a trial count that is not a multiple of the block size; at
+        # k = 100 the block is capped by its cells, below _SAMPLE_ROWS
         n = 2 * _SAMPLE_ROWS + 1234
         first_prob = grr_params(0.6, 0.3).q
         got = _second_outcome_sampler(first_prob, k)(RngState(4).generator(), n)
@@ -429,6 +435,219 @@ class TestMonteCarloDelta:
 
         with pytest.raises(ValueError):
             monte_carlo_delta(bad_shape, bad_shape, 0.5, 10**5, RngState(0))
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"n_trials": 100000.0}, "n_trials"),
+            ({"n_trials": 2.5e5}, "n_trials"),
+            ({"n_bins": 2.5}, "n_bins"),
+            ({"n_bins": 1000.0}, "n_bins"),
+        ],
+    )
+    def test_non_integer_counts_refused(self, kwargs, name) -> None:
+        # refused before any substream is seeded or any thread starts
+        class NoDraws:
+            def substream(self, index):
+                raise AssertionError("a substream was seeded")
+
+        def sampler(gen, n):
+            raise AssertionError("a sampler ran")
+
+        call = {"n_trials": 10**5, **kwargs}
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            monte_carlo_delta(sampler, sampler, 0.5, rng=NoDraws(), **call)
+        assert threading.active_count() == threads
+
+    def test_numpy_integer_counts_accepted(self) -> None:
+        def sampler(gen, n):
+            return gen.random(n)
+
+        want = monte_carlo_delta(sampler, sampler, 0.5, 10**5, RngState(6), n_bins=50)
+        got = monte_carlo_delta(
+            sampler, sampler, 0.5, np.int64(10**5), RngState(6), n_bins=np.int32(50)
+        )
+        assert repr(got) == repr(want)
+
+
+class _PError(Exception):
+    pass
+
+
+class _QError(Exception):
+    pass
+
+
+def _uniform(gen, n):
+    return gen.random(n)
+
+
+def _shifted_gaussian(mu: float):
+    def sample(gen, n):
+        return mu + sample_gaussian(gen, 1.0, size=n)
+
+    return sample
+
+
+def _sometimes_nan(miss: float):
+    # uniform outcomes on 100 atoms, NaN ("no output") with probability miss
+    def sample(gen, n):
+        u = gen.random(n)
+        return np.where(u < miss, np.nan, np.floor(u * 100.0))
+
+    return sample
+
+
+def _raising(error: type[Exception], delay: float = 0.0):
+    def sample(gen, n):
+        gen.random(n)
+        time.sleep(delay)
+        raise error("raised by the sampler")
+
+    return sample
+
+
+class TestConcurrentDraws:
+    """The two laws drawn on two threads give the serial estimate."""
+
+    # (sample_p, sample_q, eps_g, n_bins), each run on its own seeds
+    GENERIC = {
+        "nan-emitting": (_sometimes_nan(0.3), _sometimes_nan(0.1), 0.2, 1000),
+        "quantile-binned": (_shifted_gaussian(1.0), _shifted_gaussian(0.0), 0.5, 1000),
+        "few quantile bins": (_shifted_gaussian(0.5), _uniform, 0.0, 7),
+    }
+
+    @staticmethod
+    def _trials(seed: int) -> int:
+        # 1e5 to 3e5, most of them off a multiple of the sampler block
+        return 10**5 + (seed * 7919) % (2 * 10**5 + 1)
+
+    @pytest.mark.parametrize("case", sorted(GENERIC))
+    def test_generic_pairs_match_serial(self, case) -> None:
+        sample_p, sample_q, eps_g, n_bins = self.GENERIC[case]
+        offset = 100 * sorted(self.GENERIC).index(case)
+        for seed in range(offset, offset + 6):
+            n = self._trials(seed)
+            got = monte_carlo_delta(sample_p, sample_q, eps_g, n, RngState(seed), n_bins)
+            want = serial_monte_carlo_delta(
+                sample_p, sample_q, eps_g, n, RngState(seed), n_bins
+            )
+            assert repr(got) == repr(want), (case, seed, n)
+
+    def test_two_point_audit_matches_serial(self) -> None:
+        for seed in range(400, 406):
+            n = self._trials(seed)
+            eps, t, eps_g = 0.3 + 0.2 * (seed % 4), 0.1, 0.1 * (seed % 3)
+            report = audit_two_point(eps, t, eps_g, n, RngState(seed))
+            pair = grr_params(eps, t)
+            want = serial_monte_carlo_delta(
+                _second_outcome_sampler(pair.q, 1),
+                _second_outcome_sampler(pair.p, 1),
+                eps_g,
+                n,
+                RngState(seed),
+            )
+            assert repr((report.empirical_delta, report.std_error)) == repr(want), seed
+
+    @pytest.mark.parametrize(
+        "k, eps, eps_g, seeds",
+        [(5, 0.2, 0.5, range(500, 506)), (800, 1.0, 700.0, range(600, 601))],
+    )
+    def test_composed_dp_audit_matches_serial(self, k, eps, eps_g, seeds) -> None:
+        # k = 800 at eps_g = 700 is the case where e^eps_g nearly overflows
+        pair = grr_params(2.0 * eps, eps)
+        for seed in seeds:
+            n = self._trials(seed) if k < 100 else 10**5
+            report = audit_composed_dp(k, eps, eps_g, n, RngState(seed))
+            want = serial_monte_carlo_delta(
+                _second_outcome_sampler(pair.q, k),
+                _second_outcome_sampler(pair.p, k),
+                eps_g,
+                n,
+                RngState(seed),
+                n_bins=max(1000, k + 1),
+            )
+            assert repr((report.empirical_delta, report.std_error)) == repr(want), seed
+
+    def test_trunc_gauss_audit_matches_serial_where_sampler(self) -> None:
+        # also pins the in-place window sampler against its np.where form
+        spec = HistogramSpec(d=1, delta0=1, tau=1.0, d_bar=1)
+        for seed in range(700, 706):
+            n = self._trials(seed)
+            config = TruncGaussConfig.from_target(spec, 0.5 + seed % 3, 1e-3)
+            report = audit_trunc_gauss(config, n, RngState(seed))
+            t_level = config.t_level
+            want = serial_monte_carlo_delta(
+                where_windowed_sampler(config, config.tau + t_level),
+                where_windowed_sampler(config, t_level),
+                report.eps_g,
+                n,
+                RngState(seed),
+            )
+            assert repr((report.empirical_delta, report.std_error)) == repr(want), seed
+
+    def test_first_law_on_a_worker_second_on_the_caller(self) -> None:
+        threads = {}
+
+        def recording(name: str):
+            def sample(gen, n):
+                threads[name] = threading.get_ident()
+                return gen.random(n)
+
+            return sample
+
+        monte_carlo_delta(recording("p"), recording("q"), 0.5, 10**5, RngState(0))
+        assert threads["q"] == threading.get_ident()
+        assert threads["p"] != threading.get_ident()
+
+    @pytest.mark.parametrize(
+        "sample_p, sample_q, error",
+        [
+            (_raising(_PError), _uniform, _PError),
+            # sample_p raises last in time, yet its error is the one raised
+            (_raising(_PError, delay=0.1), _raising(_QError), _PError),
+            (_uniform, _raising(_QError), _QError),
+            (lambda gen, n: gen.random(n + 1), _uniform, ValueError),
+            (_uniform, lambda gen, n: gen.random((n, 1)), ValueError),
+        ],
+        ids=["p-raises", "both-raise", "q-raises", "p-wrong-shape", "q-wrong-shape"],
+    )
+    def test_errors_surface_in_serial_order(self, sample_p, sample_q, error) -> None:
+        threads = threading.active_count()
+        with pytest.raises(error) as raised:
+            monte_carlo_delta(sample_p, sample_q, 0.5, 10**5, RngState(1))
+        if error is ValueError:
+            assert "one outcome per trial" in str(raised.value)
+        assert threading.active_count() == threads
+
+    def test_deadline_alarm_interrupts_the_caller(self) -> None:
+        class Deadline(Exception):
+            pass
+
+        def expire(signum, frame):
+            raise Deadline
+
+        def slow(seconds: float):
+            def sample(gen, n):
+                time.sleep(seconds)
+                return gen.random(n)
+
+            return sample
+
+        threads = threading.active_count()
+        previous = signal.signal(signal.SIGALRM, expire)
+        start = time.monotonic()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.05)
+            with pytest.raises(Deadline):
+                monte_carlo_delta(slow(0.2), slow(30.0), 0.5, 10**5, RngState(0))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        # the alarm cut the caller's 30 s draw; the worker's 0.2 s one ended
+        assert time.monotonic() - start < 5.0
+        assert threading.active_count() == threads
 
 
 class TestTruncGaussAudit:

@@ -561,6 +561,20 @@ class TestTruncGaussConfig:
         # a scale the solve resolves keeps its window
         assert TruncGaussConfig.from_target(spec, 1e-8, 1e-6).t_level > 1.0
 
+    def test_window_noise_in_place_matches_expression(self) -> None:
+        # the in-place scale, shift, quantile and scale give the floats of
+        # s * ndtri(lo + u * (hi - lo)) over fresh arrays
+        spec = HistogramSpec(d=1, delta0=1, tau=3.0, d_bar=1)
+        for sigma, delta in ((2.0, 1e-4), (0.05, 0.5), (1e-8, 1e-6), (40.0, 1e-12)):
+            for cfg in (
+                TruncGaussConfig.from_target(SPEC6, sigma, delta),
+                TruncGaussConfig.from_target(spec, sigma, delta),
+            ):
+                for seed, n in ((0, 1), (1, 1000), (2, 65537)):
+                    got = cfg.window_noise(RngState(seed).generator(), n)
+                    want = oracles.expression_window_noise(cfg, RngState(seed).generator(), n)
+                    assert got.tobytes() == want.tobytes(), (sigma, delta, seed)
+
 
 class TestTruncGaussRelease:
     CFG = TruncGaussConfig.from_target(SPEC6, 2.0, 1e-4)
