@@ -104,6 +104,7 @@ audit trunc-gauss --sigma 1e17 --delta 1e-6
 audit trunc-gauss --sigma 1e-300 --tau 1e-300 --delta 0.999999 --delta0 25 --conversion-delta 1
 audit trunc-gauss --sigma 5e-324 --delta 0.5 --tau 1
 audit two-point --eps 800 --t 400 --eps-g 710
+audit trunc-gauss --sigma 2 --delta 1e-6 --trials 1000000 --seed 3
 """
 
 _MORE = """
@@ -120,6 +121,8 @@ topk --mode trunc-gauss {counts} --sigma 1e-200 --delta 1e-6
 audit trunc-gauss --sigma 1e-12 --delta 1e-6
 compose dp --k 10 --eps 0.5 --invert --delta 1e-6
 compare kfold --k 10 --delta0 50 --sigma 2 --delta 1e-9
+audit trunc-gauss --sigma 1 --tau 100 --delta 1e-6 --seed 4
+audit trunc-gauss --sigma 50 --tau 0.01 --delta 1e-9 --seed 5
 """
 
 

@@ -22,14 +22,21 @@ substream, so the overlap changes no draw and no result.
 Categories are counted from one sort of each sample: NaN ("no output")
 sorts last, so its count is the length of the tail, and each atom or
 quantile bin's count is the difference of two binary-search positions
-in the sorted sample; no trial is binned on its own.  The composed
-pure-DP audit bins its k responses by how many took the second outcome.
-All k pairs are the same (2 eps, eps) pair, so the privacy loss of an
-outcome string with j second outcomes is eps (k - 2j): every string in
-a category has the same likelihood ratio, the positive part of their
-summed mass is the sum of their positive parts, and the k + 1 count
-categories lose no mass against the 2^k strings.  Fewer categories also
-leave the empirically optimal event less noise to fit.
+in the sorted sample; no trial is binned on its own.  The quantile
+edges are read from the two sorted samples as well: each rank numpy's
+linear rule reads is selected from their union by bisection on the
+split point and interpolated by numpy's own expression, so every edge
+is the float numpy gives for the pooled outcomes, and the pooled
+sample is never built or sorted.
+
+The composed pure-DP audit bins its k responses by how many took the
+second outcome.  All k pairs are the same (2 eps, eps) pair, so the
+privacy loss of an outcome string with j second outcomes is eps
+(k - 2j): every string in a category has the same likelihood ratio, the
+positive part of their summed mass is the sum of their positive parts,
+and the k + 1 count categories lose no mass against the 2^k strings.
+Fewer categories also leave the empirically optimal event less noise
+to fit.
 """
 
 from __future__ import annotations
@@ -68,10 +75,16 @@ _MAX_EXACT_SLOTS = 20
 # blocks with the stream one (n, k) draw would use
 _SAMPLE_ROWS = 1 << 14
 _SAMPLE_CELLS = 1 << 20
+# largest k * n_trials a composed pure-DP audit accepts: past 64 pairs a
+# block holds fewer trials than _SAMPLE_ROWS, so the Python column steps
+# grow as k^2 n; at this limit k = 5000 and 1e5 trials took 10.2 to 15.5 s
+# over five runs and k = 50 and 1e7 trials 3.6 to 4.3 s (2 vCPUs), against
+# 22 s at k = 8000
+_MAX_RESPONSES = 500_000_000
 # multinomial resamples behind a Monte-Carlo standard error
 _N_BOOTSTRAP = 200
-# largest outcome magnitude a quantile bin takes: np.quantile interpolates
-# as a + (b - a) t, and b - a overflows once |a| or |b| exceeds half the
+# largest outcome magnitude a quantile bin takes: an edge interpolates as
+# a + (b - a) t, and b - a overflows once |a| or |b| exceeds half the
 # float range
 _MAX_OUTCOME = float(np.finfo(float).max) / 2.0
 # largest eps_g at which math.exp(eps_g) does not overflow
@@ -158,12 +171,58 @@ def hockey_stick_exact(
     return float(np.sum(np.maximum(diff, 0.0)))
 
 
-def _distinct(sorted_values: np.ndarray) -> np.ndarray:
-    """The values of a sorted array, each once (-0.0 equals 0.0)."""
+def _starts(sorted_values: np.ndarray) -> np.ndarray:
+    """Where a sorted array steps to a new value (-0.0 equals 0.0)."""
     keep = np.empty(sorted_values.size, dtype=bool)
     keep[:1] = True
     np.not_equal(sorted_values[1:], sorted_values[:-1], out=keep[1:])
-    return sorted_values[keep]
+    return keep
+
+
+def _order_statistics(a: np.ndarray, b: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """The values at the given 0-based ranks of the sorted union of a and b.
+
+    Both arrays are sorted.  The value at rank r is the largest of the
+    r + 1 smallest, which take some i from a and r + 1 - i from b; i is
+    the least split with a[i] >= b[r - i], found for every rank at once
+    by bisection.
+    """
+    if not a.size or not b.size:
+        return (a if a.size else b)[ranks]
+    k = ranks + 1
+    lo = np.maximum(k - b.size, 0)
+    hi = np.minimum(k, a.size)
+    while (lo < hi).any():
+        mid = (lo + hi) // 2
+        # where lo == hi the two takes are clipped and the step discarded
+        right = a.take(mid, mode="clip") >= b.take(k - 1 - mid, mode="clip")
+        right |= lo == hi
+        hi = np.where(right, mid, hi)
+        lo = np.where(right, lo, mid + 1)
+    from_a = np.where(lo > 0, a.take(lo - 1, mode="clip"), -np.inf)
+    from_b = np.where(k > lo, b.take(k - 1 - lo, mode="clip"), -np.inf)
+    return np.maximum(from_a, from_b)
+
+
+def _pooled_quantiles(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The quantiles q of a and b pooled, from the sorted a and b.
+
+    Float for float numpy's linear rule: the virtual index (N - 1) q
+    reads ranks floor and floor + 1, a virtual index from N - 1 up reads
+    the last value twice (its gamma then taken against index -1), and
+    the result is lo + (hi - lo) gamma, or hi - (hi - lo)(1 - gamma)
+    where gamma >= 0.5.
+    """
+    n = a.size + b.size
+    virtual = (n - 1) * q
+    below = np.floor(virtual)
+    last = virtual >= n - 1
+    below[last] = -1.0
+    gamma = virtual - below
+    ranks = np.where(last, n - 1, np.stack([below, below + 1.0])).astype(np.intp)
+    lo, hi = _order_statistics(a, b, ranks)
+    diff = hi - lo
+    return np.where(gamma >= 0.5, hi - diff * (1 - gamma), lo + diff * gamma)
 
 
 def _category_counts(
@@ -176,9 +235,10 @@ def _category_counts(
     pooled-quantile bins; NaN outcomes land in a dedicated final
     category so "no output" stays a visible event.  An infinite outcome,
     or a finite one beyond half the float range, has no quantile bin and
-    raises ValueError.  Both samples arrive sorted (np.sort order) and
-    every count is a difference of two positions in one of them, so no
-    trial is binned on its own.
+    raises ValueError.  Both samples arrive sorted (np.sort order): the
+    quantile edges are order statistics of the two sorted samples, and
+    every count is a difference of two positions in one of them, so
+    neither the pooled sample nor any trial is sorted or binned anew.
     """
     # NaN sorts last, so the non-NaN outcomes are a prefix of each sample
     # whose two ends hold its largest magnitudes, any +-inf among them
@@ -188,8 +248,10 @@ def _category_counts(
         if largest > _MAX_OUTCOME:
             raise ValueError(f"outcome magnitude {largest:.6g} is infinite or past max/2")
     # one sample with too many distinct values rules out atoms unpooled
-    distinct = [_distinct(f) for f in finite]
-    atoms = np.union1d(*distinct) if max(d.size for d in distinct) <= n_bins else None
+    starts = [_starts(f) for f in finite]
+    atoms = None
+    if max(np.count_nonzero(s) for s in starts) <= n_bins:
+        atoms = np.union1d(*(f[s] for f, s in zip(finite, starts)))
     if atoms is not None and atoms.size <= n_bins:
         mode = f"atoms({atoms.size})"
 
@@ -197,8 +259,8 @@ def _category_counts(
             return np.searchsorted(f, atoms, "right") - np.searchsorted(f, atoms)
 
     else:
-        pooled = np.sort(np.concatenate(finite))
-        edges = np.unique(np.quantile(pooled, np.linspace(0.0, 1.0, n_bins + 1)))
+        quantiles = _pooled_quantiles(*finite, np.linspace(0.0, 1.0, n_bins + 1))
+        edges = np.unique(quantiles)
         mode = f"quantile({edges.size - 1})"
 
         # bin j holds edges[j] <= v < edges[j + 1]; values below the
@@ -344,7 +406,14 @@ def audit_composed_dp(
     likelihood ratios sit at e^eps, the extremal instance of the
     composition bound being audited.  Each trial reports how many of the
     k responses took the second outcome, which fixes its privacy loss.
+    k * n_trials, the responses drawn for each law, is at most
+    ``_MAX_RESPONSES`` (5e8), so the audit finishes in about 10 s.
     """
+    if k * n_trials > _MAX_RESPONSES:
+        raise ValueError(
+            f"k = {k} and n_trials = {n_trials} make k * n_trials = {k * n_trials}"
+            f" responses per law, above the {_MAX_RESPONSES} drawn in about 10 s"
+        )
     bound = delta_opt_dp(k, eps, eps_g)
     estimate = _pair_estimate(grr_params(2.0 * eps, eps), k, eps_g, n_trials, rng)
     binning = f"atoms({k + 1}) by the count of second outcomes"

@@ -23,7 +23,9 @@ priced each golden-section step by two scalar passes.  The list-based release
 mechanisms are the package's former per-request sorts and full-width
 selection rounds, kept as the reference its columnar releases must
 reproduce byte for byte, and the audit categorizer that bins every trial
-by its own binary search is the reference for the sorted-sample counts.
+by its own binary search, its edges from np.quantile over the pooled
+outcomes, is the reference for the sorted-sample counts and their
+order-statistic edges.
 The Monte-Carlo estimate that drew its two laws one after the other,
 and the trunc-gauss audit's window sampler written as one expression
 that allocates each intermediate, are the references for the
@@ -48,7 +50,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from dpcomp.adaptive import GridSpec, MechanismSequence, _tilt_q, delta_opt_recursive
-from dpcomp.audit import _MAX_EXACT_SLOTS, _N_BOOTSTRAP, _category_counts, _positive_part
+from dpcomp.audit import _MAX_EXACT_SLOTS, _N_BOOTSTRAP, _positive_part
 from dpcomp.calibration import _SEARCH, _TOL_REL, HistogramSpec, analytic_gaussian_delta
 from dpcomp.mechanisms import (
     _MIN_UNIFORM,
@@ -1091,9 +1093,11 @@ def serial_monte_carlo_delta(
 ) -> tuple[float, float]:
     """audit.monte_carlo_delta as it drew its two laws one after the other.
 
-    The body before the draws overlapped, with the sort that the
-    categorizer used to make moved to its call; the concurrent version
-    must return the same floats.
+    The body before the draws overlapped, categorizing with
+    searchsorted_category_counts (np.quantile over the pooled outcomes,
+    each trial binned on its own) in place of the package's
+    order-statistic edges; the concurrent version must return the same
+    floats.
     """
     if n_trials < 10**5:
         raise ValueError(f"need at least 1e5 trials for a stable tail, got {n_trials}")
@@ -1104,7 +1108,7 @@ def serial_monte_carlo_delta(
     ys = np.asarray(sample_q(rng.substream(1), n_trials), dtype=float)
     if xs.shape != (n_trials,) or ys.shape != (n_trials,):
         raise ValueError("samplers must return one outcome per trial")
-    counts_p, counts_q, _ = _category_counts(np.sort(xs), np.sort(ys), n_bins)
+    counts_p, counts_q, _ = searchsorted_category_counts(xs, ys, n_bins)
     estimate = float(_positive_part(counts_p, counts_q, eps_g))
 
     boot = rng.substream(2)

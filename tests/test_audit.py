@@ -13,10 +13,13 @@ from hypothesis import strategies as st
 
 from dpcomp.audit import (
     _LOG_MAX,
+    _MAX_OUTCOME,
+    _MAX_RESPONSES,
     _SAMPLE_ROWS,
     AuditReport,
     _category_counts,
     _exp_times,
+    _pooled_quantiles,
     _second_outcome_sampler,
     audit_composed_dp,
     audit_trunc_gauss,
@@ -260,6 +263,65 @@ class TestCategoryCounts:
             assert np.array_equal(got[1], want[1])
 
 
+def _targeted_samples():
+    """(xs, ys, n_bins) at the corners of the categorizer, unsorted."""
+    gen = np.random.default_rng(30)
+    normal = gen.normal(size=3000)
+    with_nan = np.where(gen.random(20000) < 0.2, np.nan, gen.normal(size=20000))
+    near_max = _MAX_OUTCOME * np.concatenate([[-1.0, 1.0], gen.uniform(-1, 1, 1998)])
+    cases = {
+        "second law all NaN": (normal, np.full(500, np.nan), 1000),
+        "first law all NaN": (np.full(700, np.nan), normal, 1000),
+        "single finite value": (np.array([np.nan, 2.5, np.nan]), np.full(4, np.nan), 2),
+        "all tied": (np.full(2000, -3.0), np.full(1500, -3.0), 2),
+        "tied integers past n_bins": (
+            gen.integers(0, 20, 3000).astype(float),
+            gen.integers(5, 30, 2000).astype(float),
+            7,
+        ),
+        "near max/2, 3 bins": (near_max[:600], near_max[600:], 3),
+        "near max/2, 1000 bins": (near_max[:300], near_max[300:], 1000),
+        "disjoint laws": (normal + 50.0, normal[:1000], 1000),
+    }
+    for n_bins in (2, 3, 1000, 10000):
+        cases[f"{n_bins} bins"] = (with_nan[:12000], with_nan[12000:], n_bins)
+    return cases
+
+
+class TestOrderStatisticEdges:
+    """The quantile edges read from the two sorted samples."""
+
+    TARGETED = _targeted_samples()
+
+    @pytest.mark.parametrize("case", sorted(TARGETED))
+    def test_targeted_cases_match_per_trial_binning(self, case) -> None:
+        xs, ys, n_bins = self.TARGETED[case]
+        got = _category_counts(np.sort(xs), np.sort(ys), n_bins)
+        want = searchsorted_category_counts(xs, ys, n_bins)
+        assert got[2] == want[2], case
+        for g, w in zip(got[:2], want[:2]):
+            assert g.dtype == w.dtype == np.int64
+            assert np.array_equal(g, w), case
+
+    def test_edges_equal_numpy_quantile(self) -> None:
+        # normal, integer ties and +-1e100 Cauchy, 0 to 3000 values a
+        # side and 2 to 1200 edges; equal floats, the sign of a zero aside
+        gen = np.random.default_rng(31)
+        draws = (
+            lambda n: gen.normal(size=n),
+            lambda n: gen.integers(-10, 10, size=n).astype(float),
+            lambda n: 1e100 * gen.standard_cauchy(size=n),
+        )
+        for case in range(600):
+            draw = draws[case % 3]
+            na, nb = gen.integers(0, 3001, size=2)
+            a, b = np.sort(draw(max(na, 1))), np.sort(draw(nb))
+            q = np.linspace(0.0, 1.0, gen.integers(2, 1201))
+            want = np.quantile(np.concatenate([a, b]), q)
+            assert np.array_equal(_pooled_quantiles(a, b, q), want), case
+            assert np.array_equal(_pooled_quantiles(b, a, q), want), case
+
+
 class TestAuditReport:
     def test_verdict_threshold(self) -> None:
         base = dict(
@@ -459,6 +521,20 @@ class TestMonteCarloDelta:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             monte_carlo_delta(sampler, sampler, 0.5, rng=NoDraws(), **call)
         assert threading.active_count() == threads
+
+    def test_composed_dp_past_the_response_limit_refused(self, monkeypatch) -> None:
+        # k * n_trials = 1e10 used to run the sampler for hours; refused
+        # before any draw, and the limit itself is accepted
+        def drawn(*args, **kwargs):
+            raise AssertionError("the audit drew")
+
+        monkeypatch.setattr("dpcomp.audit.monte_carlo_delta", drawn)
+        with pytest.raises(ValueError, match="k = 100000 and n_trials = 100000 make"):
+            audit_composed_dp(100000, 0.001, 1.0, 10**5, RngState(0))
+        with pytest.raises(ValueError, match="k = 5001 and n_trials = 100000 make"):
+            audit_composed_dp(_MAX_RESPONSES // 10**5 + 1, 1.0, 1.0, 10**5, RngState(0))
+        with pytest.raises(AssertionError, match="drew"):
+            audit_composed_dp(_MAX_RESPONSES // 10**5, 1.0, 1.0, 10**5, RngState(0))
 
     def test_numpy_integer_counts_accepted(self) -> None:
         def sampler(gen, n):

@@ -390,6 +390,16 @@ class TestExitCodes:
         assert out == "" and "invalid parameters: k = 20000 and m = 10000 make a walk" in err
         assert "= 100020001 terms, above the 12500000 that fit" in err
 
+    def test_composed_dp_audit_past_the_response_limit_is_refused_at_once(self, capsys):
+        # k * n_trials = 5.001e8 responses per law: this used to run for
+        # about 10 s, and k = 100000 for hours
+        for k in ("5001", "100000"):
+            argv = ["audit", "composed-dp", "--k", k, "--eps", "0.001", "--eps-g", "1"]
+            code, out, err = run_within(capsys, argv, 5)
+            assert code == 2, err
+            assert out == "" and f"invalid parameters: k = {k} and n_trials = 100000 make" in err
+            assert "responses per law, above the 500000000 drawn in about 10 s" in err
+
     def test_overflowing_adaptive_budget_is_usage_error(self, capsys):
         # 3 * 1e308 overflows; this used to print nan and exit 0
         argv = ["compose", "adaptive", "--slots", "br,dp,br", "--eps", "1e308", "--eps-g", "0.3"]
