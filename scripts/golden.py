@@ -3,11 +3,14 @@
 
 Usage: PYTHONPATH=src python3 scripts/golden.py [--update]
 
-Runs a fixed list of `dpcomp` argvs in process through `dpcomp.cli.main`
-and records, for each, its exit code, its stdout bytes, the last line of
-its stderr and every `-o` file it wrote.  Without --update it compares
-against tests/golden/cli.txt and prints each difference; with --update it
-rewrites that file, so a deliberate output change is a visible diff.
+Runs each `dpcomp` argv of tests/golden/argv.txt, the one list of recorded
+argvs, in process through `dpcomp.cli.main` and records, for each, its
+exit code, its stdout bytes, the last line of its stderr and every `-o`
+file it wrote.  Without --update it compares against tests/golden/cli.txt
+and prints each difference; with --update it rewrites that file, so a
+deliberate output change is a visible diff.  A new argv is appended to
+argv.txt and recorded with --update before any change to src/, so the
+record holds what the code printed before the change.
 
 The file's header names the Python, numpy and scipy versions and the
 platform.  On a matching host the comparison is byte for byte; on any
@@ -33,113 +36,21 @@ from dpcomp import BoundedRange, Cdp, PureDP, SetwiseAccountant, Zcdp
 from dpcomp.cli import main as cli_main
 
 GOLDEN = Path(__file__).resolve().parents[1] / "tests" / "golden"
+ARGVS = GOLDEN / "argv.txt"
 RECORD = GOLDEN / "cli.txt"
 ULPS = 4
-
-_COUNTS = "--input {golden}/counts.csv"
-_TOPK = {
-    "known-lap": "--k 5 --eps 0.5",
-    "known-gauss": "--sigma 2 --k 10",
-    "lsnoise": "--k 5 --eps 0.5 --sigma 2",
-    "trunc-gauss": "--sigma 2 --delta 1e-6",
-}
-
-# every dpcomp call of the CI console-script step, with the same inputs
-_CI = """
-compose dp --k 10 --eps 1e8 --invert --delta 1e-6
-compose br --k 20 --eps 0.3 --invert --delta 1e-6
-compose br --k 1 --eps 0.037 --invert --delta 8.2e-9
-compose dp --k 3 --eps 1e308 --eps-g 1
-compose dp --k 1000000000 --eps 0.001 --eps-g 1
-compose mixed --k 20000 --m 10000 --eps 0.001 --eps-g 1
-compose br --k 20 --eps 3.7e7 --invert --delta 0.999
-compose mixed --k 20 --m 10 --eps 0.1 --eps-g-grid 0:3:0.01 -o {tmp}/curve.csv
-compose mixed --k 30 --m 20 --eps 0.09 --eps-g-grid 0:3:0.03 -o {tmp}/curve30.csv
-compose mixed --k 12 --m 4 --eps 1000 --eps-g-grid 0:12000:120 -o {tmp}/curve_eps1000.csv
-compose br --k 200 --eps 5 --eps-g-grid 0:1000:10 -o {tmp}/br200.csv
-compose dp --k 200 --eps 0.05 --eps-g-grid=-1:20:0.2 -o {tmp}/dp200.csv
-compose mixed --k 40 --m 10 --eps 1e6 --eps-g-grid 0:3e7:3e5 -o {tmp}/mixed_eps1e6.csv
-compose mixed --k 20 --m 7 --eps 1e6 --invert --delta 1e-6
-compose br --k 25 --eps 0.12 --eps-g-grid 0:3:0.03
-calibrate --route analytic --eps 1 --delta 1e-6
-calibrate --route analytic --eps 0 --delta 1e-30
-calibrate --route analytic --eps 1e300 --delta 0.5
-calibrate --route zcdp --eps 1 --delta 1e-6 -o {tmp}/x
-calibrate --route analytic --eps 1 --delta 1e-6 --delta0 0
-compose setwise --config {tmp}/accountant.json --delta 1e-6
-compose setwise --config {tmp}/accountant.json --delta 1e-6 --k 3
-compose dp --k 10 --eps 0.1 --eps-g 1 -o {tmp}/scalar.txt
-compose setwise --config {tmp}/accountant4.json --delta 1e-6
-compose setwise --config {tmp}/accountant4.json --delta 5e-324
-calibrate --route zcdp --eps 1 --delta 5e-324 --delta0 5
-compose setwise --config {tmp}/array.json --delta 1e-6
-compose adaptive --slots br,br --eps 1 --eps-g 0.3
-compose adaptive --slots br,dp,br,dp --eps 0.5 --eps-g -0.2
-compose adaptive --slots br,dp,br --eps 1e308 --eps-g 0.3
-calibrate --route analytic --eps 1.7e308 --delta 1e-6
-calibrate --route zcdp --eps 1.7e308 --delta 1e-6 --delta0 5
-calibrate --route zcdp --eps 5e-324 --delta 1e-6 --delta0 5
-compare kfold --k 5 --delta0 10 --sigma 10 --delta 1e-6
-compose dp --k 3 --eps 0.5 --eps-g-grid 0:inf:1
-compose dp --k 3 --eps 0.5 --eps-g-grid 0:1:1e-300
-compare single --delta0 0 --sigma 10 --delta 1e-6
-compare single --delta0 10000 --sigma 1e-300 --delta 1e-6 --tau 1e6
-topk --mode known-lap {counts} --k 5 --eps 0.5
-topk --mode known-gauss {counts} --sigma 2 --k 5
-topk --mode known-gauss {counts} --sigma 2
-topk --mode known-gauss {counts} --sigma 2 --format json
-topk --mode known-gauss {counts} --sigma 2 --k 51
-topk --mode known-gauss {counts} --sigma 1e308 --tau 1
-topk --mode known-gauss {counts} --sigma 2 --delta 1e-6
-topk --mode trunc-gauss {counts} --sigma 2 --delta 1e-6 --k 51
-topk --mode lsnoise {counts} --k 5 --eps 0.5 --sigma 2
-topk --mode lsnoise {counts} --k 50 --eps 0.5 --sigma 2
-topk --mode known-lap {counts} --k 5 --eps 1e-320
-topk --mode trunc-gauss {counts} --sigma 2 --delta 1e-6 --d-bar 100
-topk --mode known-gauss --input {golden}/dup.csv --sigma 2
-audit composed-dp --k 12 --eps 0.1 --eps-g 0.5 --seed 1
-audit trunc-gauss --sigma 2 --delta 1e-6
-audit trunc-gauss --sigma 0.341 --delta 0.5 --tau 0.121
-audit trunc-gauss --sigma 1e17 --delta 1e-6
-audit trunc-gauss --sigma 1e-300 --tau 1e-300 --delta 0.999999 --delta0 25 --conversion-delta 1
-audit trunc-gauss --sigma 5e-324 --delta 0.5 --tau 1
-audit two-point --eps 800 --t 400 --eps-g 710
-audit trunc-gauss --sigma 2 --delta 1e-6 --trials 1000000 --seed 3
-"""
-
-_MORE = """
-audit two-point --eps 1 --t 0.5 --eps-g 0.5 --trials 100000 --seed 2
-audit composed-dp --k 5 --eps 0.3 --eps-g 1 --trials 100000 --seed 2
-audit trunc-gauss --sigma 1.5 --delta 1e-5 --delta0 3 --trials 100000 --seed 2
-topk --mode known-gauss {counts} --sigma 1e-17 --seed 1
-topk --mode known-lap {counts} --k 36 --eps 1e17 --seed 1
-compare single --delta0 25 --sigma 5 --delta 1e-6
-compare kfold --k 10 --delta0 25 --sigma 5 --delta 1e-6 --tau 0.5 --format json
-calibrate --route zcdp --eps 1 --delta 1e-6 --delta0 5
-calibrate --route analytic --eps 0.5 --delta 1e-9 --delta0 5
-topk --mode trunc-gauss {counts} --sigma 1e-200 --delta 1e-6
-audit trunc-gauss --sigma 1e-12 --delta 1e-6
-compose dp --k 10 --eps 0.5 --invert --delta 1e-6
-compare kfold --k 10 --delta0 50 --sigma 2 --delta 1e-9
-audit trunc-gauss --sigma 1 --tau 100 --delta 1e-6 --seed 4
-audit trunc-gauss --sigma 50 --tau 0.01 --delta 1e-9 --seed 5
-"""
 
 
 def cases() -> list[str]:
     """The recorded argvs, with {golden} and {tmp} for their directories."""
-    out = _CI.strip().splitlines()
-    out += [f"figures {n} --seed 0" for n in range(1, 8)]
-    for source in ("{counts}", "--input {golden}/corpus.txt"):
-        for mode, options in _TOPK.items():
-            out += [f"topk --mode {mode} {source} {options} --seed {s}" for s in (1, 2, 3)]
-    out = [line.replace("{counts}", _COUNTS) for line in out + _MORE.strip().splitlines()]
+    lines = ARGVS.read_text(encoding="utf-8").splitlines()
+    out = [line for line in lines if line and not line.startswith("#")]
     assert len(set(out)) == len(out), "an argv is listed twice"
     return out
 
 
 def _write_inputs(tmp: Path) -> None:
-    # the accountant files the CI step writes, by the same library calls
+    # the accountant files that the setwise cases read
     a = SetwiseAccountant()
     a.register(PureDP(0.5)).register(Cdp(0.1, 0.4)).consume(PureDP(0.5))
     (tmp / "accountant.json").write_text(a.to_json())

@@ -210,8 +210,10 @@ def global_bound_homogeneous(
 
     m_dp pure eps-DP, m_br alpha-BR and m_cdp (mu, tau)-CDP mechanisms at
     failure budget delta, summing the convert_to_cdp pair of each class
-    with a nonzero count.  Those classes check their parameters as on
-    construction; a zero count's parameters are ignored.
+    with a nonzero count, formed as register forms it.  Those classes
+    check their parameters as on construction; a zero count's parameters
+    are ignored.  A guarantee whose terms overflow a float is refused with
+    a ValueError that names it, as SetwiseAccountant.register refuses it.
     """
     if min(m_dp, m_br, m_cdp) < 0 or m_dp + m_br + m_cdp == 0:
         raise ValueError("need nonnegative counts with at least one mechanism")
@@ -224,9 +226,13 @@ def global_bound_homogeneous(
         (m_cdp, Cdp, (mu, tau)),
     ):
         if count:
-            pair = convert_to_cdp(cls(*params))
-            mean += count * pair.mu
-            var += count * pair.tau**2
+            c = cls(*params)
+            try:
+                loss, tau_sq = _terms(c, True)[:2]
+            except OverflowError:
+                raise ValueError(f"cannot bound {c}: its terms overflow a float") from None
+            mean += count * loss
+            var += count * tau_sq
     return _cdp_eps(mean, var, delta)
 
 

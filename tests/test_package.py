@@ -70,8 +70,16 @@ def test_public_names_are_frozen_and_resolve():
 
 
 def test_readme_quickstart_runs():
-    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    text = README.read_text()
+    blocks = re.findall(r"```python\n(.*?)```", text, re.S)
     assert len(blocks) == 1
+    assert blocks[0] in text.split("\n## Quickstart\n")[1].split("\n## ")[0]
     namespace: dict = {}
     exec(compile(blocks[0], str(README), "exec"), namespace)
-    assert namespace["report"].verdict in ("consistent", "violation")
+    # each value a comment states, to the digits it states
+    stated = re.findall(r"^(\w+) = .*# (\d+\.(\d+))$", blocks[0], re.M)
+    assert [name for name, _, _ in stated] == ["eps_g", "sigma"]
+    for name, value, decimals in stated:
+        assert round(namespace[name], len(decimals)) == float(value), name
+    verdict = re.findall(r'^report\.verdict +# "(\w+)"$', blocks[0], re.M)
+    assert verdict == [namespace["report"].verdict] == ["consistent"]

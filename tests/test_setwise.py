@@ -267,6 +267,25 @@ class TestGlobalBoundCdp:
         want = global_bound_homogeneous(m_dp, eps, m_br, alpha, m_cdp, mu, tau, 1e-6)
         assert acc.global_bound_cdp() == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("big", [1e200, np.float64(1e200)], ids=["float", "float64"])
+    @pytest.mark.parametrize("slot", ["pure-dp", "br", "cdp"])
+    def test_homogeneous_refuses_overflowing_terms_as_register_does(self, slot, big) -> None:
+        # a float's square raised a bare OverflowError from pair.tau**2, and a
+        # float64's gave an infinite bound with a RuntimeWarning
+        args, c = {
+            "pure-dp": ((1, big, 0, 1.0, 0, 0.0, 1.0), PureDP(big)),
+            "br": ((0, 1.0, 1, big, 0, 0.0, 1.0), BoundedRange(big)),
+            "cdp": ((0, 1.0, 0, 1.0, 1, 0.0, big), Cdp(0.0, big)),
+        }[slot]
+        with pytest.raises(ValueError) as want:
+            SetwiseAccountant(1e-6).register(c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as got:
+                global_bound_homogeneous(*args, 1e-6)
+        assert str(got.value) == f"cannot bound {c}: its terms overflow a float"
+        assert str(want.value) == f"cannot register {c}: its terms overflow a float"
+
 
 class TestGlobalBoundZcdp:
     def test_frozen(self) -> None:
